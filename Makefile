@@ -5,7 +5,7 @@ GO ?= go
 # Hot-path microbenchmarks tracked by the perf trajectory (bench-json)
 # and the CI benchstat delta; ci.yml consumes them via the bench-micro
 # and bench-json targets, so this regex is the single source of truth.
-MICRO_BENCH = BenchmarkSchedulerChurn|BenchmarkTimerChurn|BenchmarkSchedulerFanOut|BenchmarkChannelTransmit|BenchmarkLinkRowLookup|BenchmarkRadioArrivals|BenchmarkEnergyAccounting|BenchmarkRegionParallelRun
+MICRO_BENCH = BenchmarkSchedulerChurn|BenchmarkTimerChurn|BenchmarkSchedulerFanOut|BenchmarkChannelTransmit|BenchmarkLinkRowLookup|BenchmarkRadioArrivals|BenchmarkEnergyAccounting
 BENCH_DATE ?= $(shell date +%Y-%m-%d)
 
 .PHONY: all build test bench bench-micro bench-json lint lint-golangci campaign-smoke daemon-smoke chaos-smoke fmt
@@ -17,6 +17,7 @@ build:
 
 test:
 	$(GO) test -race -timeout 30m ./...
+	$(GO) -C bench test .
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' -timeout 30m ./...
@@ -51,10 +52,9 @@ lint-golangci:
 # campaign-smoke mirrors CI's end-to-end campaign job: the bursty
 # preset must dry-run, execute a tiny grid to non-empty JSONL, resume
 # cleanly from its own checkpoint, re-run byte-identically on the
-# reference heap scheduler (-queue heap vs the calendar default) and
-# again byte-identically with 4-region parallel execution; the scale
-# preset must expand and push a real 500-node run through the spatial
-# index.
+# reference heap scheduler (-queue heap vs the calendar default); the
+# scale preset must expand and push a real 500-node run through the
+# spatial index.
 campaign-smoke:
 	@$(GO) run ./cmd/campaign -preset bursty -dry-run > /dev/null
 	@$(GO) run ./cmd/campaign -preset scale -dry-run > /dev/null
@@ -64,12 +64,10 @@ campaign-smoke:
 	$(GO) run ./cmd/campaign -preset bursty -duration 4 -seeds 1 -loads 250 -out $$tmp -resume -q > /dev/null && \
 	$(GO) run ./cmd/campaign -preset bursty -duration 4 -seeds 1 -loads 250 -queue heap -out $$tmp.heap -q > /dev/null && \
 	cmp $$tmp $$tmp.heap && \
-	$(GO) run ./cmd/campaign -preset bursty -duration 4 -seeds 1 -loads 250 -regions 4 -out $$tmp.regions -q > /dev/null && \
-	cmp $$tmp $$tmp.regions && \
 	$(GO) run ./cmd/campaign -preset lifetime -duration 4 -seeds 1 -loads 250 -out $$tmp.life -q > /dev/null && \
 	$(GO) run ./cmd/campaign -preset scale -variants n=500 -topology grid -duration 4 -seeds 1 -loads 250 -out $$tmp.scale -q > /dev/null && \
-	echo "campaign-smoke: ok ($$(wc -l < $$tmp) records incl. heap-queue and region cmp, $$(wc -l < $$tmp.life) lifetime, $$(wc -l < $$tmp.scale) scale)"; \
-	rc=$$?; rm -f $$tmp $$tmp.heap $$tmp.regions $$tmp.life $$tmp.scale; exit $$rc
+	echo "campaign-smoke: ok ($$(wc -l < $$tmp) records incl. heap-queue cmp, $$(wc -l < $$tmp.life) lifetime, $$(wc -l < $$tmp.scale) scale)"; \
+	rc=$$?; rm -f $$tmp $$tmp.heap $$tmp.life $$tmp.scale; exit $$rc
 
 # daemon-smoke mirrors CI's campaign-daemon step: boot campaignd on a
 # fresh state dir, submit the bursty preset's spec over HTTP, wait for

@@ -1,6 +1,6 @@
 // Package repro's root benchmarks regenerate every figure of the
-// paper's evaluation (see DESIGN.md's per-experiment index) plus the
-// ablation studies of PCMAC's design choices. Each benchmark runs a
+// paper's evaluation (the README's "Campaigns" section lists the
+// matching full-length presets) plus the ablation studies of PCMAC's design choices. Each benchmark runs a
 // complete simulation per iteration and reports the figure's metric via
 // b.ReportMetric, so
 //
@@ -95,8 +95,8 @@ func BenchmarkFig6Scheme1(b *testing.B) {
 }
 
 // fig8Loads is the offered-load axis for the headline sweep. The paper
-// sweeps 300-1000 kbps on ns-2; our substrate saturates earlier (see
-// EXPERIMENTS.md), so the interesting region sits at 300-500 kbps.
+// sweeps 300-1000 kbps on ns-2; our substrate saturates earlier, so the
+// interesting region sits at 300-500 kbps.
 var fig8Loads = []float64{300, 400, 500}
 
 // BenchmarkFig8Throughput regenerates Figure 8: aggregate network

@@ -33,7 +33,6 @@ type CampaignFlags struct {
 	Battery       string
 	EnergyProfile string
 	Queue         string
-	Regions       string
 }
 
 // Register installs the flag group on fs.
@@ -49,7 +48,6 @@ func (f *CampaignFlags) Register(fs *flag.FlagSet) {
 	fs.StringVar(&f.Battery, "battery", "", "override the battery-capacity axis (csv of joules per node)")
 	fs.StringVar(&f.EnergyProfile, "energy-profile", "", "override the radio draw-profile axis (csv of wavelan|sensor)")
 	fs.StringVar(&f.Queue, "queue", "", "scheduler event queue (calendar|heap; results are byte-identical); csv sweeps it as an A/B axis")
-	fs.StringVar(&f.Regions, "regions", "", "region shards per run for intra-run parallel execution (results are byte-identical); csv sweeps it as an A/B axis")
 }
 
 // Given reports whether a campaign was selected at all (daemons treat
@@ -129,18 +127,6 @@ func (f *CampaignFlags) Build() (runner.Campaign, error) {
 		camp.EventQueues = nil
 	case len(vals) > 1:
 		camp.EventQueues = vals
-	}
-	switch vals, err := ParseInts(f.Regions); {
-	case err != nil:
-		return runner.Campaign{}, fmt.Errorf("bad -regions %q", f.Regions)
-	case len(vals) == 1:
-		// Like -queue: a single count reshapes every run without adding
-		// a key segment, so checkpoints and output stay byte-identical
-		// with the sequential campaign — and resume across region counts.
-		camp.Base.Regions = vals[0]
-		camp.Regions = nil
-	case len(vals) > 1:
-		camp.Regions = vals
 	}
 	if f.Battery != "" {
 		vals, err := ParseFloats(f.Battery)
@@ -223,19 +209,6 @@ func SplitCSV(csv string) []string {
 		}
 	}
 	return out
-}
-
-// ParseInts converts "1,2,4" to an integer axis (nil when empty).
-func ParseInts(csv string) ([]int, error) {
-	var vals []int
-	for _, tok := range SplitCSV(csv) {
-		v, err := strconv.Atoi(tok)
-		if err != nil {
-			return nil, fmt.Errorf("bad value %q", tok)
-		}
-		vals = append(vals, v)
-	}
-	return vals, nil
 }
 
 // ParseFloats converts "200,300,400" to a float axis (nil when empty,

@@ -38,13 +38,6 @@ type RunnerMetrics struct {
 	// events each successful run dispatched.
 	RunWallSeconds *Histogram
 	RunSimEvents   *Histogram
-	// Region-executive telemetry, observed only for runs that executed
-	// with regions enabled: RunSimWindows the synchronization windows a
-	// run took (committed events / windows is the per-barrier payoff),
-	// RunRegionStallSeconds the committer wall-time the run spent
-	// waiting at window barriers (the serial fraction Amdahl charges).
-	RunSimWindows         *Histogram
-	RunRegionStallSeconds *Histogram
 	// WorkersBusy is the worker-pool occupancy: attempts in flight.
 	WorkersBusy *Gauge
 	// Checkpoint durability: records written, fsyncs issued, and
@@ -66,10 +59,6 @@ func NewRunnerMetrics(r *Registry) *RunnerMetrics {
 			"Wall-clock duration of each executed run, retries included.", nil),
 		RunSimEvents: r.Histogram("campaign_run_sim_events",
 			"Simulator events dispatched per successful run.", ExponentialBuckets(1e3, 10, 6)),
-		RunSimWindows: r.Histogram("campaign_run_sim_windows",
-			"Synchronization windows per region-parallel run.", ExponentialBuckets(10, 10, 6)),
-		RunRegionStallSeconds: r.Histogram("campaign_run_region_stall_seconds",
-			"Committer wall-time spent waiting at region window barriers per run.", nil),
 		WorkersBusy:      r.Gauge("campaign_workers_busy", "Run attempts currently in flight on the worker pool."),
 		CheckpointWrites: r.Counter("campaign_checkpoint_writes_total", "Result records written to JSONL checkpoints."),
 		CheckpointSyncs:  r.Counter("campaign_checkpoint_syncs_total", "Checkpoint fsyncs issued."),

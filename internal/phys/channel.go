@@ -186,31 +186,6 @@ func (c *Channel) AttachRadio(id int, pos func() geom.Point, h Handler) *Radio {
 // Radios returns all radios attached to the channel.
 func (c *Channel) Radios() []*Radio { return c.radios }
 
-// AssignRegions partitions the attached radios into n vertical strips
-// of the field width and stamps each radio's region (sim.Regioned)
-// accordingly, sampling positions now — the scenario builder calls it
-// once at build time. The decomposition balances load across the
-// scheduler's region shards; correctness never depends on it (the
-// deterministic merge imposes the global event order whatever the
-// assignment), so a mobile radio that wanders out of its strip is only
-// a balance miss, never an error.
-func (c *Channel) AssignRegions(n int, fieldW float64) {
-	if n < 1 || fieldW <= 0 {
-		return
-	}
-	strip := fieldW / float64(n)
-	for _, r := range c.radios {
-		reg := int(r.pos().X / strip)
-		if reg < 0 {
-			reg = 0
-		}
-		if reg >= n {
-			reg = n - 1
-		}
-		r.region = reg
-	}
-}
-
 // buildRow fills row with the link entries for radio r transmitting at
 // powerW, using positions sampled now.
 func (c *Channel) buildRow(row *linkRow, r *Radio, powerW float64) {

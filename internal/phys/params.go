@@ -1,8 +1,7 @@
 // Package phys implements the wireless physical layer the paper's
 // evaluation ran on: the ns-2 two-ray-ground propagation model with the
 // Lucent WaveLAN constants, and an interference-accumulating radio model
-// with SINR-based capture. It stands in for ns-2's Channel/WirelessPhy
-// (see DESIGN.md, substitution table).
+// with SINR-based capture. It stands in for ns-2's Channel/WirelessPhy.
 package phys
 
 import "math"

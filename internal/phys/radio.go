@@ -56,7 +56,7 @@ type arrival struct {
 }
 
 // Radio is a half-duplex transceiver attached to one Channel. It
-// implements the SINR/capture reception model described in DESIGN.md:
+// implements an SINR/capture reception model:
 // it locks onto the first decodable arrival, accumulates all other
 // arriving power as interference, and delivers the frame corrupted if
 // the worst-case SINR during the lock fell below the capture ratio.
@@ -107,13 +107,6 @@ type Radio struct {
 	// EnergyTxJ accumulates radiated energy, the quantity power control
 	// trades against capacity.
 	EnergyTxJ float64
-
-	// region is the spatial shard this radio's events are routed to
-	// under the scheduler's region executive (sim.Regioned). Assignment
-	// is pure load balancing — the deterministic merge makes any value
-	// correct — so it is fixed at build time from the initial position
-	// rather than chased across mobility epochs.
-	region int
 }
 
 // powerRow pairs one discrete transmit power level with its cached
@@ -192,14 +185,6 @@ func (r *Radio) CarrierBusy() bool {
 
 // SetTxObserver installs the transmit-start observer (nil disables).
 func (r *Radio) SetTxObserver(o TxObserver) { r.txObs = o }
-
-// SetRegion assigns the radio to a spatial region shard for the
-// scheduler's region executive.
-func (r *Radio) SetRegion(region int) { r.region = region }
-
-// EventRegion implements sim.Regioned: arrival and tx-done events whose
-// handler is this radio land on its region's shard.
-func (r *Radio) EventRegion() int { return r.region }
 
 // Off reports whether the radio is powered down.
 func (r *Radio) Off() bool { return r.off }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"os"
 	"strings"
 	"testing"
 )
@@ -158,8 +159,13 @@ func TestParseCampaignFileStrict(t *testing.T) {
 		name, in, wantSub string
 	}{
 		{"unknown field", `{"name": "x", "loads_kpbs": [40]}`, "loads_kpbs"},
+		{"unknown base field", `{"name": "x", "base": {"offered_load_kpbs": 900}}`, "offered_load_kpbs"},
 		{"future version", `{"version": 99, "name": "x"}`, "version 99"},
 		{"trailing data", `{"name": "x"} {"name": "y"}`, "trailing"},
+		{"trailing brace", `{"name": "x"}}`, "trailing"},
+		{"regions in base", `{"name": "x", "base": {"regions": 4}}`, `"regions" was removed`},
+		{"regions in patch", `{"name": "x", "variants": [{"name": "r4", "patch": {"regions": 4}}]}`, `"regions" was removed`},
+		{"regions axis", `{"name": "x", "regions": [1, 4]}`, `"regions" was removed`},
 		{"not json", `schemes: [basic]`, "campaign spec"},
 	}
 	for _, tc := range cases {
@@ -172,6 +178,35 @@ func TestParseCampaignFileStrict(t *testing.T) {
 				t.Fatalf("error %q does not name the problem (%q)", err, tc.wantSub)
 			}
 		})
+	}
+}
+
+// TestAPIDocSpecParses decodes the campaign-spec example in docs/api.md
+// through the strict parser, so the documented schema cannot drift from
+// the decoder.
+func TestAPIDocSpecParses(t *testing.T) {
+	doc, err := os.ReadFile("../../docs/api.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, rest, ok := strings.Cut(string(doc), "## Campaign spec schema")
+	if !ok {
+		t.Fatal("docs/api.md has no campaign spec schema section")
+	}
+	_, rest, ok = strings.Cut(rest, "```json\n")
+	if !ok {
+		t.Fatal("campaign spec schema section has no json example")
+	}
+	example, _, ok := strings.Cut(rest, "```")
+	if !ok {
+		t.Fatal("unterminated json example")
+	}
+	cf, err := ParseCampaignFile([]byte(example))
+	if err != nil {
+		t.Fatalf("documented spec rejected: %v", err)
+	}
+	if _, err := cf.Campaign(); err != nil {
+		t.Fatalf("documented spec does not convert: %v", err)
 	}
 }
 

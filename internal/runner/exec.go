@@ -103,13 +103,6 @@ type Result struct {
 	// worker counts, machines and restarts stays the ground rule.
 	WallMS    float64 `json:"wall_ms,omitempty"`
 	PeakQueue int     `json:"peak_queue,omitempty"`
-
-	// Region-executive telemetry carried out of the scenario for the
-	// obs histograms only — never serialized (json:"-"), so JSONL stays
-	// byte-identical across region counts, which is the contract the
-	// regions A/B suites and the campaign-smoke cmp assert.
-	SimWindows    uint64  `json:"-"`
-	RegionStallMS float64 `json:"-"`
 }
 
 // StatusFailed marks a run quarantined after exhausting its retries.
@@ -189,8 +182,6 @@ func ResultOf(r Run, res scenario.Result) Result {
 		TimeToFirstDeathS:   res.TimeToFirstDeathS,
 		Events:              res.Events,
 		PeakQueue:           res.PeakQueue,
-		SimWindows:          res.SimWindows,
-		RegionStallMS:       res.RegionStallMS,
 	}
 	for _, st := range res.AliveTimeline {
 		out.AliveTimeline = append(out.AliveTimeline, [2]float64{st.T.Seconds(), float64(st.Alive)})
@@ -759,10 +750,6 @@ func Execute(ctx context.Context, c Campaign, opts ExecOptions) (Summary, error)
 				opts.Obs.RunWallSeconds.Observe(o.wall.Seconds())
 				if !o.res.Failed() {
 					opts.Obs.RunSimEvents.Observe(float64(o.res.Events))
-					if o.res.SimWindows > 0 {
-						opts.Obs.RunSimWindows.Observe(float64(o.res.SimWindows))
-						opts.Obs.RunRegionStallSeconds.Observe(o.res.RegionStallMS / 1e3)
-					}
 				}
 			}
 		}

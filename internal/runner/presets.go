@@ -11,8 +11,8 @@ import (
 )
 
 // DefaultLoads is the offered-load axis the paper's Figure 8/9 sweep
-// uses on this substrate (see EXPERIMENTS.md: it saturates earlier than
-// ns-2, so the interesting region sits below the paper's 1000 kbps).
+// uses on this substrate: it saturates earlier than ns-2, so the
+// interesting region sits below the paper's 1000 kbps.
 func DefaultLoads() []float64 {
 	return []float64{200, 250, 300, 350, 400, 450, 500, 550}
 }
@@ -225,8 +225,9 @@ func Preset(name string, durationS float64, reps int, loads []float64) (Campaign
 	return f(durationS, reps, loads), nil
 }
 
-// ablation builds the PCMAC design-knob grids of DESIGN.md as
-// declarative campaigns.
+// ablation builds one PCMAC design-knob grid — safety factor, control
+// channel, three-way handshake, history expiry or control bandwidth —
+// as a declarative campaign.
 func ablation(kind string, base scenario.Options, loads []float64) (Campaign, error) {
 	c := Campaign{
 		Name:      "ablation-" + kind,

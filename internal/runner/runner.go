@@ -4,8 +4,8 @@
 // derivation, streaming JSON-Lines result emission, progress reporting
 // and resumable checkpointing. Every figure and ablation of the paper's
 // evaluation is expressible as a Campaign value (or a JSON spec file)
-// instead of bespoke loop code; internal/experiment and the cmd/
-// binaries are thin layers over this package.
+// instead of bespoke loop code; the cmd/ binaries are thin layers over
+// this package.
 package runner
 
 import (
@@ -116,9 +116,6 @@ func (v Variant) apply(o *scenario.Options) error {
 	if p.EventQueue != "" {
 		o.EventQueue = patched.EventQueue
 	}
-	if p.Regions != 0 {
-		o.Regions = patched.Regions
-	}
 	if p.EnergyProfile != "" {
 		o.EnergyProfile = patched.EnergyProfile
 	}
@@ -187,13 +184,6 @@ type Campaign struct {
 	// single kind belongs in Base.EventQueue instead, which changes no
 	// run keys.
 	EventQueues []string
-	// Regions is the region-parallelism axis (scenario.Options.Regions
-	// values, key segment "r="). Like EventQueues it is a determinism
-	// A/B: results are byte-identical across region counts, only wall
-	// time differs. A single count belongs in Base.Regions, which
-	// changes no run keys — that is what lets a checkpoint written at
-	// one region count resume at another.
-	Regions []int
 
 	// Reps replicates each grid point with derived seeds (default 1).
 	Reps int
@@ -349,8 +339,6 @@ func (c Campaign) axes() []axis {
 			func(o *scenario.Options, v string) { o.EnergyProfile = v }),
 		sweepAxis(c.EventQueues, "q", func(s string) string { return s },
 			func(o *scenario.Options, v string) { o.EventQueue = v }),
-		sweepAxis(c.Regions, "r", func(n int) string { return fmt.Sprintf("%d", n) },
-			func(o *scenario.Options, v int) { o.Regions = v }),
 	}
 }
 

@@ -1,7 +1,6 @@
 package runner
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -126,14 +125,9 @@ func (c Campaign) File() CampaignFile {
 // to fix. It is the single decode path for spec files and the daemon's
 // POST /campaigns body.
 func ParseCampaignFile(b []byte) (CampaignFile, error) {
-	dec := json.NewDecoder(bytes.NewReader(b))
-	dec.DisallowUnknownFields()
 	var cf CampaignFile
-	if err := dec.Decode(&cf); err != nil {
+	if err := scenario.DecodeStrict(b, &cf); err != nil {
 		return CampaignFile{}, fmt.Errorf("runner: campaign spec: %w", err)
-	}
-	if dec.More() {
-		return CampaignFile{}, fmt.Errorf("runner: campaign spec: trailing data after the JSON object")
 	}
 	if cf.Version != 0 && cf.Version != SpecVersion {
 		return CampaignFile{}, fmt.Errorf("runner: campaign spec %q has version %d; this build understands version %d", cf.Name, cf.Version, SpecVersion)

@@ -62,8 +62,8 @@ func TestPaperHeadlineClaims(t *testing.T) {
 
 	// Claim 1 (Figure 8): PCMAC's capacity exceeds basic 802.11's at
 	// saturation. Single-seed runs are noisy, so demand only parity
-	// minus a small tolerance; the multi-seed sweep in EXPERIMENTS.md
-	// shows the full +8-10%.
+	// minus a small tolerance; the multi-seed fig8 campaign preset
+	// measures the full gap.
 	if pcmac.Tput < basic.Tput*0.97 {
 		t.Errorf("claim 1: pcmac %.1f kbps well below basic %.1f kbps", pcmac.Tput, basic.Tput)
 	}

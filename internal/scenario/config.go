@@ -1,8 +1,11 @@
 package scenario
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/energy"
@@ -51,7 +54,6 @@ type FileConfig struct {
 	DisableThreeWay    bool         `json:"disable_three_way,omitempty"`
 	ShadowingSigmaDB   float64      `json:"shadowing_sigma_db,omitempty"`
 	EventQueue         string       `json:"event_queue,omitempty"`
-	Regions            int          `json:"regions,omitempty"`
 	EnergyProfile      string       `json:"energy_profile,omitempty"`
 	BatteryJ           float64      `json:"battery_j,omitempty"`
 	FlowRateSpreadPct  float64      `json:"flow_rate_spread_pct,omitempty"`
@@ -92,7 +94,6 @@ func (fc FileConfig) Options() (Options, error) {
 		DisableThreeWay:    fc.DisableThreeWay,
 		ShadowingSigmaDB:   fc.ShadowingSigmaDB,
 		EventQueue:         fc.EventQueue,
-		Regions:            fc.Regions,
 		EnergyProfile:      fc.EnergyProfile,
 		BatteryJ:           fc.BatteryJ,
 		FlowRateSpreadPct:  fc.FlowRateSpreadPct,
@@ -112,11 +113,6 @@ func (fc FileConfig) Options() (Options, error) {
 	}
 	return o, nil
 }
-
-// MaxRegions caps Options.Regions: beyond the core counts of plausible
-// hardware the per-window barrier costs strictly more than the shards
-// can recover, so a larger request is a configuration mistake.
-const MaxRegions = 64
 
 // Validate rejects configurations that would only fail (or silently
 // run with an empty measurement window) deep inside a run. Zero fields
@@ -147,8 +143,6 @@ func validate(o Options) error {
 		return fmt.Errorf("scenario: negative response bytes")
 	case o.BatteryJ < 0:
 		return fmt.Errorf("scenario: negative battery capacity %g J", o.BatteryJ)
-	case o.Regions < 0 || o.Regions > MaxRegions:
-		return fmt.Errorf("scenario: regions %d out of range 0..%d", o.Regions, MaxRegions)
 	}
 	if _, err := traffic.ParseModel(o.Traffic); err != nil {
 		return err
@@ -190,17 +184,37 @@ func validate(o Options) error {
 	return nil
 }
 
-// LoadConfig reads a scenario from a JSON file.
+// LoadConfig reads a scenario from a JSON file, decoded strictly
+// (DecodeStrict) so a typo'd key fails instead of running on defaults.
 func LoadConfig(path string) (Options, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
 		return Options{}, fmt.Errorf("scenario: %w", err)
 	}
 	var fc FileConfig
-	if err := json.Unmarshal(b, &fc); err != nil {
+	if err := DecodeStrict(b, &fc); err != nil {
 		return Options{}, fmt.Errorf("scenario: parsing %s: %w", path, err)
 	}
 	return fc.Options()
+}
+
+// DecodeStrict decodes exactly one JSON value from b into v. Unknown
+// fields (the usual symptom of a typo'd key) and trailing data are
+// errors. "regions", which earlier builds accepted, is named as removed
+// so a stale file fails with the fix.
+func DecodeStrict(b []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		if err.Error() == `json: unknown field "regions"` {
+			return errors.New(`field "regions" was removed (runs always use the sequential scheduler); delete it`)
+		}
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("trailing data after the JSON value")
+	}
+	return nil
 }
 
 // ToFileConfig converts Options to the JSON file form (inverse of
@@ -232,7 +246,6 @@ func ToFileConfig(o Options) FileConfig {
 		DisableThreeWay:    o.DisableThreeWay,
 		ShadowingSigmaDB:   o.ShadowingSigmaDB,
 		EventQueue:         o.EventQueue,
-		Regions:            o.Regions,
 		EnergyProfile:      o.EnergyProfile,
 		BatteryJ:           o.BatteryJ,
 		FlowRateSpreadPct:  o.FlowRateSpreadPct,

@@ -3,6 +3,7 @@ package scenario
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/geom"
@@ -91,6 +92,44 @@ func TestLoadConfigErrors(t *testing.T) {
 	os.WriteFile(unknown, []byte(`{"scheme":"wifi7"}`), 0o644)
 	if _, err := LoadConfig(unknown); err == nil {
 		t.Error("unknown scheme accepted")
+	}
+}
+
+// TestLoadConfigStrict: a -config file is decoded strictly, so a typo'd
+// key or trailing data fails instead of running on defaults, and a
+// removed field says so.
+func TestLoadConfigStrict(t *testing.T) {
+	cases := []struct {
+		name, in, wantSub string
+	}{
+		{"typo'd field", `{"scheme": "basic", "offered_load_kpbs": 900}`, `unknown field "offered_load_kpbs"`},
+		{"trailing data", `{"scheme": "basic"} {"scheme": "pcmac"}`, "trailing data"},
+		{"trailing brace", `{"scheme": "basic"}}`, "trailing data"},
+		{"removed regions", `{"scheme": "basic", "regions": 4}`, `field "regions" was removed`},
+	}
+	dir := t.TempDir()
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(dir, "c.json")
+			if err := os.WriteFile(path, []byte(tc.in), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			_, err := LoadConfig(path)
+			if err == nil {
+				t.Fatalf("accepted %s", tc.in)
+			}
+			if !strings.Contains(err.Error(), tc.wantSub) {
+				t.Fatalf("error %q does not contain %q", err, tc.wantSub)
+			}
+		})
+	}
+	path := filepath.Join(dir, "ok.json")
+	if err := os.WriteFile(path, []byte("{\"scheme\": \"basic\", \"offered_load_kbps\": 900}\n\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	o, err := LoadConfig(path)
+	if err != nil || o.OfferedLoadKbps != 900 {
+		t.Fatalf("LoadConfig offered load = %v, %v; want 900", o.OfferedLoadKbps, err)
 	}
 }
 

@@ -6,7 +6,6 @@ package scenario
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"repro/internal/aodv"
@@ -145,15 +144,6 @@ type Options struct {
 	// diff whole runs), and with it off the kernel pays nothing but an
 	// untaken branch per scheduled event.
 	CollectSimStats bool
-	// Regions splits the run across that many spatial region shards,
-	// each with its own event queue and worker goroutine, executed
-	// under the kernel's deterministic window merge (sim.EnableRegions).
-	// Results are byte-identical for any value — the merge preserves
-	// the sequential (time, seq) order exactly, which the 1-vs-N region
-	// diff suites prove whole-run — so the knob trades barrier overhead
-	// against parallel queue maintenance. 0 or 1 runs the plain
-	// sequential scheduler.
-	Regions int
 }
 
 // withDefaults fills zero fields with the paper's parameters.
@@ -284,24 +274,12 @@ type Result struct {
 	// time zero plus one step per death. Never empty.
 	AliveTimeline []stats.AliveStep
 
-	// Events is the number of simulator events executed — under the
-	// region executive the per-region committed counts sum to exactly
-	// this (the merge commits every event once). PeakQueue is the
-	// deepest the pending-event set got (0 unless
-	// Options.CollectSimStats was set) — the number intra-run
-	// parallelism and event-queue sizing are judged against; with
-	// regions it is the maximum of the per-region peaks, what any one
-	// shard's queue actually had to hold.
+	// Events is the number of simulator events executed. PeakQueue is
+	// the deepest the pending-event set got (0 unless
+	// Options.CollectSimStats was set) — the number event-queue sizing
+	// is judged against.
 	Events    uint64
 	PeakQueue int
-	// Region-executive telemetry, zero for sequential runs: how many
-	// synchronization windows the run took, the committer wall-time
-	// spent waiting at window barriers (nondeterministic — it feeds
-	// observability, never results), and the per-region committed
-	// event counts (their balance grades the domain decomposition).
-	SimWindows    uint64
-	RegionStallMS float64
-	RegionEvents  []uint64
 	// Timeline is the per-bucket evolution (nil unless
 	// Options.TimelineBucket was set).
 	Timeline *stats.Timeline
@@ -378,11 +356,6 @@ func Build(o Options) (*Network, error) {
 	sched := sim.NewSchedulerQueue(qkind)
 	if o.CollectSimStats {
 		sched.TrackDepth(true)
-	}
-	if o.Regions > 1 {
-		// Enable before the first event is scheduled so the whole
-		// build-time setup flows through the region mailboxes too.
-		sched.EnableRegions(o.Regions)
 	}
 	par := phys.DefaultParams()
 	var model phys.Propagation = phys.NewTwoRayGround(par)
@@ -516,23 +489,6 @@ func Build(o Options) (*Network, error) {
 		ctrlCh.SetSpatialGrid(!o.DisableSpatialGrid)
 		ctrlCh.SetMaxSpeed(maxSpeed)
 	}
-	if o.Regions > 1 {
-		// Domain decomposition for the region executive: vertical strips
-		// of the field, each radio stamped with its build-time strip (a
-		// PCMAC node's control radio shares the data radio's position, so
-		// both channels produce the same assignment). The window floor is
-		// the propagation spread of the whole field — no event can reach
-		// farther than the diagonal sooner than that — which mobility
-		// cannot shrink, so no speed term is needed; the adaptive window
-		// then grows from there by event density alone, and any width
-		// yields identical results.
-		dataCh.AssignRegions(o.Regions, o.FieldW)
-		if ctrlCh != nil {
-			ctrlCh.AssignRegions(o.Regions, o.FieldW)
-		}
-		diag := math.Hypot(o.FieldW, o.FieldH)
-		sched.SetRegionLookahead(sim.DurationOf(diag / phys.SpeedOfLight))
-	}
 
 	// Flows.
 	pairs := o.FlowPairs
@@ -617,13 +573,6 @@ func (nw *Network) Run() Result {
 		Events:         nw.Sched.Executed(),
 		PeakQueue:      nw.Sched.PeakPending(),
 		Timeline:       nw.Timeline,
-	}
-	if stats := nw.Sched.RegionStats(); stats != nil {
-		res.SimWindows = nw.Sched.Windows()
-		res.RegionStallMS = float64(nw.Sched.BarrierStall().Microseconds()) / 1e3
-		for _, st := range stats {
-			res.RegionEvents = append(res.RegionEvents, st.Committed)
-		}
 	}
 	var residuals, consumed []float64
 	for _, n := range nw.Nodes {

@@ -3,22 +3,18 @@
 // event scheduler played for the paper: a single logical clock, a
 // time-ordered pending-event set, and cancellable timers.
 //
-// Handler execution is strictly sequential: wireless MAC protocols are
+// The kernel is deliberately single-threaded: wireless MAC protocols are
 // full of same-instant orderings (a CTS scheduled exactly SIFS after an
 // RTS, a NAV expiring exactly when a backoff resumes) and reproducibility
 // of those orderings matters more than parallel speed at the 50-node
 // scale of the paper. Determinism is guaranteed by breaking time ties
 // with a monotonically increasing sequence number, so two runs with the
-// same seed execute the same event trace. EnableRegions adds intra-run
-// parallelism without giving that up: queue maintenance fans out across
-// per-region worker goroutines while a deterministic merge (region.go)
-// still commits every handler in the exact global (time, seq) order.
+// same seed execute the same event trace.
 package sim
 
 import (
 	"fmt"
 	"math"
-	"time"
 )
 
 // Time is an absolute simulation time in nanoseconds since the start of
@@ -95,14 +91,6 @@ type Event struct {
 	// pooled events are owned by the scheduler (or, transiently, a
 	// Timer) and return to the free list on fire/cancel.
 	pooled bool
-
-	// Region-executive custody (region.go); loc stays locDone and
-	// canceled stays false for the sequential scheduler. region is the
-	// shard the event was routed to, canceled marks a zombie awaiting
-	// its merge slot (cancelled while a worker owned its bookkeeping).
-	loc      int8
-	canceled bool
-	region   int32
 }
 
 // EventHandler receives typed events scheduled with ScheduleEvent. The
@@ -116,13 +104,8 @@ type EventHandler interface {
 func (e *Event) At() Time { return e.at }
 
 // Pending reports whether the event is still queued (not yet fired and
-// not cancelled). In region mode an event popped into a staged stream
-// has left its queue (index < 0) but has not fired, so custody (loc)
-// is the predicate there; sequentially loc is always locDone and the
-// index test alone decides, exactly as before.
-func (e *Event) Pending() bool {
-	return e != nil && !e.canceled && (e.index >= 0 || e.loc != locDone)
-}
+// not cancelled).
+func (e *Event) Pending() bool { return e != nil && e.index >= 0 }
 
 // Scheduler is the discrete-event executive. It is not safe for
 // concurrent use; the whole simulation runs on one goroutine.
@@ -148,22 +131,6 @@ type Scheduler struct {
 	// either way — it never touches event order, time, or RNG streams.
 	trackDepth  bool
 	peakPending int
-
-	// Region executive (region.go); all zero for the sequential
-	// scheduler. hot holds in-window pushes (committer-owned);
-	// windowEnd is the open window's exclusive bound (0 outside a
-	// commit, so pre-run pushes go to the mailboxes); curRegion is the
-	// region of the event being committed, inherited by events whose
-	// handlers are not Regioned.
-	regions   []*regionShard
-	hot       binaryHeap
-	curRegion int
-	windowEnd Time
-	window    Duration
-	windowMin Duration
-	totalLive int
-	windows   uint64
-	stall     time.Duration
 }
 
 // NewScheduler returns a scheduler with the clock at zero, using the
@@ -192,14 +159,8 @@ func (s *Scheduler) Now() Time { return s.now }
 // Executed returns how many events have fired so far.
 func (s *Scheduler) Executed() uint64 { return s.executed }
 
-// Pending returns the number of events currently queued (across all
-// region shards in region mode).
-func (s *Scheduler) Pending() int {
-	if s.regions != nil {
-		return s.totalLive
-	}
-	return s.q.len()
-}
+// Pending returns the number of events currently queued.
+func (s *Scheduler) Pending() int { return s.q.len() }
 
 // TrackDepth enables (or disables) peak pending-depth tracking. It is
 // off by default: with it off the schedule paths pay a single untaken
@@ -209,39 +170,15 @@ func (s *Scheduler) Pending() int {
 // tests diff whole runs to prove it).
 func (s *Scheduler) TrackDepth(on bool) {
 	s.trackDepth = on
-	if !on {
-		return
-	}
-	if s.regions != nil {
-		for _, sh := range s.regions {
-			if sh.live > sh.peak {
-				sh.peak = sh.live
-			}
-		}
-		return
-	}
-	if s.q.len() > s.peakPending {
+	if on && s.q.len() > s.peakPending {
 		s.peakPending = s.q.len()
 	}
 }
 
 // PeakPending reports the deepest the pending-event set has been while
-// depth tracking was enabled (0 if it never was). In region mode the
-// pending set is sharded, so the meaningful depth — what any one queue
-// had to hold — is the maximum of the per-region peaks; RegionStats
-// exposes the individual numbers.
-func (s *Scheduler) PeakPending() int {
-	if s.regions != nil {
-		p := 0
-		for _, sh := range s.regions {
-			if sh.peak > p {
-				p = sh.peak
-			}
-		}
-		return p
-	}
-	return s.peakPending
-}
+// depth tracking was enabled (0 if it never was). The calendar queue's
+// sizing is judged against this number.
+func (s *Scheduler) PeakPending() int { return s.peakPending }
 
 // notePush folds the post-push queue depth into the tracked peak.
 func (s *Scheduler) notePush() {
@@ -273,10 +210,6 @@ func (s *Scheduler) At(t Time, fn func()) *Event {
 	}
 	e := &Event{at: t, seq: s.seq, fn: fn, index: -1}
 	s.seq++
-	if s.regions != nil {
-		s.regionPush(e, s.curRegion)
-		return e
-	}
 	s.q.push(e)
 	s.notePush()
 	return e
@@ -303,10 +236,6 @@ func (s *Scheduler) ScheduleEvent(d Duration, h EventHandler, kind int32, arg an
 	e.x = x
 	e.seq = s.seq
 	s.seq++
-	if s.regions != nil {
-		s.regionPush(e, s.routeRegion(h))
-		return
-	}
 	s.q.push(e)
 	s.notePush()
 }
@@ -324,10 +253,6 @@ func (s *Scheduler) scheduleOwned(t Time, h EventHandler) *Event {
 	e.h = h
 	e.seq = s.seq
 	s.seq++
-	if s.regions != nil {
-		s.regionPush(e, s.routeRegion(h))
-		return e
-	}
 	s.q.push(e)
 	s.notePush()
 	return e
@@ -354,8 +279,6 @@ func (s *Scheduler) release(e *Event) {
 	e.arg = nil
 	e.x = 0
 	e.kind = 0
-	e.loc = locDone
-	e.canceled = false
 	s.free = append(s.free, e)
 }
 
@@ -371,14 +294,7 @@ func (s *Scheduler) release(e *Event) {
 // re-armed under a new identity — no handle to a pooled event survives
 // outside its owner, so a stale pointer can never name a queued event.
 func (s *Scheduler) Cancel(e *Event) {
-	if e == nil {
-		return
-	}
-	if s.regions != nil {
-		s.regionCancel(e, false)
-		return
-	}
-	if e.index < 0 {
+	if e == nil || e.index < 0 {
 		return
 	}
 	s.q.remove(e)
@@ -387,14 +303,7 @@ func (s *Scheduler) Cancel(e *Event) {
 // cancelOwned cancels a pooled event on behalf of its sole owner and
 // returns the struct to the free list.
 func (s *Scheduler) cancelOwned(e *Event) {
-	if e == nil {
-		return
-	}
-	if s.regions != nil {
-		s.regionCancel(e, true)
-		return
-	}
-	if e.index < 0 {
+	if e == nil || e.index < 0 {
 		return
 	}
 	s.q.remove(e)
@@ -402,12 +311,8 @@ func (s *Scheduler) cancelOwned(e *Event) {
 }
 
 // Step fires the single earliest pending event. It reports false when the
-// queue is empty. Step is unavailable in region mode — single-event
-// stepping would force a window barrier per event; use Run/RunAll.
+// queue is empty.
 func (s *Scheduler) Step() bool {
-	if s.regions != nil {
-		panic("sim: Step is unavailable with regions enabled; use Run/RunAll")
-	}
 	e := s.q.popMin()
 	if e == nil {
 		return false
@@ -438,10 +343,6 @@ func (s *Scheduler) Step() bool {
 // The clock is left at min(horizon, last event time); events beyond the
 // horizon stay queued.
 func (s *Scheduler) Run(horizon Time) {
-	if s.regions != nil {
-		s.runRegions(horizon, true)
-		return
-	}
 	s.stopped = false
 	for !s.stopped {
 		e := s.q.peekMin()
@@ -457,10 +358,6 @@ func (s *Scheduler) Run(horizon Time) {
 
 // RunAll executes events until the queue is empty or Stop is called.
 func (s *Scheduler) RunAll() {
-	if s.regions != nil {
-		s.runRegions(MaxTime, false)
-		return
-	}
 	s.stopped = false
 	for s.q.len() > 0 && !s.stopped {
 		s.Step()
