@@ -5,10 +5,10 @@ GO ?= go
 # Hot-path microbenchmarks tracked by the perf trajectory (bench-json)
 # and the CI benchstat delta; ci.yml consumes them via the bench-micro
 # and bench-json targets, so this regex is the single source of truth.
-MICRO_BENCH = BenchmarkSchedulerChurn|BenchmarkTimerChurn|BenchmarkSchedulerFanOut|BenchmarkChannelTransmit|BenchmarkLinkRowLookup|BenchmarkRadioArrivals|BenchmarkEnergyAccounting
+MICRO_BENCH = BenchmarkSchedulerChurn|BenchmarkSchedulerBurst|BenchmarkTimerChurn|BenchmarkSchedulerFanOut|BenchmarkChannelTransmit|BenchmarkLinkRowLookup|BenchmarkRadioArrivals|BenchmarkEnergyAccounting
 BENCH_DATE ?= $(shell date +%Y-%m-%d)
 
-.PHONY: all build test bench bench-micro bench-json lint lint-golangci campaign-smoke daemon-smoke chaos-smoke fmt
+.PHONY: all build test fuzz-smoke bench bench-micro bench-json lint lint-golangci campaign-smoke daemon-smoke chaos-smoke fmt
 
 all: lint build test
 
@@ -18,6 +18,11 @@ build:
 test:
 	$(GO) test -race -timeout 30m ./...
 	$(GO) -C bench test .
+
+# fuzz-smoke mirrors CI's fuzz step: a short run of the calendar-vs-heap
+# queue fuzzer on top of its committed seed corpus.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz FuzzQueueMatchesHeap -fuzztime 15s ./internal/sim
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' -timeout 30m ./...

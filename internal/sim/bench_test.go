@@ -61,3 +61,80 @@ func BenchmarkTimerChurn(b *testing.B) {
 		s.Step()
 	}
 }
+
+// burstLoad is the event traffic BenchmarkSchedulerBurst replays:
+// kind 0 is a standing background event that re-arms itself, kind 1 a
+// transmission's arrival (begin or end), counted down as it fires.
+type burstLoad struct {
+	s        *Scheduler
+	delays   []Duration // background re-arm delays, cycled
+	next     int
+	inFlight int
+}
+
+func (l *burstLoad) HandleEvent(kind int32, _ any, _ float64) {
+	if kind == 1 {
+		l.inFlight--
+		return
+	}
+	l.s.ScheduleEvent(l.delays[l.next], l, 0, nil, 0)
+	l.next = (l.next + 1) % len(l.delays)
+}
+
+// BenchmarkSchedulerBurst models the channel's fan-out, the traffic
+// BenchmarkSchedulerChurn misses: one op is one transmission, which
+// schedules a begin arrival at each of k neighbours (distinct sub-µs
+// propagation delays, in neighbour order, so a calendar bucket fills in
+// scrambled order) and an end arrival a frame time later, arms a
+// timeout timer, fires until all 2k arrivals have landed, and stops the
+// timer. A standing background population, each event re-arming itself
+// when it fires, interleaves with the arrivals; its sizes are the
+// workloads' peak pending depths (paper-fig8 ~400, scale500-mobile
+// ~1600, scale2000-static ~4000). All of it rides the pooled paths, so
+// the loop is allocation-free.
+func BenchmarkSchedulerBurst(b *testing.B) {
+	const (
+		k       = 32
+		senders = 50
+		frame   = Millisecond
+	)
+	rng := rand.New(rand.NewSource(1))
+	prop := make([][k]Duration, senders)
+	for i := range prop {
+		for j, d := range rng.Perm(1000)[:k] {
+			prop[i][j] = Duration(d)
+		}
+	}
+	for _, kind := range QueueKinds() {
+		for _, pending := range []int{400, 1600, 4000} {
+			b.Run(fmt.Sprintf("q=%s/pending=%d", kind, pending), func(b *testing.B) {
+				s := NewSchedulerQueue(kind)
+				// Background span such that about k background events
+				// fire per frame time.
+				span := int(frame) * pending / k
+				l := &burstLoad{s: s, delays: make([]Duration, 4096)}
+				for i := range l.delays {
+					l.delays[i] = Duration(1 + rng.Intn(span))
+				}
+				for i := 0; i < pending; i++ {
+					s.ScheduleEvent(l.delays[i%len(l.delays)], l, 0, nil, 0)
+				}
+				tm := NewTimer(s, func() {})
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					for _, d := range prop[i%senders] {
+						s.ScheduleEvent(d, l, 1, nil, 0)
+						s.ScheduleEvent(d+frame, l, 1, nil, 0)
+					}
+					l.inFlight += 2 * k
+					tm.Start(2 * frame)
+					for l.inFlight > 0 {
+						s.Step()
+					}
+					tm.Stop()
+				}
+			})
+		}
+	}
+}

@@ -156,17 +156,28 @@ const (
 	// never resize.
 	calMinBuckets = 64
 
-	// calMaxBuckets caps growth: 24-byte slice headers per bucket make
-	// the array itself the cost at extreme sizes.
+	// calMaxBuckets caps growth: 32-byte bucket headers make the array
+	// itself the cost at extreme sizes.
 	calMaxBuckets = 1 << 22
 
 	// calGrowAt / calShrinkAt bound the average occupancy (pending
-	// events per bucket): grow past 8, shrink below 1. Resizing targets
-	// ~4, so sorted inserts and head pops move only a handful of
-	// 24-byte items.
+	// events per bucket): grow past 8, shrink below 1/4. Resizing
+	// targets ~4, so sorted inserts move only a handful of 24-byte
+	// items.
 	calGrowAt   = 8
 	calShrinkAt = 1
 )
+
+// bucket is one calendar slot: items[head:] are its live entries,
+// sorted by (at, seq). Popping the head advances head instead of
+// shifting the slice, so draining a k-item bucket is O(k), not O(k²).
+// The dead prefix items[:head] is reclaimed when the bucket empties, or
+// by sliding the live entries down when an append would otherwise grow
+// the backing array.
+type bucket struct {
+	items []qitem
+	head  int
+}
 
 // calendarQueue is a calendar queue (Brown 1988), modified to keep a
 // strict one-year window instead of wrapping: buckets partition
@@ -174,20 +185,25 @@ const (
 // by (at, seq), and everything at or past base+year waits in an
 // overflow ladder that is sorted lazily — items are merged into sorted
 // buckets only when the year advances over them. The year advances
-// (advance) only when the buckets are empty, so the first item of the
-// first non-empty bucket at or after cur is always the global minimum.
+// (advance) only when the buckets are empty, so the head of the first
+// non-empty bucket at or after cur is always the global minimum.
 //
 // Near-term operations are amortised O(1): push binary-searches one
-// ~4-item bucket, pop shifts one bucket head, far-future push appends
-// to the ladder. The O(n) events — re-bucketing a year advance, resize
-// after the population grows or shrinks 8x — happen once per O(n)
-// cheap operations.
+// ~4-item bucket (an item below the bucket's head takes the free slot
+// before it), pop advances one bucket's head offset, far-future push
+// appends to the ladder. The O(n) events — re-bucketing a year advance,
+// resize after the population grows or shrinks 8x — happen once per
+// O(n) cheap operations, and each advance retunes the width from the
+// pops the last year held, so a width tuned on a burst does not leave
+// most pushes in the ladder.
 type calendarQueue struct {
-	buckets [][]qitem
+	buckets []bucket
 	width   Duration // time span of one bucket, >= 1ns
+	yr      Duration // cached width × len(buckets), saturating (setWidth)
 	base    Time     // start of the current year; all bucket items are in [base, base+year)
 	cur     int      // no non-empty bucket before this index
 	ncal    int      // items in buckets (excludes ladder)
+	pops    int      // popMin calls since the last advance
 
 	// occ is the occupancy bitmap: bit b set iff buckets[b] is
 	// non-empty. The find-next-event scan walks this (16KB per million
@@ -201,24 +217,25 @@ type calendarQueue struct {
 }
 
 func newCalendarQueue() *calendarQueue {
-	return &calendarQueue{
-		buckets: make([][]qitem, calMinBuckets),
+	q := &calendarQueue{
+		buckets: make([]bucket, calMinBuckets),
 		occ:     make([]uint64, calMinBuckets/64),
-		width:   10 * Microsecond,
 	}
+	q.setWidth(10 * Microsecond)
+	return q
 }
 
 func (q *calendarQueue) len() int { return q.ncal + len(q.ladder) }
 
-// year returns the window span, saturating instead of overflowing when
-// width was tuned from a huge event spread.
-func (q *calendarQueue) year() Duration {
+// setWidth sets the bucket width and recomputes the cached year,
+// saturating instead of overflowing when the width is huge.
+func (q *calendarQueue) setWidth(w Duration) {
+	q.width = w
 	n := Duration(len(q.buckets))
-	y := q.width * n
-	if y/n != q.width {
-		return Duration(MaxTime)
+	q.yr = w * n
+	if q.yr/n != w {
+		q.yr = Duration(MaxTime)
 	}
-	return y
 }
 
 func (q *calendarQueue) push(e *Event) {
@@ -237,33 +254,50 @@ func (q *calendarQueue) push(e *Event) {
 // insert files an item into its sorted bucket, or into the ladder when
 // it lies beyond the current year. Requires it.at >= base.
 func (q *calendarQueue) insert(it qitem) {
-	if Duration(it.at-q.base) >= q.year() {
+	if Duration(it.at-q.base) >= q.yr {
 		it.ev.bucket = ladderBucket
 		it.ev.index = len(q.ladder)
 		q.ladder = append(q.ladder, it)
 		return
 	}
 	b := int(Duration(it.at-q.base) / q.width)
-	bk := q.buckets[b]
-	lo, hi := 0, len(bk)
+	bk := &q.buckets[b]
+	lo, hi := bk.head, len(bk.items)
 	for lo < hi {
 		m := int(uint(lo+hi) >> 1)
-		if qless(bk[m], it) {
+		if qless(bk.items[m], it) {
 			lo = m + 1
 		} else {
 			hi = m
 		}
 	}
-	bk = append(bk, qitem{})
-	copy(bk[lo+1:], bk[lo:])
-	bk[lo] = it
-	q.buckets[b] = bk
-	q.occ[b>>6] |= 1 << (b & 63)
 	it.ev.bucket = int32(b)
-	it.ev.index = lo
-	for i := lo + 1; i < len(bk); i++ {
-		bk[i].ev.index = i
+	if lo == bk.head && lo > 0 {
+		// Below every live item, with a free slot before the head.
+		bk.head--
+		lo = bk.head
+		bk.items[lo] = it
+	} else {
+		if bk.head > 0 && len(bk.items) == cap(bk.items) {
+			// Reclaim the dead prefix rather than grow the array.
+			n := copy(bk.items, bk.items[bk.head:])
+			clear(bk.items[n:])
+			bk.items = bk.items[:n]
+			lo -= bk.head
+			bk.head = 0
+			for i := 0; i < lo; i++ {
+				bk.items[i].ev.index = i
+			}
+		}
+		bk.items = append(bk.items, qitem{})
+		copy(bk.items[lo+1:], bk.items[lo:])
+		bk.items[lo] = it
+		for i := lo + 1; i < len(bk.items); i++ {
+			bk.items[i].ev.index = i
+		}
 	}
+	it.ev.index = lo
+	q.occ[b>>6] |= 1 << (b & 63)
 	if b < q.cur {
 		// peekMin may have walked cur past this bucket while it was
 		// empty (e.g. peeking beyond a Run horizon); rewind so the scan
@@ -280,7 +314,7 @@ func (q *calendarQueue) peekMin() *Event {
 		}
 		q.advance()
 	}
-	if len(q.buckets[q.cur]) == 0 {
+	if len(q.buckets[q.cur].items) == 0 {
 		// Scan the occupancy bitmap for the next non-empty bucket;
 		// ncal > 0 guarantees a set bit at or after cur.
 		w := q.cur >> 6
@@ -291,7 +325,8 @@ func (q *calendarQueue) peekMin() *Event {
 		}
 		q.cur = w<<6 + bits.TrailingZeros64(word)
 	}
-	return q.buckets[q.cur][0].ev
+	bk := &q.buckets[q.cur]
+	return bk.items[bk.head].ev
 }
 
 func (q *calendarQueue) popMin() *Event {
@@ -299,6 +334,7 @@ func (q *calendarQueue) popMin() *Event {
 	if e == nil {
 		return nil
 	}
+	q.pops++
 	q.remove(e)
 	return e
 }
@@ -315,17 +351,24 @@ func (q *calendarQueue) remove(e *Event) {
 		q.ladder = q.ladder[:last]
 	} else {
 		b := int(e.bucket)
-		bk := q.buckets[b]
+		bk := &q.buckets[b]
 		i := e.index
-		copy(bk[i:], bk[i+1:])
-		bk[len(bk)-1] = qitem{}
-		bk = bk[:len(bk)-1]
-		q.buckets[b] = bk
-		if len(bk) == 0 {
-			q.occ[b>>6] &^= 1 << (b & 63)
-		}
-		for j := i; j < len(bk); j++ {
-			bk[j].ev.index = j
+		if i == bk.head {
+			bk.items[i] = qitem{}
+			bk.head++
+			if bk.head == len(bk.items) {
+				// Emptied: the whole backing array is free again.
+				bk.items = bk.items[:0]
+				bk.head = 0
+				q.occ[b>>6] &^= 1 << (b & 63)
+			}
+		} else {
+			copy(bk.items[i:], bk.items[i+1:])
+			bk.items[len(bk.items)-1] = qitem{}
+			bk.items = bk.items[:len(bk.items)-1]
+			for j := i; j < len(bk.items); j++ {
+				bk.items[j].ev.index = j
+			}
 		}
 		q.ncal--
 	}
@@ -340,7 +383,19 @@ func (q *calendarQueue) remove(e *Event) {
 // every ladder item that the new window reaches. Only called with empty
 // buckets and a non-empty ladder; afterwards ncal >= 1 (the minimum
 // itself always lands in bucket 0).
+//
+// Empty buckets make this the free moment to retune the width from the
+// year just finished: under half a pop per bucket means the year was
+// too short (most pushes overflowed to the ladder, and each advance
+// rescans it), over four per bucket means it was too coarse.
 func (q *calendarQueue) advance() {
+	switch nb := len(q.buckets); {
+	case q.pops < nb/2 && q.width <= Duration(MaxTime)/2:
+		q.setWidth(2 * q.width)
+	case q.pops > 4*nb && q.width > 1:
+		q.setWidth(q.width / 2)
+	}
+	q.pops = 0
 	min := q.ladder[0]
 	for _, it := range q.ladder[1:] {
 		if qless(it, min) {
@@ -354,10 +409,9 @@ func (q *calendarQueue) advance() {
 
 // migrate re-files ladder items that now fall inside the year.
 func (q *calendarQueue) migrate() {
-	year := q.year()
 	for i := 0; i < len(q.ladder); {
 		it := q.ladder[i]
-		if Duration(it.at-q.base) >= year {
+		if Duration(it.at-q.base) >= q.yr {
 			i++
 			continue
 		}
@@ -377,8 +431,10 @@ func (q *calendarQueue) migrate() {
 func (q *calendarQueue) collect() []qitem {
 	items := make([]qitem, 0, q.ncal)
 	for b := q.cur; b < len(q.buckets); b++ {
-		items = append(items, q.buckets[b]...)
-		q.buckets[b] = q.buckets[b][:0]
+		bk := &q.buckets[b]
+		items = append(items, bk.items[bk.head:]...)
+		bk.items = bk.items[:0]
+		bk.head = 0
 	}
 	for w := range q.occ {
 		q.occ[w] = 0
@@ -402,7 +458,7 @@ func (q *calendarQueue) resize() {
 	for n < total/4 && n < calMaxBuckets {
 		n *= 2
 	}
-	q.buckets = make([][]qitem, n)
+	q.buckets = make([]bucket, n)
 	q.occ = make([]uint64, n/64)
 	q.cur = 0
 
@@ -413,18 +469,13 @@ func (q *calendarQueue) resize() {
 	// base stays put: it is already a lower bound for every item, and
 	// raising it to items[0].at would strand the scheduler clock below
 	// base, turning every near-term push into an O(n) reanchor.
+	w := q.width
 	if len(items) >= 2 {
-		k := len(items)
-		if k > 64 {
-			k = 64
-		}
+		k := min(len(items), 64)
 		span := Duration(items[k-1].at - items[0].at)
-		w := 4 * span / Duration(k-1)
-		if w < 1 {
-			w = 1
-		}
-		q.width = w
+		w = max(4*span/Duration(k-1), 1)
 	}
+	q.setWidth(w)
 	for _, it := range items {
 		q.insert(it)
 	}

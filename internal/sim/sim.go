@@ -75,7 +75,7 @@ func DurationOf(seconds float64) Duration {
 type Event struct {
 	at     Time
 	seq    uint64
-	index  int   // position within the queue (heap slot / bucket slot), -1 when not queued
+	index  int   // heap slot, or absolute slot in its calendar bucket's items (or the ladder); -1 when not queued
 	bucket int32 // calendar bucket number (ladderBucket for the overflow ladder); unused by the heap
 	fn     func()
 
