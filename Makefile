@@ -55,11 +55,9 @@ lint-golangci:
 	golangci-lint run
 
 # campaign-smoke mirrors CI's end-to-end campaign job: the bursty
-# preset must dry-run, execute a tiny grid to non-empty JSONL, resume
-# cleanly from its own checkpoint, re-run byte-identically on the
-# reference heap scheduler (-queue heap vs the calendar default); the
-# scale preset must expand and push a real 500-node run through the
-# spatial index.
+# preset must dry-run, execute a tiny grid to non-empty JSONL and
+# resume cleanly from its own checkpoint; the scale preset must expand
+# and push a real 500-node run through the spatial index.
 campaign-smoke:
 	@$(GO) run ./cmd/campaign -preset bursty -dry-run > /dev/null
 	@$(GO) run ./cmd/campaign -preset scale -dry-run > /dev/null
@@ -67,12 +65,10 @@ campaign-smoke:
 	$(GO) run ./cmd/campaign -preset bursty -duration 4 -seeds 1 -loads 250 -out $$tmp -q && \
 	test -s $$tmp && \
 	$(GO) run ./cmd/campaign -preset bursty -duration 4 -seeds 1 -loads 250 -out $$tmp -resume -q > /dev/null && \
-	$(GO) run ./cmd/campaign -preset bursty -duration 4 -seeds 1 -loads 250 -queue heap -out $$tmp.heap -q > /dev/null && \
-	cmp $$tmp $$tmp.heap && \
 	$(GO) run ./cmd/campaign -preset lifetime -duration 4 -seeds 1 -loads 250 -out $$tmp.life -q > /dev/null && \
 	$(GO) run ./cmd/campaign -preset scale -variants n=500 -topology grid -duration 4 -seeds 1 -loads 250 -out $$tmp.scale -q > /dev/null && \
-	echo "campaign-smoke: ok ($$(wc -l < $$tmp) records incl. heap-queue cmp, $$(wc -l < $$tmp.life) lifetime, $$(wc -l < $$tmp.scale) scale)"; \
-	rc=$$?; rm -f $$tmp $$tmp.heap $$tmp.life $$tmp.scale; exit $$rc
+	echo "campaign-smoke: ok ($$(wc -l < $$tmp) records, $$(wc -l < $$tmp.life) lifetime, $$(wc -l < $$tmp.scale) scale)"; \
+	rc=$$?; rm -f $$tmp $$tmp.life $$tmp.scale; exit $$rc
 
 # daemon-smoke mirrors CI's campaign-daemon step: boot campaignd on a
 # fresh state dir, submit the bursty preset's spec over HTTP, wait for

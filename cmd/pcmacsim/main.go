@@ -5,7 +5,6 @@
 //	pcmacsim -scheme pcmac -load 400 -duration 60
 //	pcmacsim -scheme basic -nodes 30 -flows 6 -seed 7 -v
 //	pcmacsim -scheme scheme2 -nodes 1000 -flows 200 -field 4472 -topology grid -duration 30
-//	pcmacsim -scheme basic -nodes 500 -no-grid -duration 30   # linear-walk A/B
 package main
 
 import (
@@ -41,8 +40,6 @@ func main() {
 		safety     = flag.Float64("safety", 0.7, "PCMAC tolerance safety factor")
 		shadowing  = flag.Float64("shadowing", 0, "log-normal shadowing sigma in dB (0 = two-ray ground)")
 		battery    = flag.Float64("battery", 0, "per-node battery capacity in joules (0 = mains-powered, no deaths)")
-		noGrid     = flag.Bool("no-grid", false, "disable the spatial neighbor index (linear link-row builds; identical results, for perf A/Bs)")
-		queue      = flag.String("queue", "", "scheduler event queue: calendar|heap (identical results; default calendar)")
 		eprofile   = flag.String("energy-profile", "", "radio draw profile: wavelan|sensor (default wavelan)")
 		configPath = flag.String("config", "", "load the scenario from a JSON file (other flags ignored)")
 		tracePath  = flag.String("trace", "", "write an ns-2-style MAC event trace to this file")
@@ -88,14 +85,10 @@ func main() {
 			ShadowingSigmaDB:   *shadowing,
 			EnergyProfile:      *eprofile,
 			BatteryJ:           *battery,
-			DisableSpatialGrid: *noGrid,
 		}
 	}
 	if *timeline > 0 {
 		opts.TimelineBucket = sim.DurationOf(*timeline)
-	}
-	if *queue != "" {
-		opts.EventQueue = *queue
 	}
 	if *tracePath != "" {
 		f, err := os.Create(*tracePath)

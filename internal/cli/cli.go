@@ -32,7 +32,6 @@ type CampaignFlags struct {
 	Variants      string
 	Battery       string
 	EnergyProfile string
-	Queue         string
 }
 
 // Register installs the flag group on fs.
@@ -47,7 +46,6 @@ func (f *CampaignFlags) Register(fs *flag.FlagSet) {
 	fs.StringVar(&f.Variants, "variants", "", "keep only the named variants of the campaign's variant axis (csv, e.g. n=500)")
 	fs.StringVar(&f.Battery, "battery", "", "override the battery-capacity axis (csv of joules per node)")
 	fs.StringVar(&f.EnergyProfile, "energy-profile", "", "override the radio draw-profile axis (csv of wavelan|sensor)")
-	fs.StringVar(&f.Queue, "queue", "", "scheduler event queue (calendar|heap; results are byte-identical); csv sweeps it as an A/B axis")
 }
 
 // Given reports whether a campaign was selected at all (daemons treat
@@ -117,16 +115,6 @@ func (f *CampaignFlags) Build() (runner.Campaign, error) {
 	}
 	if vals := SplitCSV(f.EnergyProfile); len(vals) > 0 {
 		camp.EnergyProfiles = vals
-	}
-	switch vals := SplitCSV(f.Queue); {
-	case len(vals) == 1:
-		// A single kind overrides the base for every run without adding
-		// a key segment, so checkpoints and output stay byte-identical
-		// with the default-queue campaign.
-		camp.Base.EventQueue = vals[0]
-		camp.EventQueues = nil
-	case len(vals) > 1:
-		camp.EventQueues = vals
 	}
 	if f.Battery != "" {
 		vals, err := ParseFloats(f.Battery)

@@ -38,42 +38,6 @@ func TestBuildPresetWithOverrides(t *testing.T) {
 	}
 }
 
-func TestBuildQueueFlag(t *testing.T) {
-	// A single kind overrides the base for every run — no sweep axis,
-	// no new key segments.
-	camp, err := parse(t, "-preset", "fig8", "-queue", "heap").Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if camp.Base.EventQueue != "heap" {
-		t.Fatalf("base queue = %q", camp.Base.EventQueue)
-	}
-	if camp.EventQueues != nil {
-		t.Fatalf("single -queue grew an axis: %v", camp.EventQueues)
-	}
-
-	// A CSV sweeps the queue kind as an A/B axis.
-	camp, err = parse(t, "-preset", "fig8", "-queue", "calendar,heap").Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(camp.EventQueues) != 2 || camp.EventQueues[1] != "heap" {
-		t.Fatalf("queue axis = %v", camp.EventQueues)
-	}
-	if camp.Base.EventQueue != "" {
-		t.Fatalf("CSV -queue leaked into the base: %q", camp.Base.EventQueue)
-	}
-
-	// Unset leaves both alone (the scheduler default applies).
-	camp, err = parse(t, "-preset", "fig8").Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if camp.Base.EventQueue != "" || camp.EventQueues != nil {
-		t.Fatalf("no -queue still set %q / %v", camp.Base.EventQueue, camp.EventQueues)
-	}
-}
-
 func TestBuildErrors(t *testing.T) {
 	if _, err := parse(t).Build(); err == nil || !strings.Contains(err.Error(), "-spec FILE or -preset NAME") {
 		t.Fatalf("no selection: %v", err)

@@ -51,14 +51,10 @@ func BenchmarkChannelTransmit(b *testing.B) {
 		// index's candidate cells (the scenario wiring for moving
 		// nodes).
 		{"mobile", func(ch *Channel) { ch.SetMaxSpeed(3) }},
-		// nogrid: no epoch source, no spatial index — the linear
-		// all-radios rebuild every frame (the pre-index mobile
-		// behaviour; the O(N)-vs-O(neighbors) baseline).
-		{"nogrid", func(ch *Channel) { ch.SetMaxSpeed(3); ch.SetSpatialGrid(false) }},
-		// nocache: the reference uncached walk per frame (itself served
-		// by the spatial index; SetSpatialGrid(false) would restore the
-		// full-model walk).
-		{"nocache", func(ch *Channel) { ch.SetLinkCache(false) }},
+		// reference: the full propagation model against every radio,
+		// every frame, with no row cache, cutoff or spatial index
+		// (UseReferenceWalk; the O(N)-vs-O(neighbors) baseline).
+		{"reference", UseReferenceWalk},
 	}
 	for _, n := range []int{10, 50, 200, 1000} {
 		for _, v := range variants {
@@ -85,9 +81,6 @@ func BenchmarkChannelTransmit(b *testing.B) {
 	// dominates the frame cost. One max-power frame first sizes the
 	// grid cells exactly as a real run's RTS would.
 	for _, v := range variants {
-		if v.name == "nocache" {
-			continue
-		}
 		b.Run(fmt.Sprintf("radios=1000/%s-data", v.name), func(b *testing.B) {
 			sched := sim.NewScheduler()
 			ch := NewChannel(sched, NewTwoRayGround(DefaultParams()), DefaultParams())

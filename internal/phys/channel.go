@@ -104,16 +104,11 @@ type Channel struct {
 	// attachGen invalidates rows when radios attach after rows built.
 	attachGen uint64
 
-	// cacheOff disables link rows entirely (ablation/verification).
-	cacheOff bool
-
-	// grid is the spatial index over attached radios (see grid.go);
-	// gridOff disables it (ablation/verification), falling back to the
-	// linear all-radios walk. maxSpeed is the SetMaxSpeed motion bound
-	// in m/s (< 0: unknown, reassign conservatively). candIdx is the
-	// reusable candidate-enumeration buffer.
+	// grid is the spatial index over attached radios (see grid.go).
+	// maxSpeed is the SetMaxSpeed motion bound in m/s (< 0: unknown,
+	// reassign conservatively). candIdx is the reusable
+	// candidate-enumeration buffer.
 	grid     cellGrid
-	gridOff  bool
 	maxSpeed float64
 	candIdx  []int32
 
@@ -160,11 +155,6 @@ func (c *Channel) Scheduler() *sim.Scheduler { return c.sched }
 // mobility.Epochs counter. Without a source the channel assumes any
 // instant may have moved every node.
 func (c *Channel) SetPositionEpoch(fn func() uint64) { c.posEpoch = fn }
-
-// SetLinkCache enables or disables the link-row cache. Disabling forces
-// the per-frame full propagation walk; results are identical either way
-// (the cache-soundness tests rely on this), only speed differs.
-func (c *Channel) SetLinkCache(enabled bool) { c.cacheOff = !enabled }
 
 // AttachRadio creates a radio on this channel at the position reported
 // by pos (sampled lazily, so mobile nodes just pass their position
@@ -290,10 +280,6 @@ func (c *Channel) transmit(r *Radio, powerW float64, bits int, dur sim.Duration,
 		Payload:  payload,
 		SrcPos:   r.pos(),
 	}
-	if c.cacheOff {
-		c.transmitUncached(tx)
-		return tx
-	}
 	row := c.linkRowFor(r, powerW)
 	if c.fade != nil {
 		for i := range row.entries {
@@ -313,43 +299,4 @@ func (c *Channel) transmit(r *Radio, powerW float64, bits int, dur sim.Duration,
 		c.sched.ScheduleEvent(en.delay+dur, en.to, evEndArrival, tx, 0)
 	}
 	return tx
-}
-
-// transmitUncached is the reference delivery path: evaluate the full
-// propagation model, per frame, with no link-row cache. It must stay
-// behaviourally identical to the cached path — the link-cache soundness
-// tests diff whole simulations between the two. The spatial index
-// serves this path too: radios beyond the delivery cutoff receive
-// below the floor (the model is monotone decreasing in distance), so
-// restricting the walk to grid candidates schedules the same events;
-// SetSpatialGrid(false) restores the literal every-radio walk.
-func (c *Channel) transmitUncached(tx *Transmission) {
-	var cands []int32
-	if rg, ok := c.model.(Ranger); ok {
-		cutoff := rg.RangeForTxPower(tx.PowerW, c.deliverFloorW) * (1 + 1e-9)
-		if c.gridUsable(cutoff) {
-			cands = c.gridCandidates(tx.SrcPos, cutoff)
-		}
-	}
-	n := len(c.radios)
-	if cands != nil {
-		n = len(cands)
-	}
-	for k := 0; k < n; k++ {
-		o := c.radios[k]
-		if cands != nil {
-			o = c.radios[cands[k]]
-		}
-		if o == tx.From {
-			continue
-		}
-		dist := tx.SrcPos.Dist(o.pos())
-		pr := c.model.ReceivedPower(tx.PowerW, dist)
-		if pr < c.deliverFloorW {
-			continue
-		}
-		delay := sim.DurationOf(dist / SpeedOfLight)
-		c.sched.ScheduleEvent(delay, o, evBeginArrival, tx, pr)
-		c.sched.ScheduleEvent(delay+tx.Duration, o, evEndArrival, tx, 0)
-	}
 }

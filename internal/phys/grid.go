@@ -20,9 +20,9 @@ import (
 // walk, in candidate order sorted by radio attach index, so the
 // resulting link row — entry order, received-power bits, delays, and
 // therefore scheduler event order, RNG streams and JSONL output — is
-// byte-identical to the full walk. The grid-vs-linear soundness tests
-// (phys grid tests, scenario.TestSpatialGridSound*, runner
-// TestExecuteGridLinearIdentical) rest on this.
+// byte-identical to the full walk. TestGridCandidatesProperty and the
+// whole-run TestReferenceWalkIdentical check this against the reference
+// walk (UseReferenceWalk, test builds only).
 //
 // Staleness: cells hold radios by their position at assignment time.
 // With a motion bound (Channel.SetMaxSpeed) the index tolerates bounded
@@ -76,13 +76,6 @@ func (g *cellGrid) cellOf(p geom.Point) uint64 {
 	return packCell(int32(math.Floor(p.X*g.inv)), int32(math.Floor(p.Y*g.inv)))
 }
 
-// SetSpatialGrid enables or disables the channel's spatial index.
-// Disabling forces every link-row build (and the uncached reference
-// path) back to the linear all-radios walk; results are identical
-// either way (the grid soundness tests rely on this), only speed
-// differs.
-func (c *Channel) SetSpatialGrid(enabled bool) { c.gridOff = !enabled }
-
 // SetMaxSpeed promises that no attached radio's position changes faster
 // than mps metres per second of simulated time (0 = nobody ever moves).
 // The spatial index uses the bound to keep cell assignments valid
@@ -99,7 +92,7 @@ func (c *Channel) SetMaxSpeed(mps float64) { c.maxSpeed = mps }
 // radio in the row, so there is nothing to prune (and pruning would
 // desync the fade RNG stream).
 func (c *Channel) gridUsable(cutoff float64) bool {
-	return !c.gridOff && c.fade == nil && cutoff > 0
+	return c.fade == nil && cutoff > 0
 }
 
 // gridCandidates returns the attach indices, sorted ascending (= attach

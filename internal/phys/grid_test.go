@@ -17,18 +17,22 @@ var dialLevels = []float64{1e-3, 2e-3, 3.45e-3, 5.95e-3, 10.26e-3,
 // TestGridCandidatesProperty is the spatial-index soundness property:
 // for random placements and every power level, (a) the grid's candidate
 // enumeration is a superset of the delivery-cutoff disk, and (b) the
-// link row built from grid candidates equals the linear walk's exactly
-// — same entries, same order, bit-identical received powers and delays.
+// link row built from grid candidates equals the reference walk's
+// (UseReferenceWalk) exactly — same receivers, same order, bit-identical
+// received powers and delays.
 func TestGridCandidatesProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 40; trial++ {
 		sched := sim.NewScheduler()
 		par := DefaultParams()
 		ch := NewChannel(sched, NewTwoRayGround(par), par)
+		ref := NewChannel(sched, NewTwoRayGround(par), par)
+		UseReferenceWalk(ref)
 		n := 5 + rng.Intn(80)
 		for i := 0; i < n; i++ {
 			p := geom.Point{X: rng.Float64() * 1500, Y: rng.Float64() * 1500}
 			ch.AttachRadio(i, func() geom.Point { return p }, benchHandler{})
+			ref.AttachRadio(i, func() geom.Point { return p }, benchHandler{})
 		}
 		src := ch.radios[rng.Intn(n)]
 		for _, powerW := range dialLevels {
@@ -52,24 +56,25 @@ func TestGridCandidatesProperty(t *testing.T) {
 				}
 			}
 
-			// (b) grid row == linear row, order included, bit for bit.
-			var rowG, rowL linkRow
-			ch.gridOff = false
+			// (b) grid row == reference row, order included, bit for bit.
+			var rowG, rowR linkRow
 			ch.buildRow(&rowG, src, powerW)
-			ch.gridOff = true
-			ch.buildRow(&rowL, src, powerW)
-			ch.gridOff = false
-			if len(rowG.entries) != len(rowL.entries) {
-				t.Fatalf("trial %d power %g: grid row has %d entries, linear %d",
-					trial, powerW, len(rowG.entries), len(rowL.entries))
+			ref.buildRow(&rowR, ref.radios[src.idx], powerW)
+			if len(rowG.entries) != len(rowR.entries) {
+				t.Fatalf("trial %d power %g: grid row has %d entries, reference %d",
+					trial, powerW, len(rowG.entries), len(rowR.entries))
 			}
 			for i := range rowG.entries {
-				g, l := rowG.entries[i], rowL.entries[i]
-				if g.to != l.to || g.prW != l.prW || g.delay != l.delay {
-					t.Fatalf("trial %d power %g entry %d: grid {to=%d pr=%b delay=%d} != linear {to=%d pr=%b delay=%d}",
-						trial, powerW, i, g.to.id, g.prW, g.delay, l.to.id, l.prW, l.delay)
+				g, r := rowG.entries[i], rowR.entries[i]
+				if g.to.idx != r.to.idx || g.prW != r.prW || g.delay != r.delay {
+					t.Fatalf("trial %d power %g entry %d: grid {to=%d pr=%b delay=%d} != reference {to=%d pr=%b delay=%d}",
+						trial, powerW, i, g.to.id, g.prW, g.delay, r.to.id, r.prW, r.delay)
 				}
 			}
+		}
+		if !GridAssigned(ch) || GridAssigned(ref) {
+			t.Fatalf("trial %d: grid assigned = %v (grid side), %v (reference side); want true, false",
+				trial, GridAssigned(ch), GridAssigned(ref))
 		}
 	}
 }
@@ -113,13 +118,15 @@ func buildRecorded(t *testing.T, setup func(ch *Channel)) []string {
 // scratch row per frame through the grid, and must deliver byte-for-
 // byte what the uncached, grid-less reference walk delivers.
 func TestGridNilEpochMatchesUncached(t *testing.T) {
-	gridded := buildRecorded(t, func(ch *Channel) {}) // nil epoch, grid on
-	reference := buildRecorded(t, func(ch *Channel) {
-		ch.SetLinkCache(false)
-		ch.SetSpatialGrid(false)
-	})
+	var gridCh, refCh *Channel
+	gridded := buildRecorded(t, func(ch *Channel) { gridCh = ch }) // nil epoch, grid on
+	reference := buildRecorded(t, func(ch *Channel) { refCh = ch; UseReferenceWalk(ch) })
 	if len(gridded) == 0 {
 		t.Fatal("no deliveries recorded, the comparison proves nothing")
+	}
+	if !GridAssigned(gridCh) || GridAssigned(refCh) {
+		t.Fatalf("grid assigned = %v (gridded), %v (reference); want true, false",
+			GridAssigned(gridCh), GridAssigned(refCh))
 	}
 	if len(gridded) != len(reference) {
 		t.Fatalf("gridded run logged %d deliveries, reference %d", len(gridded), len(reference))

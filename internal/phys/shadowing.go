@@ -60,8 +60,8 @@ func (m *Shadowing) MeanReceivedPower(txPower, dist float64) float64 {
 // dB — the same draw ReceivedPower applies internally. The channel's
 // link cache uses it to compose a per-delivery fade onto the cached mean
 // gain: MeanReceivedPower(p, d) * Fade() consumes the generator exactly
-// as ReceivedPower(p, d) does, so cached and uncached runs see the same
-// random stream. Zero sigma returns 1 without consuming a draw,
+// as ReceivedPower(p, d) does, so cached rows and the full-model walk see
+// the same random stream. Zero sigma returns 1 without consuming a draw,
 // mirroring ReceivedPower's zero-sigma shortcut.
 func (m *Shadowing) Fade() float64 {
 	if m.SigmaDB == 0 {

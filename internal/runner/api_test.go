@@ -166,6 +166,9 @@ func TestParseCampaignFileStrict(t *testing.T) {
 		{"regions in base", `{"name": "x", "base": {"regions": 4}}`, `"regions" was removed`},
 		{"regions in patch", `{"name": "x", "variants": [{"name": "r4", "patch": {"regions": 4}}]}`, `"regions" was removed`},
 		{"regions axis", `{"name": "x", "regions": [1, 4]}`, `"regions" was removed`},
+		{"event_queue in base", `{"name": "x", "base": {"event_queue": "heap"}}`, `field "event_queue" was removed`},
+		{"event_queue in patch", `{"name": "x", "variants": [{"name": "h", "patch": {"event_queue": "heap"}}]}`, `field "event_queue" was removed`},
+		{"event_queues axis", `{"name": "x", "event_queues": ["calendar", "heap"]}`, `field "event_queues" was removed`},
 		{"not json", `schemes: [basic]`, "campaign spec"},
 	}
 	for _, tc := range cases {

@@ -113,9 +113,6 @@ func (v Variant) apply(o *scenario.Options) error {
 	if p.ShadowingSigmaDB != 0 {
 		o.ShadowingSigmaDB = patched.ShadowingSigmaDB
 	}
-	if p.EventQueue != "" {
-		o.EventQueue = patched.EventQueue
-	}
 	if p.EnergyProfile != "" {
 		o.EnergyProfile = patched.EnergyProfile
 	}
@@ -178,12 +175,6 @@ type Campaign struct {
 	// EnergyProfiles is the radio draw-table axis (energy.Profiles
 	// names: wavelan|sensor).
 	EnergyProfiles []string
-	// EventQueues is the scheduler event-queue axis (sim.QueueKinds
-	// names: calendar|heap). Results are byte-identical across kinds,
-	// so sweeping it is a determinism A/B, not a parameter study; a
-	// single kind belongs in Base.EventQueue instead, which changes no
-	// run keys.
-	EventQueues []string
 
 	// Reps replicates each grid point with derived seeds (default 1).
 	Reps int
@@ -281,8 +272,7 @@ func formatG(v float64) string { return fmt.Sprintf("%g", v) }
 
 // axes expands the campaign's sweep dimensions into descriptor form,
 // in the fixed historical nesting order: variant, scheme, traffic,
-// topology, load, nodes, speed, shadowing, safety, battery, profile,
-// event queue.
+// topology, load, nodes, speed, shadowing, safety, battery, profile.
 func (c Campaign) axes() []axis {
 	variants := c.Variants
 	if len(variants) == 0 {
@@ -337,8 +327,6 @@ func (c Campaign) axes() []axis {
 			func(o *scenario.Options, v float64) { o.BatteryJ = v }),
 		sweepAxis(c.EnergyProfiles, "ep", func(s string) string { return s },
 			func(o *scenario.Options, v string) { o.EnergyProfile = v }),
-		sweepAxis(c.EventQueues, "q", func(s string) string { return s },
-			func(o *scenario.Options, v string) { o.EventQueue = v }),
 	}
 }
 

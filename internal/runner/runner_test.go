@@ -676,68 +676,6 @@ func TestExecuteRepeatDeterministic(t *testing.T) {
 	}
 }
 
-// TestExecuteGridLinearIdentical is the end-to-end proof the spatial
-// neighbor index is invisible: the same campaign executed with the grid
-// on and off must emit byte-identical JSONL — every delivery, RNG
-// stream and rounding decision unchanged. The mobile case drives the
-// skin-bounded incremental cell reassignment; the fading case pins the
-// linear fallback (no delivery cutoff under per-frame fades).
-func TestExecuteGridLinearIdentical(t *testing.T) {
-	base := scenario.Options{
-		Duration: 2 * sim.Second,
-		Warmup:   sim.Duration(sim.Second / 2),
-		SpeedMin: 20, // fast motion: the drift bound works for a living
-		SpeedMax: 20,
-	}
-	cases := []struct {
-		name string
-		c    Campaign
-	}{
-		{
-			name: "mobile",
-			c: Campaign{
-				Name:      "grid-mobile",
-				Base:      withNodes(base, 40),
-				Schemes:   []mac.Scheme{mac.Basic, mac.PCMAC},
-				LoadsKbps: []float64{300},
-				Reps:      1,
-			},
-		},
-		{
-			name: "fading",
-			c: Campaign{
-				Name:        "grid-fading",
-				Base:        withNodes(base, 30),
-				Schemes:     []mac.Scheme{mac.PCMAC},
-				LoadsKbps:   []float64{300},
-				ShadowingDB: []float64{4},
-				Reps:        1,
-			},
-		},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			var gridded bytes.Buffer
-			if _, err := Execute(context.Background(), tc.c, ExecOptions{Workers: 2, Out: &gridded}); err != nil {
-				t.Fatal(err)
-			}
-			if gridded.Len() == 0 {
-				t.Fatal("campaign emitted nothing")
-			}
-			linearCamp := tc.c
-			linearCamp.Base.DisableSpatialGrid = true
-			var linear bytes.Buffer
-			if _, err := Execute(context.Background(), linearCamp, ExecOptions{Workers: 2, Out: &linear}); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(gridded.Bytes(), linear.Bytes()) {
-				t.Fatalf("grid JSONL differs from linear walk:\n--- grid ---\n%s--- linear ---\n%s",
-					gridded.String(), linear.String())
-			}
-		})
-	}
-}
-
 // TestScalePresetShape pins the scale preset's constant-density
 // contract: every node-count variant grows the field as sqrt(n/50) and
 // keeps flows at the paper's 1:5 ratio, and no grid point smuggles

@@ -42,7 +42,6 @@ type CampaignFile struct {
 	SafetyFactors  []float64           `json:"safety_factors,omitempty"`
 	BatteriesJ     []float64           `json:"batteries_j,omitempty"`
 	EnergyProfiles []string            `json:"energy_profiles,omitempty"`
-	EventQueues    []string            `json:"event_queues,omitempty"`
 	Reps           int                 `json:"reps,omitempty"`
 	SeedList       []int64             `json:"seed_list,omitempty"`
 	BaseSeed       int64               `json:"base_seed,omitempty"`
@@ -76,7 +75,6 @@ func (cf CampaignFile) Campaign() (Campaign, error) {
 		SafetyFactors:  cf.SafetyFactors,
 		BatteriesJ:     cf.BatteriesJ,
 		EnergyProfiles: cf.EnergyProfiles,
-		EventQueues:    cf.EventQueues,
 		Reps:           cf.Reps,
 		SeedList:       cf.SeedList,
 		BaseSeed:       cf.BaseSeed,
@@ -108,7 +106,6 @@ func (c Campaign) File() CampaignFile {
 		SafetyFactors:  c.SafetyFactors,
 		BatteriesJ:     c.BatteriesJ,
 		EnergyProfiles: c.EnergyProfiles,
-		EventQueues:    c.EventQueues,
 		Reps:           c.Reps,
 		SeedList:       c.SeedList,
 		BaseSeed:       c.BaseSeed,

@@ -53,7 +53,6 @@ type FileConfig struct {
 	DisableCtrlChannel bool         `json:"disable_ctrl_channel,omitempty"`
 	DisableThreeWay    bool         `json:"disable_three_way,omitempty"`
 	ShadowingSigmaDB   float64      `json:"shadowing_sigma_db,omitempty"`
-	EventQueue         string       `json:"event_queue,omitempty"`
 	EnergyProfile      string       `json:"energy_profile,omitempty"`
 	BatteryJ           float64      `json:"battery_j,omitempty"`
 	FlowRateSpreadPct  float64      `json:"flow_rate_spread_pct,omitempty"`
@@ -93,7 +92,6 @@ func (fc FileConfig) Options() (Options, error) {
 		DisableCtrlChannel: fc.DisableCtrlChannel,
 		DisableThreeWay:    fc.DisableThreeWay,
 		ShadowingSigmaDB:   fc.ShadowingSigmaDB,
-		EventQueue:         fc.EventQueue,
 		EnergyProfile:      fc.EnergyProfile,
 		BatteryJ:           fc.BatteryJ,
 		FlowRateSpreadPct:  fc.FlowRateSpreadPct,
@@ -150,9 +148,6 @@ func validate(o Options) error {
 	if _, err := energy.ParseProfile(o.EnergyProfile); err != nil {
 		return err
 	}
-	if _, err := sim.ParseQueueKind(o.EventQueue); err != nil {
-		return fmt.Errorf("scenario: %w", err)
-	}
 	if err := CheckTopology(o.Topology); err != nil {
 		return err
 	}
@@ -198,16 +193,26 @@ func LoadConfig(path string) (Options, error) {
 	return fc.Options()
 }
 
+// removedFields names the spec and config fields earlier builds
+// accepted, with the reason each went, so a stale file fails with the
+// fix instead of a bare "unknown field".
+var removedFields = []struct{ name, why string }{
+	{"regions", "runs always use the sequential scheduler"},
+	{"event_queue", "runs always use the calendar event queue"},
+	{"event_queues", "runs always use the calendar event queue"},
+}
+
 // DecodeStrict decodes exactly one JSON value from b into v. Unknown
 // fields (the usual symptom of a typo'd key) and trailing data are
-// errors. "regions", which earlier builds accepted, is named as removed
-// so a stale file fails with the fix.
+// errors; a field in removedFields is named as removed.
 func DecodeStrict(b []byte, v any) error {
 	dec := json.NewDecoder(bytes.NewReader(b))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
-		if err.Error() == `json: unknown field "regions"` {
-			return errors.New(`field "regions" was removed (runs always use the sequential scheduler); delete it`)
+		for _, f := range removedFields {
+			if err.Error() == fmt.Sprintf("json: unknown field %q", f.name) {
+				return fmt.Errorf("field %q was removed (%s); delete it", f.name, f.why)
+			}
 		}
 		return err
 	}
@@ -245,7 +250,6 @@ func ToFileConfig(o Options) FileConfig {
 		DisableCtrlChannel: o.DisableCtrlChannel,
 		DisableThreeWay:    o.DisableThreeWay,
 		ShadowingSigmaDB:   o.ShadowingSigmaDB,
-		EventQueue:         o.EventQueue,
 		EnergyProfile:      o.EnergyProfile,
 		BatteryJ:           o.BatteryJ,
 		FlowRateSpreadPct:  o.FlowRateSpreadPct,

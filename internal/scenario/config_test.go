@@ -31,7 +31,6 @@ func TestConfigRoundTrip(t *testing.T) {
 		HistoryExpiry:     3 * sim.Second,
 		CtrlBandwidthBps:  500e3,
 		ShadowingSigmaDB:  4,
-		EventQueue:        "heap",
 		FlowRateSpreadPct: 10,
 		Static:            []geom.Point{{X: 1, Y: 2}, {X: 3, Y: 4}},
 		FlowPairs:         [][2]packet.NodeID{{0, 1}},
@@ -59,9 +58,6 @@ func TestConfigRoundTrip(t *testing.T) {
 	}
 	if got.ShadowingSigmaDB != 4 {
 		t.Fatalf("shadowing = %v", got.ShadowingSigmaDB)
-	}
-	if got.EventQueue != "heap" {
-		t.Fatalf("event queue = %q", got.EventQueue)
 	}
 }
 
@@ -106,6 +102,7 @@ func TestLoadConfigStrict(t *testing.T) {
 		{"trailing data", `{"scheme": "basic"} {"scheme": "pcmac"}`, "trailing data"},
 		{"trailing brace", `{"scheme": "basic"}}`, "trailing data"},
 		{"removed regions", `{"scheme": "basic", "regions": 4}`, `field "regions" was removed`},
+		{"removed event_queue", `{"scheme": "basic", "event_queue": "heap"}`, `field "event_queue" was removed (runs always use the calendar event queue); delete it`},
 	}
 	dir := t.TempDir()
 	for _, tc := range cases {
@@ -147,7 +144,6 @@ func TestConfigValidation(t *testing.T) {
 		{Scheme: "pcmac", ResponseBytes: -1},
 		{Scheme: "pcmac", Nodes: 3, Flows: 12},
 		{Scheme: "pcmac", Flows: 5000}, // default 50 nodes: 2450 pairs
-		{Scheme: "pcmac", EventQueue: "fifo"},
 	}
 	for i, fc := range cases {
 		if _, err := fc.Options(); err == nil {

@@ -110,21 +110,6 @@ type Options struct {
 	// to fading — the fluctuation the paper's 0.7 safety coefficient
 	// exists for.
 	ShadowingSigmaDB float64
-	// DisableLinkCache turns off the channels' link-gain cache, forcing
-	// the per-frame full propagation walk. Results are identical either
-	// way; the knob exists for cache-soundness tests and perf A/Bs.
-	DisableLinkCache bool
-	// DisableSpatialGrid turns off the channels' spatial neighbor
-	// index, forcing link-row builds back to the linear all-radios
-	// walk. Results are identical either way (the grid soundness tests
-	// diff whole runs); the knob exists for those tests and perf A/Bs.
-	DisableSpatialGrid bool
-	// EventQueue selects the scheduler's pending-event-set
-	// implementation ("calendar" or "heap"; "" is the calendar
-	// default). Results are byte-identical either way — the kernel's
-	// (time, seq) order is total — so the knob exists for determinism
-	// A/Bs and perf comparisons, not for correctness.
-	EventQueue string
 	// EnergyProfile names the radio's electrical draw table
 	// (energy.Profiles; "" is the WaveLAN-like default). The accountant
 	// it feeds is a pure observer: it never perturbs RNG streams or
@@ -350,10 +335,7 @@ func Build(o Options) (*Network, error) {
 		return nil, err
 	}
 	o = o.withDefaults()
-	// validate already vetted the kind; ParseQueueKind maps "" to the
-	// calendar default.
-	qkind, _ := sim.ParseQueueKind(o.EventQueue)
-	sched := sim.NewSchedulerQueue(qkind)
+	sched := sim.NewScheduler()
 	if o.CollectSimStats {
 		sched.TrackDepth(true)
 	}
@@ -480,13 +462,9 @@ func Build(o Options) (*Network, error) {
 		maxSpeed = 0
 	}
 	dataCh.SetPositionEpoch(epochs.Epoch)
-	dataCh.SetLinkCache(!o.DisableLinkCache)
-	dataCh.SetSpatialGrid(!o.DisableSpatialGrid)
 	dataCh.SetMaxSpeed(maxSpeed)
 	if ctrlCh != nil {
 		ctrlCh.SetPositionEpoch(epochs.Epoch)
-		ctrlCh.SetLinkCache(!o.DisableLinkCache)
-		ctrlCh.SetSpatialGrid(!o.DisableSpatialGrid)
 		ctrlCh.SetMaxSpeed(maxSpeed)
 	}
 

@@ -1,9 +1,13 @@
 package scenario
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/sim"
+)
 
 // TestSimStatsSound is the sink-invariance proof the telemetry layer
-// rests on (mirror of TestLinkCacheSound*): a run with the scheduler's
+// rests on: a run with the scheduler's
 // depth tracking attached must be bit-identical — events, RNG streams,
 // every metric — to the same run without it. The only permitted
 // difference is the new PeakQueue observation itself.
@@ -12,8 +16,8 @@ func TestSimStatsSound(t *testing.T) {
 		name string
 		opts Options
 	}{
-		{"mobile", linkCacheOpts(0)},
-		{"fading", linkCacheOpts(6)},
+		{"mobile", mobileOpts(0)},
+		{"fading", mobileOpts(6)},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -50,7 +54,7 @@ func TestSimStatsSound(t *testing.T) {
 // function of the run — same seed, same trace, same peak — so it is
 // safe to emit into checkpointed JSONL.
 func TestSimStatsDeterministic(t *testing.T) {
-	o := linkCacheOpts(0)
+	o := mobileOpts(0)
 	o.CollectSimStats = true
 	a, err := Run(o)
 	if err != nil {
@@ -62,5 +66,54 @@ func TestSimStatsDeterministic(t *testing.T) {
 	}
 	if a.PeakQueue != b.PeakQueue {
 		t.Errorf("PeakQueue %d != %d across identical runs", a.PeakQueue, b.PeakQueue)
+	}
+}
+
+// mobileOpts is a deliberately mobile, short scenario: nodes are in
+// flight for most of the run, so the position epoch advances constantly
+// and the link rows are rebuilt at nearly every frame — the worst case
+// for invalidation bugs.
+func mobileOpts(shadowSigma float64) Options {
+	return Options{
+		Nodes:            20,
+		FieldW:           600,
+		FieldH:           600,
+		SpeedMin:         20, // fast movement: positions change every instant
+		SpeedMax:         20,
+		Pause:            sim.Second / 2,
+		Flows:            5,
+		OfferedLoadKbps:  200,
+		Duration:         3 * sim.Second,
+		Warmup:           sim.Duration(sim.Second / 2),
+		Seed:             7,
+		ShadowingSigmaDB: shadowSigma,
+	}
+}
+
+// equalResults compares every float an observer that leaked into the
+// run could perturb. Equality must be exact.
+func equalResults(t *testing.T, name string, a, b Result) {
+	t.Helper()
+	if a.Events != b.Events {
+		t.Errorf("%s: events %d != %d", name, a.Events, b.Events)
+	}
+	pairs := []struct {
+		what string
+		x, y float64
+	}{
+		{"throughput", a.ThroughputKbps, b.ThroughputKbps},
+		{"delay", a.AvgDelayMs, b.AvgDelayMs},
+		{"pdr", a.PDR, b.PDR},
+		{"fairness", a.JainFairness, b.JainFairness},
+		{"energy", a.RadiatedEnergyJ, b.RadiatedEnergyJ},
+		{"ctrlEnergy", a.CtrlRadiatedEnergyJ, b.CtrlRadiatedEnergyJ},
+	}
+	for _, p := range pairs {
+		if p.x != p.y {
+			t.Errorf("%s: %s %v != %v", name, p.what, p.x, p.y)
+		}
+	}
+	if a.MAC != b.MAC {
+		t.Errorf("%s: MAC stats diverge:\n  a %+v\n  b %+v", name, a.MAC, b.MAC)
 	}
 }

@@ -6,22 +6,32 @@ import (
 	"testing"
 )
 
+// benchQueues is the q= axis of the scheduler microbenchmarks: the
+// production calendar queue and the reference heap it replaced.
+var benchQueues = []struct {
+	name string
+	new  func() *Scheduler
+}{
+	{"calendar", NewScheduler},
+	{"heap", func() *Scheduler { s := NewScheduler(); UseHeap(s); return s }},
+}
+
 // BenchmarkSchedulerChurn measures the schedule/cancel/fire cycle that
 // dominates MAC timer traffic: every frame arms a timeout, most timeouts
 // are cancelled before firing, and the rest fire. The churn runs on the
 // pooled timer path, so the loop is allocation-free and the number is
 // the queue operations themselves, not the garbage collector.
 //
-// The pending-population axis is what separates the queue kinds: the
+// The pending-population axis is what separates the two queues: the
 // binary heap pays O(log n) pointer-chasing sift chains against the
 // backlog on every operation, the calendar queue stays in the hot
 // bucket. 1M pending approximates a 1000-node run's standing timer
 // load.
 func BenchmarkSchedulerChurn(b *testing.B) {
-	for _, kind := range QueueKinds() {
+	for _, q := range benchQueues {
 		for _, pending := range []int{0, 100_000, 1_000_000} {
-			b.Run(fmt.Sprintf("q=%s/pending=%d", kind, pending), func(b *testing.B) {
-				s := NewSchedulerQueue(kind)
+			b.Run(fmt.Sprintf("q=%s/pending=%d", q.name, pending), func(b *testing.B) {
+				s := q.new()
 				rng := rand.New(rand.NewSource(1))
 				fn := func() {}
 				// The backlog: timers spread over the next second, far
@@ -105,10 +115,10 @@ func BenchmarkSchedulerBurst(b *testing.B) {
 			prop[i][j] = Duration(d)
 		}
 	}
-	for _, kind := range QueueKinds() {
+	for _, q := range benchQueues {
 		for _, pending := range []int{400, 1600, 4000} {
-			b.Run(fmt.Sprintf("q=%s/pending=%d", kind, pending), func(b *testing.B) {
-				s := NewSchedulerQueue(kind)
+			b.Run(fmt.Sprintf("q=%s/pending=%d", q.name, pending), func(b *testing.B) {
+				s := q.new()
 				// Background span such that about k background events
 				// fire per frame time.
 				span := int(frame) * pending / k

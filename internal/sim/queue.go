@@ -1,47 +1,11 @@
 package sim
 
-import (
-	"container/heap"
-	"fmt"
-	"math/bits"
-)
+import "math/bits"
 
-// QueueKind selects the pending-event-set implementation behind a
-// Scheduler. Both kinds realise the same total order, so a run's event
-// trace (and therefore its JSONL output) is byte-identical whichever
-// kind executes it; they differ only in asymptotics and memory layout.
-type QueueKind string
-
-const (
-	// QueueCalendar is the default: a calendar queue with bucket-local,
-	// value-dense event storage. Amortised O(1) push/pop, built for the
-	// 1000-node runs where the binary heap's O(log n) pointer-chasing
-	// sift chains dominate the profile.
-	QueueCalendar QueueKind = "calendar"
-
-	// QueueHeap is the original container/heap binary heap, kept as the
-	// reference implementation for A/B determinism proofs.
-	QueueHeap QueueKind = "heap"
-)
-
-// QueueKinds lists the accepted kinds, default first.
-func QueueKinds() []QueueKind { return []QueueKind{QueueCalendar, QueueHeap} }
-
-// ParseQueueKind maps a config/flag string to a QueueKind. The empty
-// string selects the default (calendar); anything else must name a
-// known kind.
-func ParseQueueKind(s string) (QueueKind, error) {
-	switch QueueKind(s) {
-	case "", QueueCalendar:
-		return QueueCalendar, nil
-	case QueueHeap:
-		return QueueHeap, nil
-	}
-	return "", fmt.Errorf("unknown event queue %q (want %q or %q)", s, QueueCalendar, QueueHeap)
-}
-
-// eventQueue is the scheduler's pending-event set. The contract every
-// implementation must honour:
+// eventQueue is the scheduler's pending-event set. The calendar queue
+// is its only production implementation; test builds add the reference
+// binary heap (heap_test.go), which UseHeap swaps in so whole runs can
+// be diffed between the two. The contract both honour:
 //
 //   - Total order. peekMin/popMin return the queued event with the
 //     smallest (at, seq) key — an exact minimum, never merely an
@@ -68,72 +32,10 @@ type eventQueue interface {
 	len() int
 }
 
-// newEventQueue builds the pending set for a kind. Callers pass a kind
-// that already went through ParseQueueKind.
-func newEventQueue(kind QueueKind) eventQueue {
-	if kind == QueueHeap {
-		return &binaryHeap{}
-	}
-	return newCalendarQueue()
-}
-
-// binaryHeap adapts the original container/heap implementation to the
-// eventQueue interface. Event.index is the heap position.
-type binaryHeap struct{ h eventHeap }
-
-func (b *binaryHeap) push(e *Event) { heap.Push(&b.h, e) }
-
-func (b *binaryHeap) peekMin() *Event {
-	if len(b.h) == 0 {
-		return nil
-	}
-	return b.h[0]
-}
-
-func (b *binaryHeap) popMin() *Event {
-	if len(b.h) == 0 {
-		return nil
-	}
-	return heap.Pop(&b.h).(*Event)
-}
-
-func (b *binaryHeap) remove(e *Event) { heap.Remove(&b.h, e.index) }
-
-func (b *binaryHeap) len() int { return len(b.h) }
-
-type eventHeap []*Event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *eventHeap) Push(x any) {
-	e := x.(*Event)
-	e.index = len(*h)
-	*h = append(*h, e)
-}
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.index = -1
-	*h = old[:n-1]
-	return e
-}
-
 // qitem is a calendar-queue entry: the ordering key inlined next to the
 // event pointer, so bucket scans and sorted inserts compare keys from
 // one contiguous slice instead of chasing *Event pointers — the cache
-// behaviour the heap lacks.
+// behaviour a binary heap lacks.
 type qitem struct {
 	at  Time
 	seq uint64

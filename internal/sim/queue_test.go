@@ -5,48 +5,39 @@ import (
 	"testing"
 )
 
-func TestParseQueueKind(t *testing.T) {
-	cases := []struct {
-		in   string
-		want QueueKind
-		ok   bool
-	}{
-		{"", QueueCalendar, true},
-		{"calendar", QueueCalendar, true},
-		{"heap", QueueHeap, true},
-		{"Calendar", "", false},
-		{"fifo", "", false},
-	}
-	for _, c := range cases {
-		got, err := ParseQueueKind(c.in)
-		if c.ok && (err != nil || got != c.want) {
-			t.Errorf("ParseQueueKind(%q) = %q, %v; want %q", c.in, got, err, c.want)
-		}
-		if !c.ok && err == nil {
-			t.Errorf("ParseQueueKind(%q) accepted; want error", c.in)
-		}
-	}
-	if kinds := QueueKinds(); len(kinds) != 2 || kinds[0] != QueueCalendar {
-		t.Errorf("QueueKinds() = %v; want calendar first", kinds)
-	}
-}
-
+// TestSchedulerQueueKind pins the scheduler's queue seam: NewScheduler
+// runs on the calendar queue, and UseHeap moves an already-populated
+// pending set onto the reference heap without losing, reordering or
+// orphaning an event (a cancel after the move still finds its event).
 func TestSchedulerQueueKind(t *testing.T) {
-	if k := NewScheduler().QueueKind(); k != QueueCalendar {
-		t.Errorf("NewScheduler queue kind = %q; want calendar", k)
+	s := NewScheduler()
+	if _, ok := s.q.(*calendarQueue); !ok || OnHeap(s) {
+		t.Fatalf("NewScheduler queue = %T; want *calendarQueue", s.q)
 	}
-	if k := NewSchedulerQueue(QueueHeap).QueueKind(); k != QueueHeap {
-		t.Errorf("NewSchedulerQueue(heap) queue kind = %q; want heap", k)
+	var order []int
+	var handles []*Event
+	for i, d := range []Duration{5, 1, 3, 1, 1000 * Second, 2} {
+		i := i
+		handles = append(handles, s.Schedule(d, func() { order = append(order, i) }))
 	}
-	if k := NewSchedulerQueue("").QueueKind(); k != QueueCalendar {
-		t.Errorf("NewSchedulerQueue(\"\") queue kind = %q; want calendar", k)
+	UseHeap(s)
+	if !OnHeap(s) {
+		t.Fatalf("after UseHeap queue = %T; want *binaryHeap", s.q)
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("NewSchedulerQueue(bogus) did not panic")
+	if s.Pending() != len(handles) {
+		t.Fatalf("Pending = %d after UseHeap; want %d", s.Pending(), len(handles))
+	}
+	s.Cancel(handles[2])
+	s.RunAll()
+	want := []int{1, 3, 5, 0, 4}
+	if len(order) != len(want) {
+		t.Fatalf("fired %v; want %v", order, want)
+	}
+	for i := range want {
+		if order[i] != want[i] {
+			t.Fatalf("fired %v; want %v", order, want)
 		}
-	}()
-	NewSchedulerQueue("bogus")
+	}
 }
 
 // queueDiff drives a heap and a calendar queue with the same ops and
@@ -62,7 +53,7 @@ type queueDiff struct {
 }
 
 func newQueueDiff(tb testing.TB) *queueDiff {
-	return &queueDiff{tb: tb, qs: [2]eventQueue{newEventQueue(QueueHeap), newEventQueue(QueueCalendar)}}
+	return &queueDiff{tb: tb, qs: [2]eventQueue{&binaryHeap{}, newCalendarQueue()}}
 }
 
 func (d *queueDiff) cal() *calendarQueue { return d.qs[1].(*calendarQueue) }
@@ -127,7 +118,7 @@ func (d *queueDiff) drain() {
 // TestQueuePopStreamsIdentical drives the two eventQueue implementations
 // directly with the same randomized push/remove/pop sequences and
 // requires identical (at, seq) pop streams — the total-order contract
-// that makes whole runs byte-identical across queue kinds.
+// that makes whole runs byte-identical on either queue.
 func TestQueuePopStreamsIdentical(t *testing.T) {
 	t.Run("mixed", queueStreamsMixed)
 	t.Run("burst", queueStreamsBurst)
@@ -336,9 +327,12 @@ func TestSchedulerTraceIdentical(t *testing.T) {
 		at    Time
 		label int
 	}
-	run := func(kind QueueKind, seed int64) []fire {
+	run := func(heap bool, seed int64) []fire {
 		rng := rand.New(rand.NewSource(seed))
-		s := NewSchedulerQueue(kind)
+		s := NewScheduler()
+		if heap {
+			UseHeap(s)
+		}
 		var trace []fire
 		var handles []*Event
 		var label int
@@ -387,8 +381,8 @@ func TestSchedulerTraceIdentical(t *testing.T) {
 		return trace
 	}
 	for seed := int64(1); seed <= 5; seed++ {
-		h := run(QueueHeap, seed)
-		c := run(QueueCalendar, seed)
+		h := run(true, seed)
+		c := run(false, seed)
 		if len(h) != len(c) {
 			t.Fatalf("seed %d: trace length heap=%d calendar=%d", seed, len(h), len(c))
 		}

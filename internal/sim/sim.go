@@ -75,8 +75,8 @@ func DurationOf(seconds float64) Duration {
 type Event struct {
 	at     Time
 	seq    uint64
-	index  int   // heap slot, or absolute slot in its calendar bucket's items (or the ladder); -1 when not queued
-	bucket int32 // calendar bucket number (ladderBucket for the overflow ladder); unused by the heap
+	index  int   // absolute slot in its calendar bucket's items (or the ladder); -1 when not queued
+	bucket int32 // calendar bucket number (ladderBucket for the overflow ladder)
 	fn     func()
 
 	// Typed no-capture form: when h is non-nil the event dispatches
@@ -113,7 +113,6 @@ type Scheduler struct {
 	now     Time
 	seq     uint64
 	q       eventQueue
-	kind    QueueKind
 	stopped bool
 
 	// free is the event free list. Only pooled events (typed events and
@@ -133,25 +132,9 @@ type Scheduler struct {
 	peakPending int
 }
 
-// NewScheduler returns a scheduler with the clock at zero, using the
-// default (calendar) event queue.
-func NewScheduler() *Scheduler { return NewSchedulerQueue(QueueCalendar) }
-
-// NewSchedulerQueue returns a scheduler with the clock at zero whose
-// pending-event set uses the given queue kind. An empty kind selects
-// the default; an unknown kind panics (configuration surfaces validate
-// through ParseQueueKind first).
-func NewSchedulerQueue(kind QueueKind) *Scheduler {
-	k, err := ParseQueueKind(string(kind))
-	if err != nil {
-		panic("sim: " + err.Error())
-	}
-	return &Scheduler{q: newEventQueue(k), kind: k}
-}
-
-// QueueKind reports which event-queue implementation backs this
-// scheduler, for tests and diagnostics.
-func (s *Scheduler) QueueKind() QueueKind { return s.kind }
+// NewScheduler returns a scheduler with the clock at zero, backed by
+// the calendar event queue.
+func NewScheduler() *Scheduler { return &Scheduler{q: newCalendarQueue()} }
 
 // Now returns the current simulation time.
 func (s *Scheduler) Now() Time { return s.now }
