@@ -36,3 +36,15 @@ func CachedRows(c *Channel) int {
 	}
 	return n
 }
+
+// linearModel hides only the Ranger capability: without a delivery
+// cutoff the spatial index never serves a row build.
+type linearModel struct{ Propagation }
+
+// UseLinearWalk switches c's link-row builds to the linear all-radios
+// walk while keeping everything else on the production path: rows are
+// still cached per position epoch, and a fading model still splits the
+// cached mean from the per-delivery fade draw.
+func UseLinearWalk(c *Channel) {
+	c.model = linearModel{c.model}
+}

@@ -174,3 +174,59 @@ func TestReferenceWalkIdentical(t *testing.T) {
 		})
 	}
 }
+
+// gridVsLinear diffs one identity workload between the production
+// channels and the same networks with every channel switched to the
+// linear walk (UseLinearWalk) right after Build; the link-row cache
+// stays on on both sides, so only the spatial index differs.
+func gridVsLinear(t *testing.T, name string) {
+	t.Helper()
+	var w workload
+	for _, c := range identityWorkloads(t) {
+		if c.name == name {
+			w = c
+		}
+	}
+	if w.runs == nil {
+		t.Fatalf("no identity workload %q", name)
+	}
+	gridded, gridNets := runJSONL(t, w, nil)
+	linear, linearNets := runJSONL(t, w, func(nw *scenario.Network) {
+		phys.UseLinearWalk(nw.DataCh)
+		if nw.CtrlCh != nil {
+			phys.UseLinearWalk(nw.CtrlCh)
+		}
+	})
+	for i := range gridNets {
+		fading := gridNets[i].Opts.ShadowingSigmaDB > 0
+		if got := phys.GridAssigned(gridNets[i].DataCh); got == fading {
+			t.Fatalf("run %d: production data channel grid assigned = %v with fading = %v", i, got, fading)
+		}
+		if phys.GridAssigned(linearNets[i].DataCh) {
+			t.Fatalf("run %d: linear-walk data channel assigned grid cells", i)
+		}
+		if phys.CachedRows(linearNets[i].DataCh) == 0 {
+			t.Fatalf("run %d: linear-walk data channel cached no link row", i)
+		}
+	}
+	if !bytes.Equal(gridded, linear) {
+		t.Fatalf("grid JSONL differs from the linear walk:\n--- grid ---\n%s--- linear ---\n%s", gridded, linear)
+	}
+}
+
+// TestSpatialGridSoundMobile is the grid's invalidation-soundness
+// proof: a fast-moving waypoint run — cell assignments drifting through
+// the Verlet skin and reassigning repeatedly — must be bit-identical to
+// the linear all-radios walk. A stale cell the drift bound failed to
+// cover shows up as a missed delivery and fails the comparison.
+func TestSpatialGridSoundMobile(t *testing.T) {
+	gridVsLinear(t, "mobile")
+}
+
+// TestSpatialGridSoundFading pins the fading fallback: log-normal
+// shadowing removes the delivery cutoff (every radio stays in the row,
+// one fade draw each), so the grid must step aside without perturbing
+// the fade RNG stream.
+func TestSpatialGridSoundFading(t *testing.T) {
+	gridVsLinear(t, "fading")
+}

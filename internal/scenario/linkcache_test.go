@@ -1,171 +1,47 @@
 package scenario
 
-import (
-	"testing"
+import "testing"
 
-	"repro/internal/mac"
-	"repro/internal/sim"
-)
-
-// linkCacheOpts is a deliberately mobile, short scenario: nodes are in
-// flight for most of the run, so the position epoch advances constantly
-// and the link rows are rebuilt at nearly every frame — the worst case
-// for invalidation bugs.
-func linkCacheOpts(shadowSigma float64) Options {
-	return Options{
-		Nodes:            20,
-		FieldW:           600,
-		FieldH:           600,
-		SpeedMin:         20, // fast movement: positions change every instant
-		SpeedMax:         20,
-		Pause:            sim.Second / 2,
-		Flows:            5,
-		OfferedLoadKbps:  200,
-		Duration:         3 * sim.Second,
-		Warmup:           sim.Duration(sim.Second / 2),
-		Seed:             7,
-		ShadowingSigmaDB: shadowSigma,
-	}
-}
-
-// equalResults compares every float a cached-vs-uncached divergence
-// could perturb. Equality must be exact: the cache stores the very same
-// received-power and delay values the uncached walk computes.
-func equalResults(t *testing.T, name string, a, b Result) {
+// cachedVsUncached diffs a whole simulation between the production
+// channels and the same network with the position epoch dropped right
+// after Build: without an epoch the channels cache no link row and
+// rebuild the sender's row on every frame (still through the spatial
+// index). The link-row cache must be invisible in every metric.
+func cachedVsUncached(t *testing.T, name string, o Options) {
 	t.Helper()
-	if a.Events != b.Events {
-		t.Errorf("%s: events %d != %d", name, a.Events, b.Events)
+	cached, err := Run(o)
+	if err != nil {
+		t.Fatal(err)
 	}
-	pairs := []struct {
-		what string
-		x, y float64
-	}{
-		{"throughput", a.ThroughputKbps, b.ThroughputKbps},
-		{"delay", a.AvgDelayMs, b.AvgDelayMs},
-		{"pdr", a.PDR, b.PDR},
-		{"fairness", a.JainFairness, b.JainFairness},
-		{"energy", a.RadiatedEnergyJ, b.RadiatedEnergyJ},
-		{"ctrlEnergy", a.CtrlRadiatedEnergyJ, b.CtrlRadiatedEnergyJ},
+	nw, err := Build(o)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, p := range pairs {
-		if p.x != p.y {
-			t.Errorf("%s: %s %v != %v", name, p.what, p.x, p.y)
-		}
+	nw.DataCh.SetPositionEpoch(nil)
+	if nw.CtrlCh != nil {
+		nw.CtrlCh.SetPositionEpoch(nil)
 	}
-	if a.MAC != b.MAC {
-		t.Errorf("%s: MAC stats diverge:\n  cached   %+v\n  uncached %+v", name, a.MAC, b.MAC)
+	uncached := nw.Run()
+	if cached.Events == 0 {
+		t.Fatalf("%s: empty run proves nothing", name)
 	}
+	equalResults(t, name, cached, uncached)
 }
 
 // TestLinkCacheSoundMobile is the invalidation-soundness proof the cache
 // rests on: a moving-waypoint run must produce bit-identical results
-// with and without the link-gain cache. Any stale row — a position
-// change the epoch counter missed — shows up as a diverging delivery
-// and fails the comparison.
+// with and without cached link rows. Any stale row — a position change
+// the epoch counter missed — shows up as a diverging delivery and fails
+// the comparison.
 func TestLinkCacheSoundMobile(t *testing.T) {
-	o := linkCacheOpts(0)
-	cached, err := Run(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	o.DisableLinkCache = true
-	uncached, err := Run(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cached.Events == 0 {
-		t.Fatal("empty run proves nothing")
-	}
-	equalResults(t, "mobile", cached, uncached)
+	cachedVsUncached(t, "mobile", mobileOpts(0))
 }
 
-// TestLinkCacheSoundShadowing adds log-normal fading: the cached path
-// must consume the fade generator in exactly the order the uncached
-// walk does (one draw per attached radio per frame), or the streams
-// desync and every subsequent delivery differs.
+// TestLinkCacheSoundShadowing adds log-normal fading: cached rows hold
+// only the deterministic mean, so the fade generator must be consumed
+// in the same order (one draw per attached radio per frame) whether the
+// row was reused or rebuilt, or the streams desync and every subsequent
+// delivery differs.
 func TestLinkCacheSoundShadowing(t *testing.T) {
-	o := linkCacheOpts(4.0)
-	cached, err := Run(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	o.DisableLinkCache = true
-	uncached, err := Run(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	equalResults(t, "shadowing", cached, uncached)
-}
-
-// gridVsLinear diffs a whole simulation between the spatial-index path
-// and the linear-walk path (grid disabled): the index must be invisible
-// in every metric.
-func gridVsLinear(t *testing.T, name string, o Options) {
-	t.Helper()
-	gridded, err := Run(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	o.DisableSpatialGrid = true
-	linear, err := Run(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gridded.Events == 0 {
-		t.Fatalf("%s: empty run proves nothing", name)
-	}
-	equalResults(t, name, gridded, linear)
-}
-
-// TestSpatialGridSoundMobile is the grid's invalidation-soundness
-// proof: a fast-moving waypoint run — cell assignments drifting through
-// the Verlet skin and reassigning repeatedly — must be bit-identical to
-// the linear all-radios walk. A stale cell the drift bound failed to
-// cover shows up as a missed delivery and fails the comparison.
-func TestSpatialGridSoundMobile(t *testing.T) {
-	gridVsLinear(t, "grid-mobile", linkCacheOpts(0))
-}
-
-// TestSpatialGridSoundStatic covers pinned placements: cells are
-// assigned once (motion bound 0) and candidate enumeration serves every
-// rebuild.
-func TestSpatialGridSoundStatic(t *testing.T) {
-	o := linkCacheOpts(0)
-	o.Topology = TopologyClusters // pinned hotspot placement, dense cells
-	gridVsLinear(t, "grid-static", o)
-}
-
-// TestSpatialGridSoundFading pins the fading fallback: log-normal
-// shadowing removes the delivery cutoff (every radio stays in the row,
-// one fade draw each), so the grid must step aside without perturbing
-// the fade RNG stream.
-func TestSpatialGridSoundFading(t *testing.T) {
-	gridVsLinear(t, "grid-fading", linkCacheOpts(4.0))
-}
-
-// TestSpatialGridSoundUncached crosses the knobs: with the link cache
-// disabled the uncached reference walk is itself served by the grid,
-// and must still match the grid-less uncached walk.
-func TestSpatialGridSoundUncached(t *testing.T) {
-	o := linkCacheOpts(0)
-	o.DisableLinkCache = true
-	gridVsLinear(t, "grid-uncached", o)
-}
-
-// TestLinkCacheSoundStatic covers the other extreme: a static topology
-// whose rows are built exactly once and reused for the whole run.
-func TestLinkCacheSoundStatic(t *testing.T) {
-	o := Fig1Options(mac.PCMAC) // paper's static two-pair topology
-	o.Duration = 2 * sim.Second
-	o.Warmup = sim.Duration(sim.Second / 2) // keep a window inside the shortened horizon
-	cached, err := Run(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	o.DisableLinkCache = true
-	uncached, err := Run(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	equalResults(t, "static", cached, uncached)
+	cachedVsUncached(t, "shadowing", mobileOpts(4.0))
 }
