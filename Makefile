@@ -19,10 +19,12 @@ test:
 	$(GO) test -race -timeout 30m ./...
 	$(GO) -C bench test .
 
-# fuzz-smoke mirrors CI's fuzz step: a short run of the calendar-vs-heap
-# queue fuzzer on top of its committed seed corpus.
+# fuzz-smoke mirrors CI's fuzz steps: short runs of the calendar-vs-heap
+# queue fuzzer and the strict config/spec decoder fuzzer on top of their
+# seed corpora.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzQueueMatchesHeap -fuzztime 15s ./internal/sim
+	$(GO) test -run '^$$' -fuzz FuzzDecodeStrict -fuzztime 15s ./internal/scenario
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' -timeout 30m ./...

@@ -9,7 +9,9 @@
 //	go test -run '^$' -bench . -benchmem ./... | benchjson -out BENCH_2026-07-28.json
 //
 // All value/unit pairs are kept, including testing.B custom metrics
-// (the figure benchmarks report J, kbps and pdr alongside ns/op).
+// (the figure benchmarks report J, kbps and pdr alongside ns/op). The
+// host's CPU count and each result's GOMAXPROCS are recorded too, so a
+// snapshot taken on one vCPU is not mistaken for a multi-core one.
 package main
 
 import (
@@ -18,6 +20,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 	"strconv"
 	"strings"
 	"time"
@@ -25,8 +28,11 @@ import (
 
 // Result is one benchmark line.
 type Result struct {
-	Name       string             `json:"name"`
-	Pkg        string             `json:"pkg"`
+	Name string `json:"name"`
+	Pkg  string `json:"pkg"`
+	// GOMAXPROCS is the -N suffix stripped from the benchmark name;
+	// go test omits the suffix when it is 1.
+	GOMAXPROCS int                `json:"gomaxprocs"`
 	Iterations int64              `json:"iterations"`
 	Metrics    map[string]float64 `json:"metrics"`
 }
@@ -37,6 +43,7 @@ type Report struct {
 	GoOS       string   `json:"goos,omitempty"`
 	GoArch     string   `json:"goarch,omitempty"`
 	CPU        string   `json:"cpu,omitempty"`
+	NProc      int      `json:"nproc"` // runtime.NumCPU of the host that wrote the report
 	Benchmarks []Result `json:"benchmarks"`
 }
 
@@ -45,7 +52,7 @@ func main() {
 	date := flag.String("date", time.Now().Format("2006-01-02"), "date stamp for the report")
 	flag.Parse()
 
-	rep := Report{Date: *date}
+	rep := Report{Date: *date, NProc: runtime.NumCPU()}
 	pkg := ""
 	sc := bufio.NewScanner(os.Stdin)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
@@ -105,14 +112,14 @@ func parseBench(line, pkg string) (Result, bool) {
 	if err != nil {
 		return Result{}, false
 	}
-	name := f[0]
+	name, procs := f[0], 1
 	// Strip the -GOMAXPROCS suffix so records compare across machines.
 	if i := strings.LastIndex(name, "-"); i > 0 {
-		if _, err := strconv.Atoi(name[i+1:]); err == nil {
-			name = name[:i]
+		if n, err := strconv.Atoi(name[i+1:]); err == nil {
+			name, procs = name[:i], n
 		}
 	}
-	r := Result{Name: name, Pkg: pkg, Iterations: iters, Metrics: map[string]float64{}}
+	r := Result{Name: name, Pkg: pkg, GOMAXPROCS: procs, Iterations: iters, Metrics: map[string]float64{}}
 	for i := 2; i+1 < len(f); i += 2 {
 		v, err := strconv.ParseFloat(f[i], 64)
 		if err != nil {

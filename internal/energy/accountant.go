@@ -72,8 +72,9 @@ type Config struct {
 const depletedEpsJ = 1e-12
 
 // Accountant integrates one radio's electrical energy over the
-// simulation. It is driven by the Meter (radio callbacks); all methods
-// run on the simulation goroutine. The hot path is allocation-free:
+// simulation. It is driven by the radio's state edges
+// (phys.Radio.SetAccountant); all methods run on the simulation
+// goroutine. The hot path is allocation-free:
 // each transition is an O(1) accrual against the running clock.
 type Accountant struct {
 	prof  Profile

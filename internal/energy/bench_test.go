@@ -8,8 +8,8 @@ import (
 
 // BenchmarkEnergyAccounting measures the accountant's hot path: one
 // lock/carrier/transmit cycle of state transitions, each an O(1)
-// accrual. It must stay allocation-free — the meter sits on every
-// radio callback of every node.
+// accrual. It must stay allocation-free — the radio calls it on every
+// state edge of every node.
 func BenchmarkEnergyAccounting(b *testing.B) {
 	s := sim.NewScheduler()
 	a := NewAccountant(s, Config{Profile: WaveLAN()})

@@ -136,17 +136,13 @@ func New(id packet.NodeID, sched *sim.Scheduler, dataCh, ctrlCh *phys.Channel, m
 		if err != nil {
 			return nil, fmt.Errorf("node %v: %w", id, err)
 		}
-		var ch phys.Handler = agent
+		ctrlRadio := ctrlCh.AttachRadio(int(id), pos, agent)
 		if cfg.CtrlEnergy != nil {
 			// Announcements are broadcast protocol traffic: every clean
 			// decode is a useful reception, so the classifier is
 			// constant-true and only corrupted frames land in Overhear.
-			ch = energy.NewMeter(cfg.CtrlEnergy, agent, func(any) bool { return true })
+			ctrlRadio.SetAccountant(cfg.CtrlEnergy, func(any) bool { return true })
 			n.CtrlEnergy = cfg.CtrlEnergy
-		}
-		ctrlRadio := ctrlCh.AttachRadio(int(id), pos, ch)
-		if m, ok := ch.(*energy.Meter); ok {
-			ctrlRadio.SetTxObserver(m)
 		}
 		agent.BindRadio(ctrlRadio)
 		n.Ctrl = agent
@@ -154,21 +150,13 @@ func New(id packet.NodeID, sched *sim.Scheduler, dataCh, ctrlCh *phys.Channel, m
 	}
 
 	n.MAC = mac.New(cfg.MAC, cfg.Scheme, id, sched, n.Router, opts)
-	var h phys.Handler = n.MAC
+	radio := dataCh.AttachRadio(int(id), pos, n.MAC)
 	if cfg.Energy != nil {
-		// Interpose the energy meter between the radio and the MAC: it
-		// observes the existing handler callbacks (and transmit starts)
-		// and forwards them untouched.
-		meter := energy.NewMeter(cfg.Energy, n.MAC, func(payload any) bool {
+		radio.SetAccountant(cfg.Energy, func(payload any) bool {
 			f, ok := payload.(*packet.Frame)
 			return ok && (f.Dst == id || f.Dst == packet.Broadcast)
 		})
-		h = meter
 		n.Energy = cfg.Energy
-	}
-	radio := dataCh.AttachRadio(int(id), pos, h)
-	if m, ok := h.(*energy.Meter); ok {
-		radio.SetTxObserver(m)
 	}
 	n.MAC.BindRadio(radio)
 	n.Router.BindLink(n.MAC)

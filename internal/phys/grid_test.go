@@ -179,7 +179,7 @@ func TestGridSkinCoversBoundedMotion(t *testing.T) {
 	// Advance 6 simulated seconds and move b 60 m inward — within the
 	// 10 m/s promise and within the skin, so cells must NOT be
 	// reassigned.
-	sched.At(sched.Now().Add(sim.DurationOf(6)), func() {})
+	sched.Schedule(sim.DurationOf(6), func() {})
 	sched.RunAll()
 	move := 60.0
 	if move >= ch.grid.skin {
@@ -224,7 +224,7 @@ func TestGridIncrementalReassign(t *testing.T) {
 	// 100 s at 50 m/s bounds the drift at 5000 m — far past the skin,
 	// so the next query reassigns. b teleports into range (within the
 	// bound), c stays put.
-	sched.At(sched.Now().Add(sim.DurationOf(100)), func() {})
+	sched.Schedule(sim.DurationOf(100), func() {})
 	sched.RunAll()
 	pos = geom.Point{X: 200}
 	a.Transmit(0.2818, 1024, 100*sim.Microsecond, nil)

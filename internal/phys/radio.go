@@ -3,6 +3,7 @@ package phys
 import (
 	"fmt"
 
+	"repro/internal/energy"
 	"repro/internal/geom"
 	"repro/internal/sim"
 )
@@ -27,14 +28,6 @@ type Handler interface {
 	// RadioTxDone fires when this radio's own transmission leaves the
 	// air.
 	RadioTxDone(tx *Transmission)
-}
-
-// TxObserver is notified the instant the radio begins emitting a frame.
-// The energy accountant uses it to meter transmit draw at the actually
-// selected power level; the Handler callbacks cover every other radio
-// state transition, so no further hooks are needed.
-type TxObserver interface {
-	RadioTxStart(tx *Transmission)
 }
 
 // Typed event kinds dispatched to Radio.HandleEvent. Using typed events
@@ -101,8 +94,13 @@ type Radio struct {
 	// sums stay consistent if the radio is powered back up.
 	off bool
 
-	// txObs, when non-nil, observes own-transmission starts.
-	txObs TxObserver
+	// acct, when non-nil, meters the radio's electrical draw: every
+	// state edge (lock start and end, carrier busy/idle, tx start and
+	// done) reaches it just before the handler. forUs classifies a
+	// cleanly decoded payload as addressed to this node (or broadcast);
+	// any other lock was overhearing.
+	acct  *energy.Accountant
+	forUs func(payload any) bool
 
 	// EnergyTxJ accumulates radiated energy, the quantity power control
 	// trades against capacity.
@@ -183,8 +181,17 @@ func (r *Radio) CarrierBusy() bool {
 	return !r.off && (r.Transmitting() || r.TotalPower() >= r.ch.par.CsThreshW)
 }
 
-// SetTxObserver installs the transmit-start observer (nil disables).
-func (r *Radio) SetTxObserver(o TxObserver) { r.txObs = o }
+// SetAccountant makes the radio report its state edges to acct (nil
+// disables metering). forUs sees the raw payload of each cleanly decoded
+// locked frame (a *packet.Frame for MAC radios) and must be non-nil with
+// an accountant. Metering is pure observation: it adds no events of its
+// own unless acct's battery is finite.
+func (r *Radio) SetAccountant(acct *energy.Accountant, forUs func(payload any) bool) {
+	if acct != nil && forUs == nil {
+		panic("phys: SetAccountant requires a payload classifier")
+	}
+	r.acct, r.forUs = acct, forUs
+}
 
 // Off reports whether the radio is powered down.
 func (r *Radio) Off() bool { return r.off }
@@ -226,6 +233,9 @@ func (r *Radio) HandleEvent(kind int32, arg any, x float64) {
 	case evTxDone:
 		r.currentTx = nil
 		r.updateCarrier()
+		if r.acct != nil {
+			r.acct.TxEnd()
+		}
 		r.h.RadioTxDone(arg.(*Transmission))
 	default:
 		panic(fmt.Sprintf("phys: radio %d unknown event kind %d", r.id, kind))
@@ -262,8 +272,10 @@ func (r *Radio) Transmit(powerW float64, bits int, dur sim.Duration, payload any
 	tx := r.ch.transmit(r, powerW, bits, dur, payload)
 	r.currentTx = tx
 	r.EnergyTxJ += powerW * dur.Seconds()
-	if r.txObs != nil {
-		r.txObs.RadioTxStart(tx)
+	if r.acct != nil {
+		// Meter TX at the selected level; this also ends, as
+		// overhearing, the lock the transmission just killed.
+		r.acct.TxStart(powerW)
 	}
 	r.ch.sched.ScheduleEvent(dur, r, evTxDone, tx, 0)
 	r.updateCarrier()
@@ -290,6 +302,9 @@ func (r *Radio) beginArrival(tx *Transmission, powerW float64) {
 		r.arrivals[i].peakIn = others
 		r.current = i
 		r.updateCarrier()
+		if r.acct != nil {
+			r.acct.LockStart()
+		}
 		r.h.RadioRxBegin(tx, powerW)
 		return
 	}
@@ -339,6 +354,9 @@ func (r *Radio) endArrival(tx *Transmission) {
 	case a.locked:
 		sinrOK := a.powerW >= par.CaptureRatio*(par.NoiseFloorW+a.peakIn)
 		r.updateCarrier()
+		if r.acct != nil {
+			r.acct.LockEnd(sinrOK && r.forUs(tx.Payload))
+		}
 		r.h.RadioRx(tx, a.powerW, !sinrOK)
 		return
 	case a.powerW >= par.CsThreshW && !r.Transmitting() && !r.off:
@@ -359,8 +377,14 @@ func (r *Radio) updateCarrier() {
 	}
 	r.busy = b
 	if b {
+		if r.acct != nil {
+			r.acct.CarrierBusy()
+		}
 		r.h.RadioCarrierBusy()
 	} else {
+		if r.acct != nil {
+			r.acct.CarrierIdle()
+		}
 		r.h.RadioCarrierIdle()
 	}
 }

@@ -13,17 +13,17 @@ import "math/bits"
 //     schedule order, which is what makes a run's event trace (and its
 //     JSONL output) independent of the queue implementation.
 //   - Position bookkeeping. While an event is queued, its index (and,
-//     for the calendar queue, bucket) fields belong to the queue.
-//     popMin and remove must leave index negative: index >= 0 is the
-//     kernel-wide "still pending" predicate (Event.Pending, Cancel).
+//     for the calendar queue, bucket) fields belong to the queue, which
+//     is how remove finds it. popMin and remove must leave index
+//     negative.
 //   - Monotone pushes. push may assume e.at is never earlier than the
 //     last popped event's time minus the clock rewinds the kernel
 //     forbids — i.e. the scheduler has already range-checked e.at
 //     against now. (Run's horizon clamp can still move now past base;
 //     implementations must tolerate pushes below their internal anchor,
 //     which the calendar queue handles by re-anchoring.)
-//   - remove is called only for queued events (index >= 0), exactly
-//     once per queued lifetime.
+//   - remove is called only for queued events, exactly once per queued
+//     lifetime (the scheduler's one remover is Timer.Stop).
 type eventQueue interface {
 	push(e *Event)
 	peekMin() *Event

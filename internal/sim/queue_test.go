@@ -8,26 +8,29 @@ import (
 // TestSchedulerQueueKind pins the scheduler's queue seam: NewScheduler
 // runs on the calendar queue, and UseHeap moves an already-populated
 // pending set onto the reference heap without losing, reordering or
-// orphaning an event (a cancel after the move still finds its event).
+// orphaning an event (a timer stopped after the move still finds its
+// event).
 func TestSchedulerQueueKind(t *testing.T) {
 	s := NewScheduler()
 	if _, ok := s.q.(*calendarQueue); !ok || OnHeap(s) {
 		t.Fatalf("NewScheduler queue = %T; want *calendarQueue", s.q)
 	}
 	var order []int
-	var handles []*Event
+	var timers []*Timer
 	for i, d := range []Duration{5, 1, 3, 1, 1000 * Second, 2} {
 		i := i
-		handles = append(handles, s.Schedule(d, func() { order = append(order, i) }))
+		tm := NewTimer(s, func() { order = append(order, i) })
+		tm.Start(d)
+		timers = append(timers, tm)
 	}
 	UseHeap(s)
 	if !OnHeap(s) {
 		t.Fatalf("after UseHeap queue = %T; want *binaryHeap", s.q)
 	}
-	if s.Pending() != len(handles) {
-		t.Fatalf("Pending = %d after UseHeap; want %d", s.Pending(), len(handles))
+	if s.Pending() != len(timers) {
+		t.Fatalf("Pending = %d after UseHeap; want %d", s.Pending(), len(timers))
 	}
-	s.Cancel(handles[2])
+	timers[2].Stop()
 	s.RunAll()
 	want := []int{1, 3, 5, 0, 4}
 	if len(order) != len(want) {
@@ -72,7 +75,7 @@ func (d *queueDiff) push(at Time) {
 // queues and drops it from the mirror.
 func (d *queueDiff) remove(j int) {
 	for i, q := range d.qs {
-		if e := d.pending[i][j]; e.Pending() {
+		if e := d.pending[i][j]; e.index >= 0 {
 			q.remove(e)
 		}
 		last := len(d.pending[i]) - 1
@@ -194,7 +197,7 @@ func queueStreamsBurst(t *testing.T) {
 			}
 			for c := rng.Intn(4); c > 0 && len(d.pending[0]) > 0; c-- {
 				j := rng.Intn(len(d.pending[0]))
-				if e := d.pending[1][j]; e.Pending() && e.bucket >= 0 {
+				if e := d.pending[1][j]; e.index >= 0 && e.bucket >= 0 {
 					bk := d.cal().buckets[e.bucket]
 					if bk.head > 0 && e.index > bk.head && e.index < len(bk.items)-1 {
 						midCancels++
@@ -319,9 +322,9 @@ func TestCalendarYearRetunes(t *testing.T) {
 	})
 }
 
-// TestSchedulerTraceIdentical runs the same randomized schedule / cancel /
-// timer / horizon workload through a heap scheduler and a calendar
-// scheduler and requires the identical fire trace.
+// TestSchedulerTraceIdentical runs the same randomized schedule / timer
+// start / timer stop / horizon workload through a heap scheduler and a
+// calendar scheduler and requires the identical fire trace.
 func TestSchedulerTraceIdentical(t *testing.T) {
 	type fire struct {
 		at    Time
@@ -334,9 +337,20 @@ func TestSchedulerTraceIdentical(t *testing.T) {
 			UseHeap(s)
 		}
 		var trace []fire
-		var handles []*Event
 		var label int
-		timers := make([]*Timer, 4)
+		// Delays mix same-instant ties, near-term spreads and
+		// year-overflowing outliers, for closures and timers alike.
+		delay := func() Duration {
+			switch k := rng.Float64(); {
+			case k < 0.15:
+				return 0
+			case k < 0.85:
+				return Duration(rng.Intn(int(2 * Millisecond)))
+			default:
+				return Duration(rng.Intn(int(30*Second))) + Second
+			}
+		}
+		timers := make([]*Timer, 64)
 		for i := range timers {
 			i := i
 			timers[i] = NewTimer(s, func() { trace = append(trace, fire{s.Now(), -1 - i}) })
@@ -346,31 +360,17 @@ func TestSchedulerTraceIdentical(t *testing.T) {
 			case r < 0.35:
 				l := label
 				label++
-				var d Duration
-				switch k := rng.Float64(); {
-				case k < 0.15:
-					d = 0
-				case k < 0.85:
-					d = Duration(rng.Intn(int(2 * Millisecond)))
-				default:
-					d = Duration(rng.Intn(int(30*Second))) + Second
-				}
-				handles = append(handles, s.Schedule(d, func() { trace = append(trace, fire{s.Now(), l}) }))
+				s.Schedule(delay(), func() { trace = append(trace, fire{s.Now(), l}) })
 			case r < 0.45:
 				l := label
 				label++
-				rec := &funcHandler{}
+				rec := &ptrHandler{}
 				rec.fn = func() { trace = append(trace, fire{s.Now(), 100000 + l}) }
 				s.ScheduleEvent(Duration(rng.Intn(int(Millisecond))), rec, int32(l), nil, 0)
-			case r < 0.55 && len(handles) > 0:
-				s.Cancel(handles[rng.Intn(len(handles))])
+			case r < 0.55:
+				timers[rng.Intn(len(timers))].Stop()
 			case r < 0.7:
-				tm := timers[rng.Intn(len(timers))]
-				if rng.Float64() < 0.8 {
-					tm.Start(Duration(rng.Intn(int(Millisecond))))
-				} else {
-					tm.Stop()
-				}
+				timers[rng.Intn(len(timers))].Start(delay())
 			case r < 0.85:
 				s.Step()
 			default:
@@ -395,21 +395,22 @@ func TestSchedulerTraceIdentical(t *testing.T) {
 }
 
 // TestCalendarFarFuture covers the overflow ladder: far-future events
-// (including MaxTime) must sort correctly against near-term ones and be
-// cancellable while parked in the ladder.
+// (including MaxTime) must sort correctly against near-term ones, and a
+// timer parked in the ladder must be stoppable.
 func TestCalendarFarFuture(t *testing.T) {
 	s := NewScheduler()
 	var order []string
-	s.At(MaxTime, func() { order = append(order, "max") })
-	far := s.At(5000*Time(Second), func() { order = append(order, "far-cancelled") })
-	s.At(1000*Time(Second), func() { order = append(order, "far") })
+	s.Schedule(Duration(MaxTime), func() { order = append(order, "max") })
+	far := NewTimer(s, func() { order = append(order, "far-cancelled") })
+	far.StartAt(5000 * Time(Second))
+	s.Schedule(1000*Second, func() { order = append(order, "far") })
 	s.Schedule(Millisecond, func() { order = append(order, "near") })
 	if got := s.Pending(); got != 4 {
 		t.Fatalf("Pending = %d; want 4", got)
 	}
-	s.Cancel(far)
-	if far.Pending() {
-		t.Fatal("cancelled ladder event still pending")
+	far.Stop()
+	if got := s.Pending(); got != 3 {
+		t.Fatalf("Pending = %d after stopping the ladder timer; want 3", got)
 	}
 	s.RunAll()
 	want := []string{"near", "far", "max"}
@@ -433,7 +434,7 @@ func TestCalendarFarFuture(t *testing.T) {
 func TestCalendarReanchor(t *testing.T) {
 	s := NewScheduler()
 	var order []string
-	s.At(1000*Time(Second), func() { order = append(order, "far") })
+	s.Schedule(1000*Second, func() { order = append(order, "far") })
 	s.Run(Time(Second)) // peeks the far event, advancing the year to t=1000s
 	if s.Now() != Time(Second) {
 		t.Fatalf("clock = %v; want 1s", s.Now())
@@ -476,39 +477,5 @@ func TestCalendarResizeChurn(t *testing.T) {
 	}
 	if s.Pending() != 0 {
 		t.Fatalf("Pending = %d after drain", s.Pending())
-	}
-}
-
-// TestCancelFiredPooledEvent is the regression test for the documented
-// no-op: cancelling a pooled event after it has fired (and returned to
-// the free list) must leave the scheduler untouched.
-func TestCancelFiredPooledEvent(t *testing.T) {
-	s := NewScheduler()
-	var fired int
-	rec := &funcHandler{fn: func() { fired++ }}
-	stale := s.scheduleOwned(Time(Microsecond), rec)
-	if !s.Step() {
-		t.Fatal("Step fired nothing")
-	}
-	if fired != 1 {
-		t.Fatalf("fired = %d; want 1", fired)
-	}
-	if stale.Pending() {
-		t.Fatal("fired pooled event still pending")
-	}
-	// The struct is on the free list now; Cancel must be a no-op.
-	s.Cancel(stale)
-	s.cancelOwned(nil)
-	s.Cancel(nil)
-
-	// The scheduler must still work, and the recycled struct must be
-	// reusable: the next pooled schedule draws it back from the pool.
-	s.ScheduleEvent(Microsecond, rec, 0, nil, 0)
-	if s.Pending() != 1 {
-		t.Fatalf("Pending = %d; want 1", s.Pending())
-	}
-	s.RunAll()
-	if fired != 2 {
-		t.Fatalf("fired = %d; want 2", fired)
 	}
 }

@@ -1,7 +1,7 @@
 // Package sim provides the discrete-event simulation kernel that every
 // other subsystem in this repository runs on. It plays the role ns-2's
 // event scheduler played for the paper: a single logical clock, a
-// time-ordered pending-event set, and cancellable timers.
+// time-ordered pending-event set, and restartable timers.
 //
 // The kernel is deliberately single-threaded: wireless MAC protocols are
 // full of same-instant orderings (a CTS scheduled exactly SIFS after an
@@ -62,35 +62,23 @@ func DurationOf(seconds float64) Duration {
 	return Duration(math.Round(seconds * float64(Second)))
 }
 
-// Event is a pending callback in the scheduler. The zero Event is
-// meaningless; events are created by Scheduler.Schedule/At.
-//
-// Lifecycle contract: handles returned by Schedule/At stay valid
-// indefinitely — a fired or cancelled event is inert (Pending reports
-// false, Cancel is a no-op) and is never recycled, so callers may retain
-// and cancel handles unconditionally. Events created through the pooled
-// paths (ScheduleEvent, Timer) return to the scheduler's free list the
-// moment they fire or are cancelled; no handle to them ever escapes, so
-// no caller can observe the reuse.
+// Event is a pending callback in the scheduler. Every event is owned by
+// the scheduler and recycled through its free list the moment it fires
+// (or, for a Timer's event, is stopped): no handle to one escapes the
+// package, so no caller can observe the reuse.
 type Event struct {
 	at     Time
 	seq    uint64
 	index  int   // absolute slot in its calendar bucket's items (or the ladder); -1 when not queued
 	bucket int32 // calendar bucket number (ladderBucket for the overflow ladder)
-	fn     func()
 
-	// Typed no-capture form: when h is non-nil the event dispatches
-	// h.HandleEvent(kind, arg, x) instead of fn. The three payload slots
-	// cover the hot paths (phys arrivals carry radio/tx/power) without a
-	// closure allocation per event.
-	h    EventHandler
+	// When the event fires it dispatches h.HandleEvent(kind, arg, x).
+	// The three payload slots cover the hot paths (phys arrivals carry
+	// radio/tx/power) without a closure allocation per event.
 	kind int32
+	h    EventHandler
 	arg  any
 	x    float64
-
-	// pooled events are owned by the scheduler (or, transiently, a
-	// Timer) and return to the free list on fire/cancel.
-	pooled bool
 }
 
 // EventHandler receives typed events scheduled with ScheduleEvent. The
@@ -100,12 +88,12 @@ type EventHandler interface {
 	HandleEvent(kind int32, arg any, x float64)
 }
 
-// At reports when the event will fire.
-func (e *Event) At() Time { return e.at }
+// funcEvent adapts a closure to EventHandler, so Schedule files it as an
+// ordinary typed event. A func value is pointer-shaped, so converting
+// one to the interface does not allocate.
+type funcEvent func()
 
-// Pending reports whether the event is still queued (not yet fired and
-// not cancelled).
-func (e *Event) Pending() bool { return e != nil && e.index >= 0 }
+func (f funcEvent) HandleEvent(int32, any, float64) { f() }
 
 // Scheduler is the discrete-event executive. It is not safe for
 // concurrent use; the whole simulation runs on one goroutine.
@@ -115,10 +103,8 @@ type Scheduler struct {
 	q       eventQueue
 	stopped bool
 
-	// free is the event free list. Only pooled events (typed events and
-	// Timer events, whose handles never escape their owner) are
-	// recycled; plain Schedule/At events are not, preserving the
-	// retain-and-cancel-unconditionally contract on their handles.
+	// free is the event free list every fired or stopped event
+	// returns to.
 	free []*Event
 
 	// Executed counts events that have fired, for diagnostics and for
@@ -172,38 +158,20 @@ func (s *Scheduler) notePush() {
 	}
 }
 
-// Schedule queues fn to run d after the current time and returns the
-// event handle, which may be cancelled. Negative d panics: the kernel
-// never travels backwards.
-func (s *Scheduler) Schedule(d Duration, fn func()) *Event {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: negative delay %d", d))
-	}
-	return s.At(s.now.Add(d), fn)
-}
-
-// At queues fn to run at absolute time t (which must not be in the past)
-// and returns the event handle.
-func (s *Scheduler) At(t Time, fn func()) *Event {
-	if t < s.now {
-		panic(fmt.Sprintf("sim: scheduling into the past: now=%v at=%v", s.now, t))
-	}
+// Schedule queues fn to run d after the current time. The event cannot
+// be cancelled (a Timer can); negative d panics: the kernel never travels
+// backwards.
+func (s *Scheduler) Schedule(d Duration, fn func()) {
 	if fn == nil {
 		panic("sim: nil event function")
 	}
-	e := &Event{at: t, seq: s.seq, fn: fn, index: -1}
-	s.seq++
-	s.q.push(e)
-	s.notePush()
-	return e
+	s.ScheduleEvent(d, funcEvent(fn), 0, nil, 0)
 }
 
 // ScheduleEvent queues a typed, fire-and-forget event d after the current
-// time: when it fires, h.HandleEvent(kind, arg, x) runs. No handle is
-// returned — the event cannot be cancelled — which is what lets the
-// scheduler recycle its Event struct through the free list the moment it
-// fires. This is the allocation-free path the physical layer's arrival
-// events use; after warm-up it performs no heap allocation per call.
+// time: when it fires, h.HandleEvent(kind, arg, x) runs. This is the path
+// the physical layer's arrival events use; after warm-up it performs no
+// heap allocation per call.
 func (s *Scheduler) ScheduleEvent(d Duration, h EventHandler, kind int32, arg any, x float64) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative delay %d", d))
@@ -211,84 +179,54 @@ func (s *Scheduler) ScheduleEvent(d Duration, h EventHandler, kind int32, arg an
 	if h == nil {
 		panic("sim: nil event handler")
 	}
-	e := s.acquire()
-	e.at = s.now.Add(d)
-	e.h = h
-	e.kind = kind
-	e.arg = arg
-	e.x = x
-	e.seq = s.seq
-	s.seq++
-	s.q.push(e)
-	s.notePush()
+	s.push(s.now.Add(d), h, kind, arg, x)
 }
 
-// scheduleOwned queues a pooled typed event and returns its handle to an
-// in-package owner (Timer). The owner must be the handle's only holder
-// and must discard it on fire (before the callback runs) or return it
+// scheduleOwned queues an event at absolute time t and returns it to an
+// in-package owner (Timer). The owner must be the event's only holder
+// and must drop it on fire (before its callback runs) or hand it back
 // via cancelOwned, upholding the free-list invariant.
 func (s *Scheduler) scheduleOwned(t Time, h EventHandler) *Event {
 	if t < s.now {
 		panic(fmt.Sprintf("sim: scheduling into the past: now=%v at=%v", s.now, t))
 	}
-	e := s.acquire()
+	return s.push(t, h, 0, nil, 0)
+}
+
+// push takes an event from the free list (or allocates one), stamps it
+// with the next sequence number and files it.
+func (s *Scheduler) push(t Time, h EventHandler, kind int32, arg any, x float64) *Event {
+	var e *Event
+	if n := len(s.free); n > 0 {
+		e = s.free[n-1]
+		s.free[n-1] = nil
+		s.free = s.free[:n-1]
+	} else {
+		e = &Event{index: -1}
+	}
 	e.at = t
-	e.h = h
 	e.seq = s.seq
 	s.seq++
+	e.kind = kind
+	e.h = h
+	e.arg = arg
+	e.x = x
 	s.q.push(e)
 	s.notePush()
 	return e
 }
 
-// acquire takes an Event from the free list (or allocates one) and marks
-// it pooled.
-func (s *Scheduler) acquire() *Event {
-	n := len(s.free)
-	if n == 0 {
-		return &Event{index: -1, pooled: true}
-	}
-	e := s.free[n-1]
-	s.free[n-1] = nil
-	s.free = s.free[:n-1]
-	return e
-}
-
-// release returns a pooled event to the free list, dropping payload
+// release returns an event to the free list, dropping payload
 // references so the pool does not retain garbage.
 func (s *Scheduler) release(e *Event) {
-	e.fn = nil
 	e.h = nil
 	e.arg = nil
-	e.x = 0
-	e.kind = 0
 	s.free = append(s.free, e)
 }
 
-// Cancel removes a pending event. Cancelling a nil, fired, or already
-// cancelled event is a no-op, so callers can cancel unconditionally.
-// Cancelled Schedule/At events are not recycled: their handle stays
-// valid (and inert) for as long as the caller retains it.
-//
-// Pooled events (ScheduleEvent, Timer internals) return to the free
-// list the moment they fire, so by the time any code could call Cancel
-// on one it is already off the queue: index is negative and the call is
-// the same explicit no-op. This holds even if the struct has since been
-// re-armed under a new identity — no handle to a pooled event survives
-// outside its owner, so a stale pointer can never name a queued event.
-func (s *Scheduler) Cancel(e *Event) {
-	if e == nil || e.index < 0 {
-		return
-	}
-	s.q.remove(e)
-}
-
-// cancelOwned cancels a pooled event on behalf of its sole owner and
-// returns the struct to the free list.
+// cancelOwned removes an owner's queued event and returns it to the
+// free list.
 func (s *Scheduler) cancelOwned(e *Event) {
-	if e == nil || e.index < 0 {
-		return
-	}
 	s.q.remove(e)
 	s.release(e)
 }
@@ -302,22 +240,13 @@ func (s *Scheduler) Step() bool {
 	}
 	s.now = e.at
 	s.executed++
-	if e.h != nil {
-		h, kind, arg, x := e.h, e.kind, e.arg, e.x
-		if e.pooled {
-			// Recycle before dispatch: the callback may schedule new
-			// events and can reuse this struct immediately. No handle to
-			// a pooled event survives outside its owner, and Timer (the
-			// one owner that holds handles) drops its handle before the
-			// callback observes it, so the reuse is unobservable.
-			s.release(e)
-		}
-		h.HandleEvent(kind, arg, x)
-		return true
-	}
-	// Closure events are never pooled (their handles escape via
-	// Schedule/At), so the struct is simply abandoned to the GC.
-	e.fn()
+	h, kind, arg, x := e.h, e.kind, e.arg, e.x
+	// Recycle before dispatch: the callback may schedule new events and
+	// can reuse this struct immediately. Timer, the one owner that
+	// holds an event, drops it before its callback runs, so the reuse
+	// is unobservable.
+	s.release(e)
+	h.HandleEvent(kind, arg, x)
 	return true
 }
 
@@ -353,12 +282,12 @@ func (s *Scheduler) Stop() { s.stopped = true }
 
 // Timer is a restartable single-shot timer bound to a scheduler, the
 // workhorse of MAC state machines (CTS timeouts, NAV expiry, backoff
-// slots). Unlike raw events a Timer can be reused: Start after Stop or
-// after expiry re-arms it.
+// slots), and the only way to cancel a scheduled callback. A Timer can be
+// reused: Start after Stop or after expiry re-arms it.
 //
 // Timers ride the scheduler's event free list: arming one allocates
 // nothing after warm-up, because the timer is the sole holder of its
-// event handle and returns the struct to the pool on expiry or Stop.
+// event and returns it to the pool on expiry or Stop.
 type Timer struct {
 	s  *Scheduler
 	ev *Event
@@ -407,7 +336,7 @@ func (t *Timer) Stop() {
 }
 
 // Pending reports whether the timer is armed.
-func (t *Timer) Pending() bool { return t.ev != nil && t.ev.Pending() }
+func (t *Timer) Pending() bool { return t.ev != nil }
 
 // Deadline returns the expiry instant of an armed timer; calling it on an
 // idle timer panics (it has no deadline).
@@ -415,7 +344,7 @@ func (t *Timer) Deadline() Time {
 	if !t.Pending() {
 		panic("sim: Deadline on idle timer")
 	}
-	return t.ev.At()
+	return t.ev.at
 }
 
 // Remaining returns how long until an armed timer fires.

@@ -53,41 +53,43 @@ func TestClockAdvances(t *testing.T) {
 func TestCancel(t *testing.T) {
 	s := NewScheduler()
 	fired := false
-	e := s.Schedule(Millisecond, func() { fired = true })
-	s.Cancel(e)
+	tm := NewTimer(s, func() { fired = true })
+	tm.Start(Millisecond)
+	tm.Stop()
+	if s.Pending() != 0 {
+		t.Fatalf("pending = %d after Stop, want 0", s.Pending())
+	}
 	s.RunAll()
 	if fired {
-		t.Fatal("cancelled event fired")
+		t.Fatal("stopped timer fired")
 	}
-	if e.Pending() {
-		t.Fatal("cancelled event still pending")
+	if tm.Pending() {
+		t.Fatal("stopped timer still pending")
 	}
-	// Cancelling again (and cancelling nil) must be safe.
-	s.Cancel(e)
-	s.Cancel(nil)
 }
 
 func TestCancelFromInsideEvent(t *testing.T) {
 	s := NewScheduler()
 	fired := false
-	var victim *Event
-	s.Schedule(Microsecond, func() { s.Cancel(victim) })
-	victim = s.Schedule(2*Microsecond, func() { fired = true })
+	victim := NewTimer(s, func() { fired = true })
+	s.Schedule(Microsecond, victim.Stop)
+	victim.Start(2 * Microsecond)
 	s.RunAll()
 	if fired {
-		t.Fatal("event cancelled by an earlier event still fired")
+		t.Fatal("timer stopped by an earlier event still fired")
 	}
 }
 
 func TestScheduleInsidePanicsOnPast(t *testing.T) {
 	s := NewScheduler()
+	tm := NewTimer(s, func() {})
 	s.Schedule(Millisecond, func() {
 		defer func() {
 			if recover() == nil {
 				t.Error("scheduling into the past did not panic")
 			}
 		}()
-		s.At(Time(Microsecond), func() {})
+		tm.StartAt(Time(Microsecond))
 	})
 	s.RunAll()
 }
@@ -201,6 +203,18 @@ func TestTimerRestartReplaces(t *testing.T) {
 	tm := NewTimer(s, func() { fired++ })
 	tm.Start(Millisecond)
 	tm.Start(2 * Millisecond) // must replace, not add
+	// A battery re-arms its death timer on every radio edge, at
+	// deadlines far past the calendar's year. Each re-arm must take the
+	// old event out, not strand it in the overflow ladder.
+	cal := s.q.(*calendarQueue)
+	for i := 0; i < 100_000; i++ {
+		tm.Start(1000*Second + Duration(i%977)*Millisecond)
+		if !tm.Pending() || s.Pending() != 1 || len(cal.ladder) != 1 {
+			t.Fatalf("re-arm %d: pending=%v queue=%d ladder=%d; want one queued item",
+				i, tm.Pending(), s.Pending(), len(cal.ladder))
+		}
+	}
+	tm.Start(2 * Millisecond)
 	s.RunAll()
 	if fired != 1 {
 		t.Fatalf("fired = %d after restart, want 1", fired)
@@ -311,30 +325,41 @@ func TestPropertyOrderedExecution(t *testing.T) {
 	}
 }
 
-// Property: cancelling a random subset never perturbs the relative order
-// of the survivors and exactly the survivors fire.
+// Property: stopping a random subset of timers never perturbs the
+// relative order of the survivors and exactly the survivors fire.
 func TestPropertyCancelSubset(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for iter := 0; iter < 30; iter++ {
 		s := NewScheduler()
 		const n = 200
-		events := make([]*Event, n)
-		fired := make([]bool, n)
+		timers := make([]*Timer, n)
+		var order []int
 		for i := 0; i < n; i++ {
 			i := i
-			events[i] = s.Schedule(Duration(rng.Intn(1000))*Microsecond, func() { fired[i] = true })
+			timers[i] = NewTimer(s, func() { order = append(order, i) })
+			timers[i].Start(Duration(rng.Intn(1000)) * Microsecond)
 		}
 		cancelled := make([]bool, n)
+		var want []int
 		for i := 0; i < n; i++ {
 			if rng.Intn(2) == 0 {
-				s.Cancel(events[i])
+				timers[i].Stop()
 				cancelled[i] = true
+			} else {
+				want = append(want, i)
 			}
 		}
+		// Survivors fire in (deadline, start order).
+		sort.SliceStable(want, func(a, b int) bool {
+			return timers[want[a]].Deadline() < timers[want[b]].Deadline()
+		})
 		s.RunAll()
-		for i := 0; i < n; i++ {
-			if fired[i] == cancelled[i] {
-				t.Fatalf("iter %d event %d: fired=%v cancelled=%v", iter, i, fired[i], cancelled[i])
+		if len(order) != len(want) {
+			t.Fatalf("iter %d: %d timers fired, want %d", iter, len(order), len(want))
+		}
+		for k, i := range order {
+			if cancelled[i] || i != want[k] {
+				t.Fatalf("iter %d: fire %d was timer %d (cancelled=%v), want timer %d", iter, k, i, cancelled[i], want[k])
 			}
 		}
 	}
