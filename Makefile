@@ -20,11 +20,12 @@ test:
 	$(GO) -C bench test .
 
 # fuzz-smoke mirrors CI's fuzz steps: short runs of the calendar-vs-heap
-# queue fuzzer and the strict config/spec decoder fuzzer on top of their
-# seed corpora.
+# queue fuzzer, the strict config/spec decoder fuzzer and the checkpoint
+# resume fuzzer on top of their seed corpora.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzQueueMatchesHeap -fuzztime 15s ./internal/sim
 	$(GO) test -run '^$$' -fuzz FuzzDecodeStrict -fuzztime 15s ./internal/scenario
+	$(GO) test -run '^$$' -fuzz FuzzResumeCheckpoint -fuzztime 15s ./internal/runner
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' -timeout 30m ./...

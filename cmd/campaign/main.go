@@ -115,7 +115,7 @@ func main() {
 		},
 	}
 	ef.Apply(&exec)
-	sum, err := serve.RunCampaign(ctx, camp, *out, *resume, exec)
+	sum, err := serve.RunCampaign(ctx, camp, *out, *resume, exec, serve.CheckpointOptions{})
 	if errors.Is(err, context.Canceled) {
 		fmt.Fprintln(os.Stderr)
 		if *out != "" {

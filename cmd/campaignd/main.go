@@ -1,7 +1,7 @@
 // Command campaignd is the campaign daemon: a long-lived HTTP service
-// that accepts campaign specs, shards their deterministic run lists
-// across a worker pool, checkpoints per-campaign JSONL results under a
-// state directory, and streams live progress over server-sent events.
+// that accepts campaign specs, executes their deterministic run lists on
+// a worker pool, checkpoints per-campaign JSONL results under a state
+// directory, and streams live progress over server-sent events.
 // Kill it mid-campaign and restart with the same -dir: every persisted
 // campaign resumes from its checkpoint and converges to a results.jsonl
 // byte-identical to an uninterrupted run (and to cmd/campaign's output
@@ -44,7 +44,7 @@ func main() {
 	var (
 		addr      = flag.String("addr", ":8080", "HTTP listen address")
 		dir       = flag.String("dir", "campaignd-state", "state directory (specs + JSONL checkpoints)")
-		workers   = flag.Int("workers", 0, "per-campaign shard count (0 = GOMAXPROCS)")
+		workers   = flag.Int("workers", 0, "concurrent runs per campaign (0 = GOMAXPROCS)")
 		syncEvery = flag.Int("sync-every", 0, "fsync checkpoints every N records (0 = default, negative = only at completion)")
 		pprofOn   = flag.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/")
 		timing    = flag.Bool("timing", false, "record wall_ms/peak_queue on every executed run (makes checkpoints machine-dependent)")

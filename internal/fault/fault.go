@@ -195,6 +195,3 @@ func (w *Writer) Close() error {
 	}
 	return err
 }
-
-// BytesWritten reports how many bytes reached the underlying writer.
-func (w *Writer) BytesWritten() int64 { return w.wrote }

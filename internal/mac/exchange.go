@@ -75,10 +75,12 @@ func (m *MAC) beginTx() {
 	if ok, wait := m.checkTolerance(j.powerW, j.dst); !ok {
 		// Paper Step 2: back off until the blocking reception completes.
 		m.Stats.ToleranceDefer++
-		m.tr.Trace(trace.Record{
-			At: m.sched.Now(), Op: trace.OpDefer, Node: m.id,
-			Detail: fmt.Sprintf("dst=%v wait=%v", j.dst, wait),
-		})
+		if m.tr != nil {
+			m.tr.Trace(trace.Record{
+				At: m.sched.Now(), Op: trace.OpDefer, Node: m.id,
+				Detail: fmt.Sprintf("dst=%v wait=%v", j.dst, wait),
+			})
+		}
 		m.st = stBlocked
 		m.blockTimer.Start(wait + sim.Duration(m.rng.Intn(m.cw+1))*m.cfg.SlotTime)
 		return
@@ -133,10 +135,12 @@ func (m *MAC) airData(np *packet.NetPacket) sim.Duration {
 
 // transmit puts a frame on the air at powerW.
 func (m *MAC) transmit(f *packet.Frame, powerW float64) {
-	m.tr.Trace(trace.Record{
-		At: m.sched.Now(), Op: trace.OpSend, Node: m.id, Kind: f.Kind,
-		Detail: fmt.Sprintf("dst=%v pw=%.4gmW", f.Dst, powerW*1e3),
-	})
+	if m.tr != nil {
+		m.tr.Trace(trace.Record{
+			At: m.sched.Now(), Op: trace.OpSend, Node: m.id, Kind: f.Kind,
+			Detail: fmt.Sprintf("dst=%v pw=%.4gmW", f.Dst, powerW*1e3),
+		})
+	}
 	air := m.cfg.FrameAirTime(f)
 	m.radio.Transmit(powerW, f.Bytes()*8, air, f)
 }
@@ -296,10 +300,12 @@ func (m *MAC) onWaitTimeout() {
 func (m *MAC) dropCur() {
 	np, dst := m.cur.np, m.cur.dst
 	m.Stats.DropRetry++
-	m.tr.Trace(trace.Record{
-		At: m.sched.Now(), Op: trace.OpDrop, Node: m.id,
-		Detail: fmt.Sprintf("retry-limit dst=%v %v", dst, np),
-	})
+	if m.tr != nil {
+		m.tr.Trace(trace.Record{
+			At: m.sched.Now(), Op: trace.OpDrop, Node: m.id,
+			Detail: fmt.Sprintf("retry-limit dst=%v %v", dst, np),
+		})
+	}
 	m.upper.MACTxFailed(np, dst)
 	m.finishExchange()
 }
@@ -486,10 +492,12 @@ func (m *MAC) RadioRxBegin(tx *phys.Transmission, rxPowerW float64) {
 		tol = 0
 	}
 	m.Stats.ToleranceAnnounce++
-	m.tr.Trace(trace.Record{
-		At: m.sched.Now(), Op: trace.OpAnnounce, Node: m.id,
-		Detail: fmt.Sprintf("tol=%.4gW until=%v", tol, tx.End()),
-	})
+	if m.tr != nil {
+		m.tr.Trace(trace.Record{
+			At: m.sched.Now(), Op: trace.OpAnnounce, Node: m.id,
+			Detail: fmt.Sprintf("tol=%.4gW until=%v", tol, tx.End()),
+		})
+	}
 	m.ann.Announce(tol, tx.End())
 }
 
@@ -514,7 +522,9 @@ func (m *MAC) RadioRx(tx *phys.Transmission, rxPowerW float64, rxErr bool) {
 				m.Stats.ErrAckForMe++
 			}
 		}
-		m.tr.Trace(trace.Record{At: m.sched.Now(), Op: trace.OpRecvErr, Node: m.id})
+		if m.tr != nil {
+			m.tr.Trace(trace.Record{At: m.sched.Now(), Op: trace.OpRecvErr, Node: m.id})
+		}
 		m.setEIFS(m.sched.Now().Add(m.cfg.EIFS()))
 		return
 	}
@@ -529,10 +539,12 @@ func (m *MAC) RadioRx(tx *phys.Transmission, rxPowerW float64, rxErr bool) {
 	}
 	if f.Dst == m.id {
 		m.Stats.RxClean++
-		m.tr.Trace(trace.Record{
-			At: m.sched.Now(), Op: trace.OpRecv, Node: m.id, Kind: f.Kind,
-			Detail: fmt.Sprintf("src=%v", f.Src),
-		})
+		if m.tr != nil {
+			m.tr.Trace(trace.Record{
+				At: m.sched.Now(), Op: trace.OpRecv, Node: m.id, Kind: f.Kind,
+				Detail: fmt.Sprintf("src=%v", f.Src),
+			})
+		}
 		switch f.Kind {
 		case packet.KindRTS:
 			m.onRTS(f, rxPowerW)

@@ -89,7 +89,7 @@ type MAC struct {
 	levels   power.Levels
 	history  *power.History
 	registry *power.Registry
-	tr       trace.Sink
+	tr       trace.Sink // nil: tracing off
 
 	// Interface queue and current job. Routing/control packets use the
 	// high-priority queue and are served before data, as ns-2's
@@ -199,9 +199,6 @@ func New(cfg Config, scheme Scheme, id packet.NodeID, sched *sim.Scheduler, uppe
 		recv:            make(map[packet.NodeID]tableEntry),
 		disableThreeWay: opts.DisableThreeWay,
 		tr:              opts.Tracer,
-	}
-	if m.tr == nil {
-		m.tr = trace.Nop{}
 	}
 	if scheme.usesPowerControl() && m.history == nil {
 		panic(fmt.Sprintf("mac: scheme %v requires a power history table", scheme))
@@ -495,9 +492,6 @@ func (m *MAC) Halt() {
 	m.rxPeer = 0
 	m.st = stIdle
 }
-
-// Halted reports whether Halt was called.
-func (m *MAC) Halted() bool { return m.halted }
 
 // after schedules fn after d, guarded so it only runs if the exchange it
 // belongs to is still live.

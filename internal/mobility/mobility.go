@@ -105,9 +105,6 @@ func (w *Waypoint) Pos(at sim.Time) geom.Point {
 	}
 }
 
-// Dest returns the current waypoint target (for tests and traces).
-func (w *Waypoint) Dest() geom.Point { return w.to }
-
 // StationaryUntil implements Stationary: while pausing at a waypoint the
 // position is pinned until the pause ends; mid-leg the node is moving
 // now. Calling it advances the leg state, so times must be

@@ -20,55 +20,52 @@ func TestExecuteCancel(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, shard := range []bool{false, true} {
-		ctx, cancel := context.WithCancel(context.Background())
-		var partial bytes.Buffer
-		sum, err := Execute(ctx, tinyCampaign(), ExecOptions{
-			Workers:    1,
-			ShardByKey: shard,
-			Out:        &partial,
-			Progress: ProgressFunc(func(ev RunEvent) {
-				if ev.Done == 2 {
-					cancel()
-				}
-			}),
-		})
-		cancel()
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("shard=%v: err = %v, want context.Canceled", shard, err)
-		}
-		// With one worker, at most the in-flight run and one already-
-		// dispatched job finish after the cancel at done=2.
-		if sum.Executed >= sum.Total {
-			t.Fatalf("shard=%v: cancel executed all %d runs", shard, sum.Total)
-		}
-		if !bytes.HasPrefix(full.Bytes(), partial.Bytes()) {
-			t.Fatalf("shard=%v: cancelled output is not a prefix of the full stream:\n--- partial ---\n%s--- full ---\n%s",
-				shard, partial.String(), full.String())
-		}
+	ctx, cancel := context.WithCancel(context.Background())
+	var partial bytes.Buffer
+	sum, err := Execute(ctx, tinyCampaign(), ExecOptions{
+		Workers: 1,
+		Out:     &partial,
+		Progress: ProgressFunc(func(ev RunEvent) {
+			if ev.Done == 2 {
+				cancel()
+			}
+		}),
+	})
+	cancel()
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	// With one worker, at most the in-flight run and one already-
+	// dispatched job finish after the cancel at done=2.
+	if sum.Executed >= sum.Total {
+		t.Fatalf("cancel executed all %d runs", sum.Total)
+	}
+	if !bytes.HasPrefix(full.Bytes(), partial.Bytes()) {
+		t.Fatalf("cancelled output is not a prefix of the full stream:\n--- partial ---\n%s--- full ---\n%s",
+			partial.String(), full.String())
+	}
 
-		// Resume from the interrupted checkpoint: the appended suffix must
-		// complete the byte-identical stream.
-		results, err := LoadResults(bytes.NewReader(partial.Bytes()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var rest bytes.Buffer
-		sum2, err := Execute(context.Background(), tinyCampaign(), ExecOptions{
-			Out:       &rest,
-			Completed: ResumeSet(results),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sum2.Skipped != len(results) {
-			t.Fatalf("shard=%v: resume skipped %d, want %d", shard, sum2.Skipped, len(results))
-		}
-		joined := append(append([]byte(nil), partial.Bytes()...), rest.Bytes()...)
-		if !bytes.Equal(joined, full.Bytes()) {
-			t.Fatalf("shard=%v: partial+resumed differs from uninterrupted run:\n--- joined ---\n%s--- full ---\n%s",
-				shard, joined, full.String())
-		}
+	// Resume from the interrupted checkpoint: the appended suffix must
+	// complete the byte-identical stream.
+	results, err := LoadResults(bytes.NewReader(partial.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rest bytes.Buffer
+	sum2, err := Execute(context.Background(), tinyCampaign(), ExecOptions{
+		Out:       &rest,
+		Completed: ResumeSet(results),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum2.Skipped != len(results) {
+		t.Fatalf("resume skipped %d, want %d", sum2.Skipped, len(results))
+	}
+	joined := append(append([]byte(nil), partial.Bytes()...), rest.Bytes()...)
+	if !bytes.Equal(joined, full.Bytes()) {
+		t.Fatalf("partial+resumed differs from uninterrupted run:\n--- joined ---\n%s--- full ---\n%s",
+			joined, full.String())
 	}
 }
 
@@ -84,40 +81,6 @@ func TestExecuteCancelBeforeStart(t *testing.T) {
 	}
 	if sum.Executed != 0 || out.Len() != 0 {
 		t.Fatalf("pre-cancelled Execute ran %d runs, emitted %d bytes", sum.Executed, out.Len())
-	}
-}
-
-// TestShardOf pins the partition function: stable, in range, and a
-// complete partition of any key set. The exact values are part of the
-// checkpoint-compatibility surface (a shard's work list must not move
-// between releases), so a representative key is pinned by value.
-func TestShardOf(t *testing.T) {
-	runs, err := tinyCampaign().Runs()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, shards := range []int{1, 2, 3, 8} {
-		counts := make([]int, shards)
-		for _, r := range runs {
-			s := ShardOf(r.Key, shards)
-			if s < 0 || s >= shards {
-				t.Fatalf("ShardOf(%q, %d) = %d out of range", r.Key, shards, s)
-			}
-			if again := ShardOf(r.Key, shards); again != s {
-				t.Fatalf("ShardOf(%q, %d) unstable: %d then %d", r.Key, shards, s, again)
-			}
-			counts[s]++
-		}
-		total := 0
-		for _, n := range counts {
-			total += n
-		}
-		if total != len(runs) {
-			t.Fatalf("shards=%d: partition covers %d of %d runs", shards, total, len(runs))
-		}
-	}
-	if got := ShardOf("anything", 0); got != 0 {
-		t.Fatalf("ShardOf(_, 0) = %d, want 0", got)
 	}
 }
 

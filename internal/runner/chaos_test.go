@@ -3,6 +3,8 @@ package runner
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -302,7 +304,8 @@ func TestBackoffCapped(t *testing.T) {
 
 // TestFailedRecordJSONShape: success records must not gain any bytes
 // from the failure protocol, and failed records carry exactly the
-// typed fields.
+// typed fields plus the grid coordinates of the same run's clean
+// record.
 func TestFailedRecordJSONShape(t *testing.T) {
 	camp := tinyCampaign()
 	runs, err := camp.Runs()
@@ -336,5 +339,30 @@ func TestFailedRecordJSONShape(t *testing.T) {
 	}
 	if strings.Contains(string(cleanLines[7]), `"status"`) {
 		t.Fatalf("clean record leaks a status field:\n%s", cleanLines[7])
+	}
+
+	// The failed record names the same grid point as the run's clean
+	// record. tinyBase leaves the node count, speed and safety factor to
+	// the scenario defaults, so raw options would read 0 for each.
+	var ok, bad Result
+	if err := json.Unmarshal(cleanLines[7], &ok); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(faultyLines[7], &bad); err != nil {
+		t.Fatal(err)
+	}
+	coords := func(r Result) Result {
+		return Result{
+			Key: r.Key, Variant: r.Variant, Scheme: r.Scheme, Traffic: r.Traffic, Topology: r.Topology,
+			LoadKbps: r.LoadKbps, Nodes: r.Nodes, SpeedMps: r.SpeedMps, ShadowingDB: r.ShadowingDB,
+			SafetyFactor: r.SafetyFactor, EnergyProfile: r.EnergyProfile, BatteryJ: r.BatteryJ,
+			Rep: r.Rep, Seed: r.Seed, DurationS: r.DurationS,
+		}
+	}
+	if got, want := coords(bad), coords(ok); !reflect.DeepEqual(got, want) {
+		t.Fatalf("failed record coordinates differ from the clean record's:\n got %+v\nwant %+v", got, want)
+	}
+	if ok.Nodes != 2 || ok.SpeedMps != 3 || ok.SafetyFactor != 0.7 {
+		t.Fatalf("clean record %+v does not carry the defaulted coordinates", ok)
 	}
 }

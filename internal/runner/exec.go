@@ -1,19 +1,15 @@
-// Campaign execution: a worker pool over the expanded run list —
-// dynamic pull from a shared queue, or a static run-key partition
-// (ShardByKey) — with results re-sequenced into deterministic campaign
-// order before emission, so the JSONL stream is byte-identical for any
-// worker count and either assignment strategy. Execution is
-// context-cancellable; whatever was emitted before the cancel is a
-// valid campaign-order checkpoint prefix.
+// Campaign execution: a worker pool that pulls runs from a shared queue,
+// with results re-sequenced into deterministic campaign order before
+// emission, so the JSONL stream is byte-identical for any worker count.
+// Execution is context-cancellable; whatever was emitted before the
+// cancel is a valid campaign-order checkpoint prefix.
 package runner
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"math"
 	"os"
@@ -117,7 +113,49 @@ func (r Result) Failed() bool { return r.Status != "" }
 // can match and re-attempt it) with zero metrics, a status, the
 // terminal error, and the attempt count.
 func FailedResult(r Run, err error, attempts int) Result {
-	o := r.Opts
+	out := coordinates(r, r.Opts.WithDefaults())
+	out.Status = StatusFailed
+	out.Error = err.Error()
+	out.Attempts = attempts
+	return out
+}
+
+// ResultOf builds the record for one completed run.
+func ResultOf(r Run, res scenario.Result) Result {
+	out := coordinates(r, res.Opts)
+	out.ThroughputKbps = res.ThroughputKbps
+	out.AvgDelayMs = res.AvgDelayMs
+	out.DelayP50Ms = res.DelayP50Ms
+	out.DelayP95Ms = res.DelayP95Ms
+	out.DelayP99Ms = res.DelayP99Ms
+	out.JitterMs = res.JitterMs
+	out.PDR = res.PDR
+	out.JainFairness = res.JainFairness
+	out.RadiatedEnergyJ = res.RadiatedEnergyJ
+	out.CtrlRadiatedEnergyJ = res.CtrlRadiatedEnergyJ
+	out.ConsumedEnergyJ = res.ConsumedEnergyJ
+	out.EnergyTxJ = res.EnergyByState[energy.Tx]
+	out.EnergyRxJ = res.EnergyByState[energy.Rx]
+	out.EnergyIdleJ = res.EnergyByState[energy.Idle]
+	out.EnergyOverhearJ = res.EnergyByState[energy.Overhear]
+	out.EnergySleepJ = res.EnergyByState[energy.Sleep]
+	out.ConsumedPerKBJ = res.ConsumedPerDeliveredKB()
+	out.EnergyFairness = res.EnergyFairness
+	out.DeadNodes = res.DeadNodes
+	out.TimeToFirstDeathS = res.TimeToFirstDeathS
+	out.Events = res.Events
+	out.PeakQueue = res.PeakQueue
+	for _, st := range res.AliveTimeline {
+		out.AliveTimeline = append(out.AliveTimeline, [2]float64{st.T.Seconds(), float64(st.Alive)})
+	}
+	return out
+}
+
+// coordinates builds the grid-coordinate block every record starts
+// with: key, axes, seed and horizon. o must be the defaulted options
+// the scenario runs with, so a failed record names the same grid point
+// as the successful record of the same run.
+func coordinates(r Run, o scenario.Options) Result {
 	return Result{
 		Key:           r.Key,
 		Variant:       r.Variant,
@@ -134,59 +172,7 @@ func FailedResult(r Run, err error, attempts int) Result {
 		Rep:           r.Rep,
 		Seed:          r.Seed,
 		DurationS:     o.Duration.Seconds(),
-		Status:        StatusFailed,
-		Error:         err.Error(),
-		Attempts:      attempts,
 	}
-}
-
-// ResultOf builds the record for one completed run. Coordinates come
-// from the defaulted options the scenario actually ran with.
-func ResultOf(r Run, res scenario.Result) Result {
-	o := res.Opts
-	out := Result{
-		Key:                 r.Key,
-		Variant:             r.Variant,
-		Scheme:              o.Scheme.String(),
-		Traffic:             o.Traffic,
-		Topology:            o.Topology,
-		LoadKbps:            o.OfferedLoadKbps,
-		Nodes:               o.Nodes,
-		SpeedMps:            o.SpeedMax,
-		ShadowingDB:         o.ShadowingSigmaDB,
-		SafetyFactor:        o.SafetyFactor,
-		EnergyProfile:       o.EnergyProfile,
-		BatteryJ:            o.BatteryJ,
-		Rep:                 r.Rep,
-		Seed:                r.Seed,
-		DurationS:           o.Duration.Seconds(),
-		ThroughputKbps:      res.ThroughputKbps,
-		AvgDelayMs:          res.AvgDelayMs,
-		DelayP50Ms:          res.DelayP50Ms,
-		DelayP95Ms:          res.DelayP95Ms,
-		DelayP99Ms:          res.DelayP99Ms,
-		JitterMs:            res.JitterMs,
-		PDR:                 res.PDR,
-		JainFairness:        res.JainFairness,
-		RadiatedEnergyJ:     res.RadiatedEnergyJ,
-		CtrlRadiatedEnergyJ: res.CtrlRadiatedEnergyJ,
-		ConsumedEnergyJ:     res.ConsumedEnergyJ,
-		EnergyTxJ:           res.EnergyByState[energy.Tx],
-		EnergyRxJ:           res.EnergyByState[energy.Rx],
-		EnergyIdleJ:         res.EnergyByState[energy.Idle],
-		EnergyOverhearJ:     res.EnergyByState[energy.Overhear],
-		EnergySleepJ:        res.EnergyByState[energy.Sleep],
-		ConsumedPerKBJ:      res.ConsumedPerDeliveredKB(),
-		EnergyFairness:      res.EnergyFairness,
-		DeadNodes:           res.DeadNodes,
-		TimeToFirstDeathS:   res.TimeToFirstDeathS,
-		Events:              res.Events,
-		PeakQueue:           res.PeakQueue,
-	}
-	for _, st := range res.AliveTimeline {
-		out.AliveTimeline = append(out.AliveTimeline, [2]float64{st.T.Seconds(), float64(st.Alive)})
-	}
-	return out
 }
 
 // WriteResult appends one JSONL record to w.
@@ -203,40 +189,55 @@ func WriteResult(w io.Writer, r Result) error {
 // (e.g. a write truncated by a crash) is tolerated and dropped;
 // malformed interior lines are errors.
 func LoadResults(r io.Reader) ([]Result, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16<<20)
-	var out []Result
-	badLine := 0
-	line := 0
-	for sc.Scan() {
-		line++
-		text := sc.Bytes()
+	b, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("runner: %w", err)
+	}
+	out, _, err := parseResults(b)
+	return out, err
+}
+
+// parseResults decodes the JSONL records in b, skipping blank lines. A
+// malformed final line is tolerated: it is dropped and valid is where it
+// starts (len(b) when nothing was dropped). A malformed line followed
+// by a record is an error.
+func parseResults(b []byte) (out []Result, valid int, err error) {
+	bad, badLine := -1, 0
+	for line, off := 1, 0; off < len(b); line++ {
+		start, end := off, len(b)
+		if i := bytes.IndexByte(b[off:], '\n'); i >= 0 {
+			end = off + i
+		}
+		off = end + 1
+		text := bytes.TrimSuffix(b[start:end], []byte("\r"))
 		if len(text) == 0 {
 			continue
 		}
-		var res Result
-		if err := json.Unmarshal(text, &res); err != nil {
-			if badLine > 0 {
-				return nil, fmt.Errorf("runner: malformed result line %d", badLine)
-			}
-			badLine = line
-			continue
+		if bad >= 0 {
+			return nil, 0, fmt.Errorf("runner: malformed result line %d", badLine)
 		}
-		if badLine > 0 {
-			return nil, fmt.Errorf("runner: malformed result line %d", badLine)
+		var res Result
+		if json.Unmarshal(text, &res) != nil {
+			bad, badLine = start, line
+			continue
 		}
 		out = append(out, res)
 	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("runner: %w", err)
+	if bad < 0 {
+		bad = len(b)
 	}
-	return out, nil
+	return out, bad, nil
 }
 
-// LoadCheckpoint reads a JSONL results file into a resume set for
-// ExecOptions.Completed. A missing file is an empty checkpoint.
-func LoadCheckpoint(path string) (map[string]Result, error) {
-	f, err := os.Open(path)
+// ResumeCheckpoint prepares the JSONL checkpoint at path for appending
+// and returns its resume set for ExecOptions.Completed. It reads the
+// file once and truncates a torn tail — an unterminated final line or a
+// malformed final record, as a crash mid-write leaves — so appended
+// records start on a fresh line after the last good one. A missing file
+// is an empty checkpoint. A malformed interior line is an error, and
+// the file is left as it was.
+func ResumeCheckpoint(path string) (map[string]Result, error) {
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
 	if os.IsNotExist(err) {
 		return nil, nil
 	}
@@ -244,40 +245,21 @@ func LoadCheckpoint(path string) (map[string]Result, error) {
 		return nil, fmt.Errorf("runner: %w", err)
 	}
 	defer f.Close()
-	results, err := LoadResults(f)
-	if err != nil {
-		return nil, err
-	}
-	return ResumeSet(results), nil
-}
-
-// RepairCheckpoint truncates a trailing partial line (a record cut off
-// by a crash mid-write) so appended records start on a fresh line.
-// LoadCheckpoint already drops such a line when reading; repairing
-// before appending keeps the file parseable on the next resume instead
-// of fusing the partial line with the first new record.
-func RepairCheckpoint(path string) error {
-	f, err := os.OpenFile(path, os.O_RDWR, 0)
-	if os.IsNotExist(err) {
-		return nil
-	}
-	if err != nil {
-		return fmt.Errorf("runner: %w", err)
-	}
-	defer f.Close()
 	// Checkpoint files are one short line per run; reading whole is fine.
 	b, err := io.ReadAll(f)
 	if err != nil {
-		return fmt.Errorf("runner: %w", err)
+		return nil, fmt.Errorf("runner: %w", err)
 	}
-	if len(b) == 0 || b[len(b)-1] == '\n' {
-		return nil
+	results, valid, err := parseResults(b[:bytes.LastIndexByte(b, '\n')+1])
+	if err != nil {
+		return nil, err
 	}
-	cut := bytes.LastIndexByte(b, '\n') + 1
-	if err := f.Truncate(int64(cut)); err != nil {
-		return fmt.Errorf("runner: %w", err)
+	if valid < len(b) {
+		if err := f.Truncate(int64(valid)); err != nil {
+			return nil, fmt.Errorf("runner: %w", err)
+		}
 	}
-	return nil
+	return ResumeSet(results), nil
 }
 
 // ResumeSet indexes results by run key.
@@ -333,21 +315,6 @@ func MultiProgress(ps ...Progress) Progress {
 	})
 }
 
-// ShardOf maps a run key to a shard index in [0, shards): FNV-1a over
-// the key, reduced mod shards. The partition is a pure function of the
-// key, so a campaign divided across any pool — local goroutines or
-// remote machines — assigns every run to the same shard, and each
-// shard's work list (and therefore its output segment) is deterministic
-// in isolation.
-func ShardOf(key string, shards int) int {
-	if shards <= 1 {
-		return 0
-	}
-	h := fnv.New32a()
-	h.Write([]byte(key))
-	return int(h.Sum32() % uint32(shards))
-}
-
 // RetryEvent reports one failed attempt that will be retried. It is
 // delivered from the worker goroutine that ran the attempt — NOT in
 // campaign order and NOT serialized with Progress — because a retry is
@@ -365,8 +332,7 @@ type RetryEvent struct {
 
 // ExecOptions configures Execute.
 type ExecOptions struct {
-	// Workers bounds concurrent simulations (default GOMAXPROCS). With
-	// ShardByKey it is also the shard count.
+	// Workers bounds concurrent simulations (default GOMAXPROCS).
 	Workers int
 	// Out, if non-nil, receives executed results as JSONL in campaign
 	// order (resumed results are not re-written).
@@ -379,13 +345,6 @@ type ExecOptions struct {
 	// Progress, if non-nil, receives every emitted run (including
 	// resumed ones) in campaign order, from a single goroutine.
 	Progress Progress
-	// ShardByKey statically partitions pending runs across the workers
-	// by ShardOf(run key) instead of pulling from a shared queue. Each
-	// shard executes its runs in campaign order. Output is byte-identical
-	// either way (emission is re-sequenced regardless); the static
-	// partition is what lets shards run in isolation — the daemon's
-	// worker pool and future multi-machine sharding depend on it.
-	ShardByKey bool
 
 	// RunTimeout is the per-attempt watchdog: an attempt still running
 	// after this long is abandoned (its goroutine parks on a buffered
@@ -467,8 +426,8 @@ type Summary struct {
 // Execute runs a campaign on a worker pool. Runs are independent
 // simulations and execute concurrently; emission (Out, Progress) is
 // re-sequenced into the campaign's deterministic run order, so the
-// JSONL stream is byte-identical whether one worker ran or sixteen,
-// and whether assignment was dynamic or statically sharded.
+// JSONL stream is byte-identical whether one worker ran or sixteen.
+// Workers pull pending runs from one shared queue in campaign order.
 //
 // Runs are isolated: a panicking or (with RunTimeout) hung simulation
 // never takes down the process — it is retried per Retries with capped
@@ -638,62 +597,35 @@ func Execute(ctx context.Context, c Campaign, opts ExecOptions) (Summary, error)
 		}
 		return outcome{idx: r.Index, res: res, wall: wall}
 	}
-	if opts.ShardByKey {
-		// Static partition: shard i owns exactly the runs whose key
-		// hashes to i, regardless of how many are pending or how fast the
-		// other shards drain. Workers is the shard count verbatim so the
-		// partition is a function of the option, not of checkpoint state.
-		shards := make([][]Run, workers)
-		for _, r := range pending {
-			s := ShardOf(r.Key, workers)
-			shards[s] = append(shards[s], r)
-		}
-		for _, shard := range shards {
-			if len(shard) == 0 {
-				continue
-			}
-			wg.Add(1)
-			go func(list []Run) {
-				defer wg.Done()
-				for _, r := range list {
-					if ctx.Err() != nil {
-						return
-					}
-					outs <- execute(r)
-				}
-			}(shard)
-		}
-	} else {
-		if workers > len(pending) && len(pending) > 0 {
-			workers = len(pending)
-		}
-		jobs := make(chan Run)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for r := range jobs {
-					outs <- execute(r)
-				}
-			}()
-		}
+	if workers > len(pending) && len(pending) > 0 {
+		workers = len(pending)
+	}
+	jobs := make(chan Run)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
 		go func() {
-			defer close(jobs)
-			for _, r := range pending {
-				// The explicit check matters: a ready-to-send select picks
-				// randomly between its cases, so without it a cancelled
-				// dispatcher could keep handing out jobs.
-				if ctx.Err() != nil {
-					return
-				}
-				select {
-				case jobs <- r:
-				case <-ctx.Done():
-					return
-				}
+			defer wg.Done()
+			for r := range jobs {
+				outs <- execute(r)
 			}
 		}()
 	}
+	go func() {
+		defer close(jobs)
+		for _, r := range pending {
+			// The explicit check matters: a ready-to-send select picks
+			// randomly between its cases, so without it a cancelled
+			// dispatcher could keep handing out jobs.
+			if ctx.Err() != nil {
+				return
+			}
+			select {
+			case jobs <- r:
+			case <-ctx.Done():
+				return
+			}
+		}
+	}()
 	go func() {
 		wg.Wait()
 		close(outs)

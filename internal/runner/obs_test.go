@@ -8,7 +8,11 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/mac"
 	"repro/internal/obs"
+	"repro/internal/scenario"
+	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // TestObsSinkInvariant: attaching a metrics bundle (Timing off) is pure
@@ -50,6 +54,46 @@ func TestObsSinkInvariant(t *testing.T) {
 	}
 	if rm.WorkersBusy.Value() != 0 {
 		t.Errorf("workers_busy = %v after drain, want 0", rm.WorkersBusy.Value())
+	}
+}
+
+// TestTraceSinkInvariant: a nil Trace switches tracing off without
+// changing the run. A mobile PCMAC run with a trace.Buffer attached and
+// the same run without a sink produce identical JSONL records, and the
+// traced run really exercises the guarded MAC trace sites.
+func TestTraceSinkInvariant(t *testing.T) {
+	o := scenario.Options{
+		Scheme:          mac.PCMAC,
+		Nodes:           20,
+		FieldW:          500,
+		FieldH:          500,
+		OfferedLoadKbps: 400,
+		Duration:        8 * sim.Second,
+		Seed:            5,
+	}
+	record := func(o scenario.Options) []byte {
+		t.Helper()
+		res, err := scenario.Run(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b bytes.Buffer
+		if err := WriteResult(&b, ResultOf(SingleRun(o), res)); err != nil {
+			t.Fatal(err)
+		}
+		return b.Bytes()
+	}
+	plain := record(o)
+	var buf trace.Buffer
+	o.Trace = &buf
+	traced := record(o)
+	if !bytes.Equal(plain, traced) {
+		t.Fatalf("trace sink changed the record:\nplain:  %straced: %s", plain, traced)
+	}
+	for _, op := range []trace.Op{trace.OpSend, trace.OpRecv, trace.OpRecvErr, trace.OpAnnounce} {
+		if len(buf.OfOp(op)) == 0 {
+			t.Errorf("traced run has no %v records", op)
+		}
 	}
 }
 

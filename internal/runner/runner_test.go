@@ -195,8 +195,7 @@ func TestDuplicateAxisValueRejected(t *testing.T) {
 
 // TestExecuteDeterministicAcrossWorkers is the tentpole invariant: the
 // JSONL stream and the Progress order are byte/value-identical whether
-// the campaign ran serially or on a full worker pool — with dynamic
-// pull or static run-key sharding.
+// the campaign ran serially or on a full worker pool.
 func TestExecuteDeterministicAcrossWorkers(t *testing.T) {
 	var serial bytes.Buffer
 	var serialKeys []string
@@ -213,31 +212,28 @@ func TestExecuteDeterministicAcrossWorkers(t *testing.T) {
 	if sum1.Executed != 8 {
 		t.Fatalf("executed %d, want 8", sum1.Executed)
 	}
-	for _, shard := range []bool{false, true} {
-		var parallel bytes.Buffer
-		var parallelKeys []string
-		sumN, err := Execute(context.Background(), tinyCampaign(), ExecOptions{
-			Workers:    8,
-			ShardByKey: shard,
-			Out:        &parallel,
-			Progress: ProgressFunc(func(ev RunEvent) {
-				parallelKeys = append(parallelKeys, ev.Run.Key)
-			}),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sumN.Executed != 8 {
-			t.Fatalf("shard=%v: executed %d, want 8", shard, sumN.Executed)
-		}
-		if !bytes.Equal(serial.Bytes(), parallel.Bytes()) {
-			t.Errorf("shard=%v: JSONL differs between 1 and 8 workers:\n--- serial ---\n%s--- parallel ---\n%s",
-				shard, serial.String(), parallel.String())
-		}
-		for i := range serialKeys {
-			if serialKeys[i] != parallelKeys[i] {
-				t.Fatalf("shard=%v: Progress order differs at %d: %s vs %s", shard, i, serialKeys[i], parallelKeys[i])
-			}
+	var parallel bytes.Buffer
+	var parallelKeys []string
+	sumN, err := Execute(context.Background(), tinyCampaign(), ExecOptions{
+		Workers: 8,
+		Out:     &parallel,
+		Progress: ProgressFunc(func(ev RunEvent) {
+			parallelKeys = append(parallelKeys, ev.Run.Key)
+		}),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sumN.Executed != 8 {
+		t.Fatalf("executed %d, want 8", sumN.Executed)
+	}
+	if !bytes.Equal(serial.Bytes(), parallel.Bytes()) {
+		t.Errorf("JSONL differs between 1 and 8 workers:\n--- serial ---\n%s--- parallel ---\n%s",
+			serial.String(), parallel.String())
+	}
+	for i := range serialKeys {
+		if serialKeys[i] != parallelKeys[i] {
+			t.Fatalf("Progress order differs at %d: %s vs %s", i, serialKeys[i], parallelKeys[i])
 		}
 	}
 }
@@ -294,34 +290,6 @@ func TestExecuteResume(t *testing.T) {
 	}
 }
 
-func TestLoadCheckpointFile(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "results.jsonl")
-
-	// Missing file is an empty checkpoint.
-	cp, err := LoadCheckpoint(path)
-	if err != nil || cp != nil {
-		t.Fatalf("missing checkpoint: %v, %v", cp, err)
-	}
-
-	var buf bytes.Buffer
-	if _, err := Execute(context.Background(), tinyCampaign(), ExecOptions{Out: &buf}); err != nil {
-		t.Fatal(err)
-	}
-	// A truncated final line (crash mid-write) is dropped, not fatal.
-	trunc := buf.Bytes()[:buf.Len()-20]
-	if err := os.WriteFile(path, trunc, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	cp, err = LoadCheckpoint(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cp) != 7 {
-		t.Fatalf("checkpoint entries = %d, want 7", len(cp))
-	}
-}
-
 func TestExecuteRejectsStaleCheckpoint(t *testing.T) {
 	var full bytes.Buffer
 	if _, err := Execute(context.Background(), tinyCampaign(), ExecOptions{Out: &full}); err != nil {
@@ -346,37 +314,6 @@ func TestExecuteRejectsStaleCheckpoint(t *testing.T) {
 	c.Base.Warmup = sim.Duration(sim.Second)
 	if _, err := Execute(context.Background(), c, ExecOptions{Completed: ResumeSet(results)}); err == nil {
 		t.Fatal("checkpoint from a different duration accepted")
-	}
-}
-
-func TestRepairCheckpoint(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "r.jsonl")
-
-	if err := RepairCheckpoint(filepath.Join(dir, "missing.jsonl")); err != nil {
-		t.Fatalf("missing file: %v", err)
-	}
-
-	whole := `{"key":"a"}` + "\n"
-	if err := os.WriteFile(path, []byte(whole+`{"key":"b","trunc`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := RepairCheckpoint(path); err != nil {
-		t.Fatal(err)
-	}
-	b, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(b) != whole {
-		t.Fatalf("repaired file = %q, want %q", b, whole)
-	}
-	// Repairing an intact file is a no-op.
-	if err := RepairCheckpoint(path); err != nil {
-		t.Fatal(err)
-	}
-	if b, _ := os.ReadFile(path); string(b) != whole {
-		t.Fatalf("intact file modified: %q", b)
 	}
 }
 

@@ -1,7 +1,6 @@
 package runner
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 
@@ -143,13 +142,4 @@ func LoadCampaign(path string) (Campaign, error) {
 		return Campaign{}, fmt.Errorf("runner: parsing %s: %w", path, err)
 	}
 	return cf.Campaign()
-}
-
-// SaveCampaign writes the campaign spec as indented JSON.
-func SaveCampaign(path string, c Campaign) error {
-	b, err := json.MarshalIndent(c.File(), "", "  ")
-	if err != nil {
-		return fmt.Errorf("runner: %w", err)
-	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
 }

@@ -153,12 +153,12 @@ func validate(o Options) error {
 	}
 	// Reject flow counts that exceed the ordered pairs of the defaulted
 	// node count here, at spec time, rather than letting PickPairs
-	// panic inside a campaign worker mid-run. withDefaults itself
+	// panic inside a campaign worker mid-run. WithDefaults itself
 	// supplies the effective counts (Static overriding Nodes, the
 	// paper's 50-node default) so this check can't drift from them; an
 	// explicit FlowPairs list bypasses pair picking entirely.
 	if len(o.FlowPairs) == 0 && o.Flows > 0 {
-		d := o.withDefaults()
+		d := o.WithDefaults()
 		if maxPairs := d.Nodes * (d.Nodes - 1); d.Flows > maxPairs {
 			return fmt.Errorf("scenario: %d flows exceed the %d ordered pairs of %d nodes", d.Flows, maxPairs, d.Nodes)
 		}
@@ -167,7 +167,7 @@ func validate(o Options) error {
 	// reject oversized populations at spec time instead of failing on
 	// node 256 deep inside Build.
 	if o.Scheme == mac.PCMAC && !o.DisableCtrlChannel {
-		if d := o.withDefaults(); d.Nodes > 256 {
+		if d := o.WithDefaults(); d.Nodes > 256 {
 			return fmt.Errorf("scenario: pcmac control frames address 8-bit node IDs; %d nodes need disable_ctrl_channel or <= 256", d.Nodes)
 		}
 	}

@@ -86,5 +86,5 @@ func Fig6Options(scheme mac.Scheme) Options {
 // load is set by the sweep; duration defaults to the paper's 400 s and
 // should be shortened for quick runs.
 func Fig8Options(scheme mac.Scheme) Options {
-	return Options{Scheme: scheme}.withDefaults()
+	return Options{Scheme: scheme}.WithDefaults()
 }

@@ -10,7 +10,7 @@ import (
 )
 
 func TestDefaultsMatchPaper(t *testing.T) {
-	o := Options{}.withDefaults()
+	o := Options{}.WithDefaults()
 	if o.Nodes != 50 {
 		t.Errorf("Nodes = %d, want 50", o.Nodes)
 	}
@@ -38,7 +38,7 @@ func TestDefaultsMatchPaper(t *testing.T) {
 }
 
 func TestStaticOverridesNodeCount(t *testing.T) {
-	o := Options{Nodes: 50, Static: []geom.Point{{}, {X: 1}, {X: 2}}}.withDefaults()
+	o := Options{Nodes: 50, Static: []geom.Point{{}, {X: 1}, {X: 2}}}.WithDefaults()
 	if o.Nodes != 3 {
 		t.Errorf("Nodes = %d, want len(Static)", o.Nodes)
 	}

@@ -131,8 +131,8 @@ type Options struct {
 	CollectSimStats bool
 }
 
-// withDefaults fills zero fields with the paper's parameters.
-func (o Options) withDefaults() Options {
+// WithDefaults fills zero fields with the paper's parameters.
+func (o Options) WithDefaults() Options {
 	if o.Nodes == 0 {
 		o.Nodes = 50
 	}
@@ -334,7 +334,7 @@ func Build(o Options) (*Network, error) {
 	if err := validate(o); err != nil {
 		return nil, err
 	}
-	o = o.withDefaults()
+	o = o.WithDefaults()
 	sched := sim.NewScheduler()
 	if o.CollectSimStats {
 		sched.TrackDepth(true)

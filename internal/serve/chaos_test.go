@@ -338,7 +338,7 @@ func TestHealthzOK(t *testing.T) {
 // TestTornWriteEveryOffset is the torn-write property test: truncating
 // the checkpoint at EVERY byte offset inside its final record — every
 // possible place a crash can cut a write short — must leave a file that
-// RepairCheckpoint plus resume restores to the byte-identical complete
+// RunCampaign's resume restores to the byte-identical complete
 // output.
 func TestTornWriteEveryOffset(t *testing.T) {
 	ref := referenceJSONL(t)
@@ -354,7 +354,7 @@ func TestTornWriteEveryOffset(t *testing.T) {
 		if err := os.WriteFile(path, ref[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		sum, err := RunCampaign(context.Background(), tinyCampaign(), path, true, runner.ExecOptions{Workers: 1})
+		sum, err := RunCampaign(context.Background(), tinyCampaign(), path, true, runner.ExecOptions{Workers: 1}, CheckpointOptions{})
 		if err != nil {
 			t.Fatalf("cut at %d: resume: %v", cut, err)
 		}

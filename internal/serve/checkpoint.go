@@ -31,8 +31,7 @@ type CheckpointFile interface {
 	Close() error
 }
 
-// CheckpointOptions tunes checkpoint durability for
-// RunCampaignDurable.
+// CheckpointOptions tunes checkpoint durability for RunCampaign.
 type CheckpointOptions struct {
 	// SyncEvery fsyncs the checkpoint every N records (0 =
 	// DefaultSyncEvery, negative = only at completion).

@@ -1,7 +1,7 @@
 // Package serve is the campaign service: long-lived execution of
-// campaign specs with per-campaign JSONL checkpoints, deterministic
-// static sharding across a worker pool, live event streaming, and an
-// HTTP surface (cmd/campaignd) on top. cmd/campaign is a thin client
+// campaign specs on runner.Execute's worker pool, per-campaign JSONL
+// checkpoints, live event streaming, and an HTTP surface
+// (cmd/campaignd) on top. cmd/campaign is a thin client
 // of the same package — both run campaigns through RunCampaign, which
 // is what makes a daemon-served results.jsonl byte-identical to the
 // CLI's output for the same spec, before and after restarts.
@@ -56,27 +56,18 @@ var ErrDraining = errors.New("service is draining")
 // An empty path runs without a checkpoint; resume=false truncates any
 // existing file instead of resuming. Cancelling ctx stops dispatching,
 // lets in-flight runs finish, and leaves the file a valid resumable
-// prefix. The checkpoint is fsynced every DefaultSyncEvery records and
-// at completion, and Sync/Close failures are returned, never silently
-// dropped.
-func RunCampaign(ctx context.Context, c runner.Campaign, path string, resume bool, opts runner.ExecOptions) (runner.Summary, error) {
-	return RunCampaignDurable(ctx, c, path, resume, opts, CheckpointOptions{})
-}
-
-// RunCampaignDurable is RunCampaign with explicit durability policy:
-// fsync cadence, the degrade-on-disk-failure callback, and the
-// checkpoint-open seam. With a non-nil OnDegrade a failing disk —
-// unopenable file, write error, sync error, close error — demotes the
-// campaign to in-memory streaming (Progress keeps emitting, the
-// callback surfaces the reason) instead of aborting; with a nil one
-// the first durability error is the campaign's error.
-func RunCampaignDurable(ctx context.Context, c runner.Campaign, path string, resume bool, opts runner.ExecOptions, ckpt CheckpointOptions) (sum runner.Summary, err error) {
+// prefix.
+//
+// ckpt is the durability policy; its zero value (the CLI's) fsyncs
+// every DefaultSyncEvery records and at completion and returns the
+// first Sync/Close failure, never silently dropping it. With a non-nil
+// OnDegrade a failing disk — unopenable file, write error, sync error,
+// close error — instead demotes the campaign to in-memory streaming
+// (Progress keeps emitting, the callback surfaces the reason).
+func RunCampaign(ctx context.Context, c runner.Campaign, path string, resume bool, opts runner.ExecOptions, ckpt CheckpointOptions) (sum runner.Summary, err error) {
 	if path != "" {
 		if resume {
-			if err := runner.RepairCheckpoint(path); err != nil {
-				return runner.Summary{}, err
-			}
-			completed, err := runner.LoadCheckpoint(path)
+			completed, err := runner.ResumeCheckpoint(path)
 			if err != nil {
 				return runner.Summary{}, err
 			}
@@ -132,7 +123,7 @@ func SpecID(cf runner.CampaignFile) string {
 // Options configures a Service's execution and fault-tolerance
 // policy. The zero value is a working default.
 type Options struct {
-	// Workers is the per-campaign shard count (0 = GOMAXPROCS).
+	// Workers bounds each campaign's concurrent runs (0 = GOMAXPROCS).
 	Workers int
 	// Retries / RunTimeout / NoRetryFailed are the per-run
 	// fault-tolerance knobs, passed through to runner.ExecOptions: a
@@ -164,7 +155,7 @@ type Options struct {
 	Logger *slog.Logger
 }
 
-// Service owns the campaigns of one daemon: submission, sharded
+// Service owns the campaigns of one daemon: submission, pooled
 // execution with checkpoints under its state dir, cancellation, and
 // restart recovery (NewService re-launches every persisted campaign;
 // finished ones settle instantly from their checkpoints).
@@ -343,7 +334,6 @@ func (s *Service) launch(c *Campaign) {
 	c.cancel = cancel
 	exec := runner.ExecOptions{
 		Workers:       s.opts.Workers,
-		ShardByKey:    true,
 		Progress:      c,
 		Retries:       s.opts.Retries,
 		RunTimeout:    s.opts.RunTimeout,
@@ -365,7 +355,7 @@ func (s *Service) launch(c *Campaign) {
 	go func() {
 		defer s.wg.Done()
 		defer cancel()
-		sum, err := RunCampaignDurable(ctx, c.camp, c.ResultsPath(), true, exec, ckpt)
+		sum, err := RunCampaign(ctx, c.camp, c.ResultsPath(), true, exec, ckpt)
 		c.finish(sum, err)
 	}()
 }
@@ -390,17 +380,6 @@ func (s *Service) List() []*Campaign {
 		out = append(out, s.camps[id])
 	}
 	return out
-}
-
-// Cancel stops a running campaign; its checkpoint stays resumable and
-// a later identical Submit (or daemon restart) picks it back up.
-func (s *Service) Cancel(id string) (*Campaign, error) {
-	c, err := s.Get(id)
-	if err != nil {
-		return nil, err
-	}
-	c.cancel()
-	return c, nil
 }
 
 // StartDrain flips the service into drain mode: new spec submissions
@@ -428,13 +407,6 @@ func (s *Service) StartDrain() {
 		}
 	}
 	s.log.Info("draining: rejecting new specs until running campaigns settle", "running", running)
-}
-
-// Draining reports whether StartDrain was called.
-func (s *Service) Draining() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.draining
 }
 
 // Health is the service-level health snapshot served by /healthz.

@@ -418,13 +418,13 @@ func TestRunCampaignCancelResume(t *testing.T) {
 				cancel()
 			}
 		}),
-	})
+	}, CheckpointOptions{})
 	cancel()
 	if err == nil {
 		t.Fatal("cancelled RunCampaign returned nil")
 	}
 
-	sum, err := RunCampaign(context.Background(), tinyCampaign(), path, true, runner.ExecOptions{Workers: 4})
+	sum, err := RunCampaign(context.Background(), tinyCampaign(), path, true, runner.ExecOptions{Workers: 4}, CheckpointOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,6 @@
 // Package trace provides ns-2-style event tracing: a per-simulation
-// sink that components write structured records to, with pluggable
-// filtering and text formatting. The paper's debugging workflow on ns-2
+// sink that components write structured records to, with text
+// formatting. The paper's debugging workflow on ns-2
 // leaned on trace files; this is the equivalent for this codebase, used
 // by cmd/pcmacsim's -trace flag and by tests that assert on protocol
 // event sequences.
@@ -75,18 +75,12 @@ func (r Record) String() string {
 	return fmt.Sprintf("%.9f %s %v %s %s", r.At.Seconds(), r.Op, r.Node, kind, r.Detail)
 }
 
-// Sink receives trace records. Implementations must be cheap when
-// disabled; the simulator calls them on hot paths.
+// Sink receives trace records. A nil Sink means tracing is off:
+// callers check for nil before building a Record, so a run without a
+// sink pays nothing for its trace sites.
 type Sink interface {
 	Trace(r Record)
 }
-
-// Nop is a Sink that discards everything; use it as the default so
-// callers never nil-check.
-type Nop struct{}
-
-// Trace implements Sink.
-func (Nop) Trace(Record) {}
 
 // Writer is a Sink that formats records as text lines to an io.Writer.
 // It is safe for concurrent use (the experiment harness runs scenarios
@@ -95,11 +89,6 @@ func (Nop) Trace(Record) {}
 type Writer struct {
 	mu sync.Mutex
 	w  io.Writer
-	// Filter, when non-nil, drops records for which it returns false.
-	Filter func(Record) bool
-
-	// Lines counts records written.
-	Lines uint64
 }
 
 // NewWriter wraps w as a trace sink.
@@ -107,13 +96,9 @@ func NewWriter(w io.Writer) *Writer { return &Writer{w: w} }
 
 // Trace implements Sink.
 func (t *Writer) Trace(r Record) {
-	if t.Filter != nil && !t.Filter(r) {
-		return
-	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	fmt.Fprintln(t.w, r.String())
-	t.Lines++
 }
 
 // Buffer is a Sink that retains records in memory for tests.

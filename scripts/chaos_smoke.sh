@@ -4,8 +4,8 @@
 # be byte-identical to cmd/campaign's output for the same spec. This is
 # the out-of-process half of the chaos suite (internal/serve/chaos_test.go
 # covers in-process kills): a real kill -9 tears whatever write was in
-# flight, so restart recovery (RepairCheckpoint + resume) is what makes
-# the final cmp pass. A last SIGTERM phase asserts the graceful-drain
+# flight, so restart recovery (ResumeCheckpoint's torn-tail repair) is
+# what makes the final cmp pass. A last SIGTERM phase asserts the graceful-drain
 # log line, so shutdown visibility is covered too.
 #
 # Daemon logs land in $tmp/daemon-N.log and are dumped on failure.
