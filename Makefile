@@ -60,10 +60,20 @@ lint-golangci:
 # campaign-smoke mirrors CI's end-to-end campaign job: the bursty
 # preset must dry-run, execute a tiny grid to non-empty JSONL and
 # resume cleanly from its own checkpoint; the scale preset must expand
-# and push a real 500-node run through the spatial index.
+# and push a real 500-node run through the spatial index; the scale and
+# ablation-ctrl presets, emitted as specs and read back, must dry-run
+# byte-identically to the presets themselves.
 campaign-smoke:
 	@$(GO) run ./cmd/campaign -preset bursty -dry-run > /dev/null
 	@$(GO) run ./cmd/campaign -preset scale -dry-run > /dev/null
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf $$tmp' EXIT; \
+	$(GO) build -o $$tmp/campaign ./cmd/campaign; \
+	for p in scale ablation-ctrl; do \
+	  $$tmp/campaign -preset $$p -emit-spec > $$tmp/$$p.json; \
+	  $$tmp/campaign -preset $$p -dry-run > $$tmp/$$p.preset 2>&1; \
+	  $$tmp/campaign -spec $$tmp/$$p.json -dry-run > $$tmp/$$p.spec 2>&1; \
+	  cmp $$tmp/$$p.preset $$tmp/$$p.spec; \
+	done
 	@tmp=$$(mktemp); \
 	$(GO) run ./cmd/campaign -preset bursty -duration 4 -seeds 1 -loads 250 -out $$tmp -q && \
 	test -s $$tmp && \

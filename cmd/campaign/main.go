@@ -40,8 +40,10 @@ import (
 func main() {
 	var cf cli.CampaignFlags
 	cf.Register(flag.CommandLine)
-	var ef cli.ExecFlags
-	ef.Register(flag.CommandLine)
+	var exec runner.ExecOptions
+	cli.BindExec(flag.CommandLine, &exec)
+	flag.IntVar(&exec.Workers, "workers", 0, "worker pool size (0 = GOMAXPROCS)")
+	flag.BoolVar(&exec.Timing, "timing", false, "record wall_ms/peak_queue per run and print a throughput summary (output becomes machine-dependent)")
 	var lf cli.LogFlags
 	lf.Register(flag.CommandLine)
 	var (
@@ -49,10 +51,8 @@ func main() {
 		dryRun   = flag.Bool("dry-run", false, "list the expanded runs without executing")
 		out      = flag.String("out", "results.jsonl", "JSONL results/checkpoint file (empty: none)")
 		resume   = flag.Bool("resume", false, "skip runs already present in -out, append the rest")
-		workers  = flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
 		csv      = flag.Bool("csv", false, "emit the aggregate as CSV instead of a table")
 		quiet    = flag.Bool("q", false, "suppress progress output")
-		timing   = flag.Bool("timing", false, "record wall_ms/peak_queue per run and print a throughput summary (output becomes machine-dependent)")
 	)
 	flag.Parse()
 
@@ -106,15 +106,10 @@ func main() {
 			}
 		})
 	}
-	exec := runner.ExecOptions{
-		Workers:  *workers,
-		Progress: runner.MultiProgress(agg, progress),
-		Timing:   *timing,
-		OnRetry: func(ev runner.RetryEvent) {
-			log.Warn("run retried", "key", ev.Run.Key, "attempt", ev.Attempt, "err", ev.Err, "backoff", ev.Backoff)
-		},
+	exec.Progress = runner.MultiProgress(agg, progress)
+	exec.OnRetry = func(ev runner.RetryEvent) {
+		log.Warn("run retried", "key", ev.Run.Key, "attempt", ev.Attempt, "err", ev.Err, "backoff", ev.Backoff)
 	}
-	ef.Apply(&exec)
 	sum, err := serve.RunCampaign(ctx, camp, *out, *resume, exec, serve.CheckpointOptions{})
 	if errors.Is(err, context.Canceled) {
 		fmt.Fprintln(os.Stderr)

@@ -16,7 +16,11 @@
 //	curl -s  localhost:8080/campaigns/<id>/results.jsonl      # checkpoint
 //	curl -s  localhost:8080/metrics                           # Prometheus
 //
-// See docs/api.md for the full endpoint, event and metric reference.
+// The execution flags (-workers, -timing, -retries, -run-timeout,
+// -no-retry-failed) bind straight onto serve.Options.Exec and
+// -sync-every onto serve.Options.Checkpoint; they apply to every
+// campaign the daemon runs. See docs/api.md for the full endpoint,
+// event and metric reference.
 package main
 
 import (
@@ -37,17 +41,17 @@ import (
 func main() {
 	var cf cli.CampaignFlags
 	cf.Register(flag.CommandLine)
-	var ef cli.ExecFlags
-	ef.Register(flag.CommandLine)
+	var opts serve.Options
+	cli.BindExec(flag.CommandLine, &opts.Exec)
+	flag.IntVar(&opts.Exec.Workers, "workers", 0, "concurrent runs per campaign (0 = GOMAXPROCS)")
+	flag.BoolVar(&opts.Exec.Timing, "timing", false, "record wall_ms/peak_queue on every executed run (makes checkpoints machine-dependent)")
+	flag.IntVar(&opts.Checkpoint.SyncEvery, "sync-every", 0, "fsync checkpoints every N records (0 = default, negative = only at completion)")
 	var lf cli.LogFlags
 	lf.Register(flag.CommandLine)
 	var (
-		addr      = flag.String("addr", ":8080", "HTTP listen address")
-		dir       = flag.String("dir", "campaignd-state", "state directory (specs + JSONL checkpoints)")
-		workers   = flag.Int("workers", 0, "concurrent runs per campaign (0 = GOMAXPROCS)")
-		syncEvery = flag.Int("sync-every", 0, "fsync checkpoints every N records (0 = default, negative = only at completion)")
-		pprofOn   = flag.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/")
-		timing    = flag.Bool("timing", false, "record wall_ms/peak_queue on every executed run (makes checkpoints machine-dependent)")
+		addr    = flag.String("addr", ":8080", "HTTP listen address")
+		dir     = flag.String("dir", "campaignd-state", "state directory (specs + JSONL checkpoints)")
+		pprofOn = flag.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/")
 	)
 	flag.Parse()
 
@@ -57,15 +61,8 @@ func main() {
 		os.Exit(2)
 	}
 
-	svc, err := serve.NewService(*dir, serve.Options{
-		Workers:       *workers,
-		Retries:       ef.Retries,
-		RunTimeout:    ef.RunTimeout,
-		NoRetryFailed: ef.NoRetryFailed,
-		SyncEvery:     *syncEvery,
-		Timing:        *timing,
-		Logger:        log,
-	})
+	opts.Logger = log
+	svc, err := serve.NewService(*dir, opts)
 	if err != nil {
 		log.Error("startup failed", "err", err)
 		os.Exit(1)

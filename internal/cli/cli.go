@@ -13,7 +13,6 @@ import (
 	"log/slog"
 	"strconv"
 	"strings"
-	"time"
 
 	"repro/internal/obs"
 	"repro/internal/runner"
@@ -52,28 +51,14 @@ func (f *CampaignFlags) Register(fs *flag.FlagSet) {
 // the group as optional; cmd/campaign requires it).
 func (f *CampaignFlags) Given() bool { return f.Spec != "" || f.Preset != "" }
 
-// ExecFlags collects the fault-tolerance knobs shared by cmd/campaign
-// and cmd/campaignd: how often a failing run is retried, how long a
-// run may hang before the watchdog quarantines it, and whether resume
-// re-attempts previously quarantined runs.
-type ExecFlags struct {
-	Retries       int
-	RunTimeout    time.Duration
-	NoRetryFailed bool
-}
-
-// Register installs the execution flag group on fs.
-func (f *ExecFlags) Register(fs *flag.FlagSet) {
-	fs.IntVar(&f.Retries, "retries", 0, "re-attempts per run before quarantining it as a failed record")
-	fs.DurationVar(&f.RunTimeout, "run-timeout", 0, "per-run watchdog; a run exceeding it fails the attempt (0 = none)")
-	fs.BoolVar(&f.NoRetryFailed, "no-retry-failed", false, "on resume, keep quarantined runs instead of re-attempting them")
-}
-
-// Apply copies the group onto an ExecOptions.
-func (f *ExecFlags) Apply(opts *runner.ExecOptions) {
-	opts.Retries = f.Retries
-	opts.RunTimeout = f.RunTimeout
-	opts.NoRetryFailed = f.NoRetryFailed
+// BindExec installs the fault-tolerance flags shared by cmd/campaign
+// and cmd/campaignd straight onto opts: how often a failing run is
+// retried, how long a run may hang before the watchdog quarantines it,
+// and whether resume re-attempts previously quarantined runs.
+func BindExec(fs *flag.FlagSet, opts *runner.ExecOptions) {
+	fs.IntVar(&opts.Retries, "retries", 0, "re-attempts per run before quarantining it as a failed record")
+	fs.DurationVar(&opts.RunTimeout, "run-timeout", 0, "per-run watchdog; a run exceeding it fails the attempt (0 = none)")
+	fs.BoolVar(&opts.NoRetryFailed, "no-retry-failed", false, "on resume, keep quarantined runs instead of re-attempting them")
 }
 
 // LogFlags is the structured-logging flag group shared by cmd/campaign

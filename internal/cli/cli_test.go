@@ -4,6 +4,9 @@ import (
 	"flag"
 	"strings"
 	"testing"
+	"time"
+
+	"repro/internal/runner"
 )
 
 func parse(t *testing.T, args ...string) *CampaignFlags {
@@ -53,6 +56,18 @@ func TestBuildErrors(t *testing.T) {
 	}
 	if _, err := parse(t, "-preset", "fig8", "-variants", "n=9999").Build(); err == nil {
 		t.Fatal("unknown variant accepted")
+	}
+}
+
+func TestBindExec(t *testing.T) {
+	var opts runner.ExecOptions
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	BindExec(fs, &opts)
+	if err := fs.Parse([]string{"-retries", "2", "-run-timeout", "3s", "-no-retry-failed"}); err != nil {
+		t.Fatal(err)
+	}
+	if opts.Retries != 2 || opts.RunTimeout != 3*time.Second || !opts.NoRetryFailed {
+		t.Fatalf("bound options = %+v", opts)
 	}
 }
 

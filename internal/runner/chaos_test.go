@@ -51,7 +51,7 @@ func TestChaosFaultsByteIdentical(t *testing.T) {
 		RunTimeout:   time.Second,
 		Retries:      2,
 		RetryBackoff: time.Millisecond,
-		RunHook:      func(r Run, attempt int) { hook(r.Key, attempt) },
+		RunHook:      hook,
 		OnRetry: func(ev RetryEvent) {
 			mu.Lock()
 			retried[ev.Run.Key]++
@@ -74,9 +74,9 @@ func TestChaosFaultsByteIdentical(t *testing.T) {
 }
 
 // permanentHook faults one run key on every attempt.
-func permanentHook(key string, f func()) func(Run, int) {
-	return func(r Run, attempt int) {
-		if r.Key == key {
+func permanentHook(key string, f func()) func(string, int) {
+	return func(k string, attempt int) {
+		if k == key {
 			f()
 		}
 	}

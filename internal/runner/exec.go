@@ -367,11 +367,12 @@ type ExecOptions struct {
 	// retried. Called from worker goroutines, concurrently — see
 	// RetryEvent.
 	OnRetry func(RetryEvent)
-	// RunHook, if non-nil, runs at the start of every attempt, inside
-	// the worker's panic-recovery scope and under the watchdog. It
+	// RunHook, if non-nil, runs at the start of every attempt with the
+	// run's key and attempt number, inside the worker's panic-recovery
+	// scope and under the watchdog. It
 	// exists for deterministic fault injection (internal/fault) in
 	// tests; production paths leave it nil.
-	RunHook func(r Run, attempt int)
+	RunHook func(key string, attempt int)
 
 	// Obs, if non-nil, receives execution telemetry: run-lifecycle
 	// counters, per-run wall-time and sim-event histograms, and the
@@ -532,7 +533,7 @@ func Execute(ctx context.Context, c Campaign, opts ExecOptions) (Summary, error)
 				}
 			}()
 			if opts.RunHook != nil {
-				opts.RunHook(r, n)
+				opts.RunHook(r.Key, n)
 			}
 			res, err := scenario.Run(r.Opts)
 			ch <- runOut{res, err}

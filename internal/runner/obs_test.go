@@ -131,8 +131,8 @@ func TestObsResumeAndFailureCounters(t *testing.T) {
 		Completed: completed,
 		Obs:       rm,
 		Retries:   1,
-		RunHook: func(r Run, attempt int) {
-			if r.Key == failKey {
+		RunHook: func(key string, attempt int) {
+			if key == failKey {
 				panic(boom)
 			}
 		},

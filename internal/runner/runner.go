@@ -21,116 +21,20 @@ import (
 // mechanism behind ablations (disable the control channel, force the
 // four-way handshake, change the history expiry, ...). Non-zero fields
 // of Patch override the campaign base; explicit grid axes (Schemes,
-// LoadsKbps, ...) are applied after the patch and win over it.
+// LoadsKbps, ...) are applied after the patch and win over it. Only
+// the merged scenario is validated, never the patch on its own.
 type Variant struct {
 	Name  string              `json:"name"`
 	Patch scenario.FileConfig `json:"patch"`
 }
 
-// apply overlays the variant's non-zero patch fields onto o.
+// apply overlays the variant's patch onto o (scenario.Overlay).
 func (v Variant) apply(o *scenario.Options) error {
-	p := v.Patch
-	if p.Scheme != "" {
-		s, err := mac.ParseScheme(p.Scheme)
-		if err != nil {
-			return fmt.Errorf("runner: variant %q: %w", v.Name, err)
-		}
-		o.Scheme = s
-	}
-	patched, err := p.Options()
-	if err != nil && p.Scheme == "" {
-		// p.Options requires a scheme name; retry with a placeholder so
-		// scheme-less patches (the common case) still convert.
-		p.Scheme = o.Scheme.String()
-		patched, err = p.Options()
-	}
+	patched, err := scenario.Overlay(*o, v.Patch)
 	if err != nil {
 		return fmt.Errorf("runner: variant %q: %w", v.Name, err)
 	}
-	if p.Nodes != 0 {
-		o.Nodes = patched.Nodes
-	}
-	if p.FieldW != 0 {
-		o.FieldW = patched.FieldW
-	}
-	if p.FieldH != 0 {
-		o.FieldH = patched.FieldH
-	}
-	if p.SpeedMin != 0 {
-		o.SpeedMin = patched.SpeedMin
-	}
-	if p.SpeedMax != 0 {
-		o.SpeedMax = patched.SpeedMax
-	}
-	if p.PauseS != 0 {
-		o.Pause = patched.Pause
-	}
-	if p.Flows != 0 {
-		o.Flows = patched.Flows
-	}
-	if p.Traffic != "" {
-		o.Traffic = patched.Traffic
-	}
-	if p.Topology != "" {
-		o.Topology = patched.Topology
-	}
-	if p.BurstFactor != 0 {
-		o.BurstFactor = patched.BurstFactor
-	}
-	if p.ParetoShape != 0 {
-		o.ParetoShape = patched.ParetoShape
-	}
-	if p.ResponseBytes != 0 {
-		o.ResponseBytes = patched.ResponseBytes
-	}
-	if p.OfferedLoadKbps != 0 {
-		o.OfferedLoadKbps = patched.OfferedLoadKbps
-	}
-	if p.PacketBytes != 0 {
-		o.PacketBytes = patched.PacketBytes
-	}
-	if p.DurationS != 0 {
-		o.Duration = patched.Duration
-	}
-	if p.WarmupS != 0 {
-		o.Warmup = patched.Warmup
-	}
-	if p.SafetyFactor != 0 {
-		o.SafetyFactor = patched.SafetyFactor
-	}
-	if p.HistoryExpiryS != 0 {
-		o.HistoryExpiry = patched.HistoryExpiry
-	}
-	if p.CtrlBandwidthBps != 0 {
-		o.CtrlBandwidthBps = patched.CtrlBandwidthBps
-	}
-	if p.DisableCtrlChannel {
-		o.DisableCtrlChannel = true
-	}
-	if p.DisableThreeWay {
-		o.DisableThreeWay = true
-	}
-	if p.ShadowingSigmaDB != 0 {
-		o.ShadowingSigmaDB = patched.ShadowingSigmaDB
-	}
-	if p.EnergyProfile != "" {
-		o.EnergyProfile = patched.EnergyProfile
-	}
-	if p.BatteryJ != 0 {
-		o.BatteryJ = patched.BatteryJ
-	}
-	if p.FlowRateSpreadPct != 0 {
-		o.FlowRateSpreadPct = patched.FlowRateSpreadPct
-	}
-	if p.RTSThresholdBytes != 0 {
-		o.MAC = patched.MAC
-	}
-	if len(p.Static) > 0 {
-		o.Static = patched.Static
-	}
-	if len(p.FlowPairs) > 0 {
-		o.FlowPairs = patched.FlowPairs
-	}
+	*o = patched
 	return nil
 }
 

@@ -61,8 +61,20 @@ type FileConfig struct {
 	FlowPairs          [][2]uint16  `json:"flow_pairs,omitempty"`
 }
 
-// Options converts the file form to runnable Options.
+// Options converts the file form to runnable, validated Options.
 func (fc FileConfig) Options() (Options, error) {
+	o, err := fc.options()
+	if err != nil {
+		return Options{}, err
+	}
+	if err := validate(o); err != nil {
+		return Options{}, err
+	}
+	return o, nil
+}
+
+// options converts the file form to Options without validating them.
+func (fc FileConfig) options() (Options, error) {
 	scheme, err := mac.ParseScheme(fc.Scheme)
 	if err != nil {
 		return Options{}, err
@@ -105,9 +117,6 @@ func (fc FileConfig) Options() (Options, error) {
 	}
 	for _, fp := range fc.FlowPairs {
 		o.FlowPairs = append(o.FlowPairs, [2]packet.NodeID{packet.NodeID(fp[0]), packet.NodeID(fp[1])})
-	}
-	if err := validate(o); err != nil {
-		return Options{}, err
 	}
 	return o, nil
 }
@@ -262,6 +271,37 @@ func ToFileConfig(o Options) FileConfig {
 		fc.FlowPairs = append(fc.FlowPairs, [2]uint16{uint16(fp[0]), uint16(fp[1])})
 	}
 	return fc
+}
+
+// Overlay returns base with patch's set fields overriding it: a field
+// is set when FileConfig's omitempty tags would encode it, and an empty
+// scheme keeps the base's. The options FileConfig cannot carry (AODV,
+// Levels, TrafficStart, Trace, TimelineBucket, CollectSimStats, and MAC
+// unless the patch sets rts_threshold_bytes) keep the base's values.
+// The result is not validated: a campaign validates each run only after
+// its explicit axes have been applied on top.
+func Overlay(base Options, patch FileConfig) (Options, error) {
+	fc := ToFileConfig(base)
+	if patch.Scheme == "" {
+		patch.Scheme = fc.Scheme
+	}
+	b, err := json.Marshal(patch)
+	if err != nil {
+		return Options{}, fmt.Errorf("scenario: %w", err)
+	}
+	if err := json.Unmarshal(b, &fc); err != nil {
+		return Options{}, fmt.Errorf("scenario: %w", err)
+	}
+	o, err := fc.options()
+	if err != nil {
+		return Options{}, err
+	}
+	o.AODV, o.Levels, o.TrafficStart, o.Trace = base.AODV, base.Levels, base.TrafficStart, base.Trace
+	o.TimelineBucket, o.CollectSimStats = base.TimelineBucket, base.CollectSimStats
+	if patch.RTSThresholdBytes == 0 {
+		o.MAC = base.MAC
+	}
+	return o, nil
 }
 
 // SaveConfig writes the scenario as indented JSON.

@@ -1,17 +1,21 @@
-package node
+package scenario
 
 import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/energy"
 	"repro/internal/geom"
 	"repro/internal/mac"
 	"repro/internal/mobility"
+	"repro/internal/packet"
 	"repro/internal/phys"
 	"repro/internal/sim"
 )
 
-func build(t *testing.T, scheme mac.Scheme, withCtrl bool) (*Node, *sim.Scheduler) {
+// buildNode assembles terminal id at (5, 0) from the scheme's defaulted
+// options, with a control channel when withCtrl is set.
+func buildNode(t *testing.T, id packet.NodeID, scheme mac.Scheme, withCtrl bool) (*Node, error) {
 	t.Helper()
 	sched := sim.NewScheduler()
 	par := phys.DefaultParams()
@@ -21,15 +25,21 @@ func build(t *testing.T, scheme mac.Scheme, withCtrl bool) (*Node, *sim.Schedule
 	if withCtrl {
 		ctrlCh = phys.NewChannel(sched, model, par)
 	}
-	n, err := New(1, sched, dataCh, ctrlCh, mobility.Static(geom.Point{X: 5}), DefaultConfig(scheme), rand.New(rand.NewSource(1)))
+	o := Options{Scheme: scheme}.WithDefaults()
+	return newNode(id, &o, sched, dataCh, ctrlCh, mobility.Static(geom.Point{X: 5}), energy.WaveLAN(), rand.New(rand.NewSource(1)))
+}
+
+func mustBuildNode(t *testing.T, scheme mac.Scheme, withCtrl bool) *Node {
+	t.Helper()
+	n, err := buildNode(t, 1, scheme, withCtrl)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return n, sched
+	return n
 }
 
 func TestBasicNodeWiring(t *testing.T) {
-	n, _ := build(t, mac.Basic, false)
+	n := mustBuildNode(t, mac.Basic, false)
 	if n.MAC == nil || n.Router == nil {
 		t.Fatal("missing MAC or router")
 	}
@@ -48,7 +58,7 @@ func TestBasicNodeWiring(t *testing.T) {
 }
 
 func TestScheme2NodeHasHistory(t *testing.T) {
-	n, _ := build(t, mac.Scheme2, false)
+	n := mustBuildNode(t, mac.Scheme2, false)
 	if n.History == nil {
 		t.Fatal("scheme2 node missing power history")
 	}
@@ -58,7 +68,7 @@ func TestScheme2NodeHasHistory(t *testing.T) {
 }
 
 func TestPCMACNodeFullWiring(t *testing.T) {
-	n, _ := build(t, mac.PCMAC, true)
+	n := mustBuildNode(t, mac.PCMAC, true)
 	if n.Ctrl == nil || n.Registry == nil || n.History == nil {
 		t.Fatal("PCMAC node missing control machinery")
 	}
@@ -67,7 +77,7 @@ func TestPCMACNodeFullWiring(t *testing.T) {
 func TestPCMACWithoutCtrlChannel(t *testing.T) {
 	// The DisableCtrlChannel ablation: PCMAC without a control channel
 	// keeps the three-way handshake but loses receiver protection.
-	n, _ := build(t, mac.PCMAC, false)
+	n := mustBuildNode(t, mac.PCMAC, false)
 	if n.Ctrl != nil || n.Registry != nil {
 		t.Fatal("ablated PCMAC node still has control machinery")
 	}
@@ -77,26 +87,20 @@ func TestPCMACWithoutCtrlChannel(t *testing.T) {
 }
 
 func TestNodeIDTooLargeForCtrl(t *testing.T) {
-	sched := sim.NewScheduler()
-	par := phys.DefaultParams()
-	model := phys.NewTwoRayGround(par)
-	dataCh := phys.NewChannel(sched, model, par)
-	ctrlCh := phys.NewChannel(sched, model, par)
-	_, err := New(300, sched, dataCh, ctrlCh, mobility.Static(geom.Point{}), DefaultConfig(mac.PCMAC), rand.New(rand.NewSource(1)))
-	if err == nil {
+	if _, err := buildNode(t, 300, mac.PCMAC, true); err == nil {
 		t.Fatal("node ID 300 accepted with a control channel (8-bit field)")
 	}
 }
 
 func TestDefaultConfig(t *testing.T) {
-	c := DefaultConfig(mac.PCMAC)
+	c := Options{Scheme: mac.PCMAC}.WithDefaults()
 	if c.HistoryExpiry != 3*sim.Second {
 		t.Errorf("history expiry = %v, want 3 s (paper)", c.HistoryExpiry)
 	}
 	if c.SafetyFactor != 0.7 {
 		t.Errorf("safety factor = %v, want 0.7 (paper)", c.SafetyFactor)
 	}
-	if c.CtrlBitRateBps != 500e3 {
-		t.Errorf("control bandwidth = %v, want 500 kbps (paper)", c.CtrlBitRateBps)
+	if c.CtrlBandwidthBps != 500e3 {
+		t.Errorf("control bandwidth = %v, want 500 kbps (paper)", c.CtrlBandwidthBps)
 	}
 }

@@ -14,7 +14,6 @@ import (
 	"repro/internal/geom"
 	"repro/internal/mac"
 	"repro/internal/mobility"
-	"repro/internal/node"
 	"repro/internal/packet"
 	"repro/internal/phys"
 	"repro/internal/power"
@@ -320,7 +319,7 @@ type Network struct {
 	Sched     *sim.Scheduler
 	DataCh    *phys.Channel
 	CtrlCh    *phys.Channel // nil unless PCMAC with control channel
-	Nodes     []*node.Node
+	Nodes     []*Node
 	Sources   []traffic.Source
 	Collector *stats.Collector
 	Timeline  *stats.Timeline // nil unless Options.TimelineBucket set
@@ -378,21 +377,6 @@ func Build(o Options) (*Network, error) {
 	field := geom.NewField(o.FieldW, o.FieldH)
 	nw := &Network{Opts: o, Sched: sched, DataCh: dataCh, CtrlCh: ctrlCh}
 
-	ncfg := node.Config{
-		Scheme:          o.Scheme,
-		MAC:             o.MAC,
-		AODV:            o.AODV,
-		Levels:          o.Levels,
-		HistoryExpiry:   o.HistoryExpiry,
-		SafetyFactor:    o.SafetyFactor,
-		CtrlBitRateBps:  o.CtrlBandwidthBps,
-		DisableThreeWay: o.DisableThreeWay,
-		Tracer:          o.Trace,
-	}
-	if o.DisableCtrlChannel {
-		ncfg.CtrlBitRateBps = 0
-	}
-
 	collector := stats.NewCollector(sim.Time(o.Warmup))
 	nw.Collector = collector
 	collector.SetPopulation(o.Nodes)
@@ -413,27 +397,15 @@ func Build(o Options) (*Network, error) {
 			mob = mobility.NewWaypoint(field, o.SpeedMin, o.SpeedMax, o.Pause, rand.New(rand.NewSource(master.Int63())))
 		}
 		epochs.Track(mob)
-		// One energy accountant per radio, draining one shared battery
-		// per terminal: a PCMAC node's always-on control receiver costs
-		// real joules too, and must shorten the same lifetime. Without a
-		// battery the accountants are pure observers; with one,
-		// depletion halts the node through node.Die and the collector
-		// records the death step.
-		icfg := ncfg
-		icfg.Energy = energy.NewAccountant(sched, energy.Config{Profile: eprof, CapacityJ: o.BatteryJ})
-		if ctrlCh != nil && ncfg.CtrlBitRateBps > 0 {
-			icfg.CtrlEnergy = energy.NewAccountant(sched, energy.Config{Profile: eprof, Battery: icfg.Energy.Battery()})
-		}
-		n, err := node.New(packet.NodeID(i), sched, dataCh, ctrlCh, mob, icfg, rand.New(rand.NewSource(master.Int63())))
+		n, err := newNode(packet.NodeID(i), &o, sched, dataCh, ctrlCh, mob, eprof, rand.New(rand.NewSource(master.Int63())))
 		if err != nil {
 			return nil, fmt.Errorf("scenario: %w", err)
 		}
 		// OnDeath is wired unconditionally: it only ever fires when a
 		// battery depletes (Options.BatteryJ, or a per-node SetCapacity
 		// applied by tests/tools after Build).
-		dying := n
-		icfg.Energy.Battery().OnDeath = func() {
-			dying.Die()
+		n.Energy.Battery().OnDeath = func() {
+			n.Die()
 			collector.NodeDied(sched.Now())
 		}
 		n.Router.NextUID = nextUID

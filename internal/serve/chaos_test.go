@@ -71,11 +71,13 @@ func TestServiceKillLoopByteIdentical(t *testing.T) {
 
 	inj := fault.New(4242)
 	opts := Options{
-		Workers:    3,
-		Retries:    2,
-		RunTimeout: 5 * time.Second,
-		RunHook:    inj.RunHook(fault.RunFaults{PanicP: 0.2}),
-		SyncEvery:  8,
+		Exec: runner.ExecOptions{
+			Workers:    3,
+			Retries:    2,
+			RunTimeout: 5 * time.Second,
+			RunHook:    inj.RunHook(fault.RunFaults{PanicP: 0.2}),
+		},
+		Checkpoint: CheckpointOptions{SyncEvery: 8},
 	}
 
 	const kills = 4
@@ -151,14 +153,14 @@ func tearTail(t *testing.T, path string, inj *fault.Injector, life int) {
 func TestServiceDegradedMode(t *testing.T) {
 	inj := fault.New(7)
 	svc, err := NewService(t.TempDir(), Options{
-		Workers: 2,
-		OpenCheckpoint: func(path string, flag int, perm os.FileMode) (CheckpointFile, error) {
+		Exec: runner.ExecOptions{Workers: 2},
+		Checkpoint: CheckpointOptions{Open: func(path string, flag int, perm os.FileMode) (CheckpointFile, error) {
 			f, err := os.OpenFile(path, flag, perm)
 			if err != nil {
 				return nil, err
 			}
 			return inj.Writer(f, fault.WriterFaults{FailAfterBytes: 400}), nil
-		},
+		}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -209,7 +211,7 @@ func TestServiceFailureEvents(t *testing.T) {
 		t.Fatal(err)
 	}
 	victim := runs[2].Key
-	svc, err := NewService(t.TempDir(), Options{
+	svc, err := NewService(t.TempDir(), Options{Exec: runner.ExecOptions{
 		Workers: 2,
 		Retries: 1,
 		RunHook: func(key string, attempt int) {
@@ -217,7 +219,7 @@ func TestServiceFailureEvents(t *testing.T) {
 				panic("chaos: permanent fault")
 			}
 		},
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +269,7 @@ func TestServiceFailureEvents(t *testing.T) {
 // reports draining on /healthz (503), but still reattaches known specs
 // so orchestrated restarts never duplicate work.
 func TestServiceDrain(t *testing.T) {
-	svc, err := NewService(t.TempDir(), Options{Workers: 2})
+	svc, err := NewService(t.TempDir(), Options{Exec: runner.ExecOptions{Workers: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,6 +11,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/runner"
 )
 
 // scrape fetches /metrics and parses it into name{labels} -> value.
@@ -55,7 +57,7 @@ func scrape(t *testing.T, url string) map[string]float64 {
 // count (the CI contract), per-campaign gauges settle, and the
 // build/uptime info metrics exist.
 func TestMetricsEndpoint(t *testing.T) {
-	svc, err := NewService(t.TempDir(), Options{Workers: 2})
+	svc, err := NewService(t.TempDir(), Options{Exec: runner.ExecOptions{Workers: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +198,7 @@ func TestPprofOptIn(t *testing.T) {
 // TestServiceTiming: the daemon's Timing opt-in lands wall_ms and
 // peak_queue on every checkpointed record.
 func TestServiceTiming(t *testing.T) {
-	svc, err := NewService(t.TempDir(), Options{Workers: 2, Timing: true})
+	svc, err := NewService(t.TempDir(), Options{Exec: runner.ExecOptions{Workers: 2, Timing: true}})
 	if err != nil {
 		t.Fatal(err)
 	}

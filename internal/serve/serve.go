@@ -120,33 +120,21 @@ func SpecID(cf runner.CampaignFile) string {
 	return hex.EncodeToString(sum[:])[:12]
 }
 
-// Options configures a Service's execution and fault-tolerance
-// policy. The zero value is a working default.
+// Options configures a Service. The zero value is a working default.
 type Options struct {
-	// Workers bounds each campaign's concurrent runs (0 = GOMAXPROCS).
-	Workers int
-	// Retries / RunTimeout / NoRetryFailed are the per-run
-	// fault-tolerance knobs, passed through to runner.ExecOptions: a
-	// panicking or hung run is retried with capped exponential backoff
-	// and quarantined as a typed failed record, never allowed to kill
-	// the daemon.
-	Retries       int
-	RunTimeout    time.Duration
-	NoRetryFailed bool
-	// SyncEvery is the checkpoint fsync cadence in records (0 =
-	// DefaultSyncEvery, negative = only at completion).
-	SyncEvery int
-	// RunHook injects per-attempt faults (internal/fault) in chaos
-	// tests; production daemons leave it nil.
-	RunHook func(key string, attempt int)
-	// OpenCheckpoint replaces os.OpenFile for results.jsonl files
-	// (fault-injection seam for chaos tests).
-	OpenCheckpoint func(path string, flag int, perm os.FileMode) (CheckpointFile, error)
-	// Timing opts every campaign's executed records into the per-run
-	// wall_ms/peak_queue fields (runner.ExecOptions.Timing). Off by
-	// default: wall_ms makes checkpoints machine-dependent, breaking the
-	// daemon-vs-CLI byte-identity guarantee.
-	Timing bool
+	// Exec is every campaign's execution and fault-tolerance policy:
+	// Workers, Retries, RunTimeout, NoRetryFailed, Timing and the
+	// chaos-test RunHook are passed to runner.Execute as given, so a
+	// panicking or hung run is retried and quarantined as a typed
+	// failed record, never allowed to kill the daemon. The service sets
+	// Out, Completed, Progress, OnRetry and Obs itself. Leave Timing off
+	// to keep the daemon-vs-CLI byte-identity guarantee: wall_ms makes
+	// checkpoints machine-dependent.
+	Exec runner.ExecOptions
+	// Checkpoint is every campaign's durability policy (SyncEvery, and
+	// Open as the chaos tests' fault-injection seam). The service sets
+	// OnDegrade and Obs itself.
+	Checkpoint CheckpointOptions
 	// Registry receives the service's metrics (nil = a private one; use
 	// Service.Metrics to serve it). Each Service owns its own registry
 	// so several services in one process never collide.
@@ -332,25 +320,11 @@ func (s *Service) Submit(cf runner.CampaignFile) (c *Campaign, created bool, err
 func (s *Service) launch(c *Campaign) {
 	ctx, cancel := context.WithCancel(s.ctx)
 	c.cancel = cancel
-	exec := runner.ExecOptions{
-		Workers:       s.opts.Workers,
-		Progress:      c,
-		Retries:       s.opts.Retries,
-		RunTimeout:    s.opts.RunTimeout,
-		NoRetryFailed: s.opts.NoRetryFailed,
-		OnRetry:       c.onRetry,
-		Obs:           s.rm,
-		Timing:        s.opts.Timing,
-	}
-	if hook := s.opts.RunHook; hook != nil {
-		exec.RunHook = func(r runner.Run, attempt int) { hook(r.Key, attempt) }
-	}
-	ckpt := CheckpointOptions{
-		SyncEvery: s.opts.SyncEvery,
-		OnDegrade: c.onDegrade,
-		Open:      s.opts.OpenCheckpoint,
-		Obs:       s.rm,
-	}
+	exec := s.opts.Exec
+	exec.Out, exec.Completed = nil, nil
+	exec.Progress, exec.OnRetry, exec.Obs = c, c.onRetry, s.rm
+	ckpt := s.opts.Checkpoint
+	ckpt.OnDegrade, ckpt.Obs = c.onDegrade, s.rm
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()

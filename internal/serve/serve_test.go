@@ -79,6 +79,22 @@ func TestSpecID(t *testing.T) {
 	if SpecID(other) == id {
 		t.Fatal("different specs collided")
 	}
+	// Daemon state dirs are named by SpecID, so these goldens must hold
+	// across refactors: a drift would silently re-run every persisted
+	// campaign after an upgrade.
+	for name, want := range map[string]string{
+		"scale":         "dd9e98f5e8fd",
+		"ablation-ctrl": "0d2d2e475fa8",
+		"bursty":        "086a6cc9086f",
+	} {
+		c, err := runner.Preset(name, 4, 1, []float64{250})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := SpecID(c.File()); got != want {
+			t.Errorf("SpecID(%s preset) = %s, want %s", name, got, want)
+		}
+	}
 }
 
 // TestHTTPSubmitPollFetch walks the client lifecycle over real HTTP:
@@ -86,7 +102,7 @@ func TestSpecID(t *testing.T) {
 // fetch the JSONL (must match cmd/campaign's output byte-for-byte),
 // the aggregate CSV and the dashboard; plus the 400/404 error surface.
 func TestHTTPSubmitPollFetch(t *testing.T) {
-	svc, err := NewService(t.TempDir(), Options{Workers: 2})
+	svc, err := NewService(t.TempDir(), Options{Exec: runner.ExecOptions{Workers: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +269,7 @@ func parseSSE(t *testing.T, body string) []sseEvent {
 // after completion replays the identical sequence a live subscriber
 // saw.
 func TestHTTPSSEOrdering(t *testing.T) {
-	svc, err := NewService(t.TempDir(), Options{Workers: 4})
+	svc, err := NewService(t.TempDir(), Options{Exec: runner.ExecOptions{Workers: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,7 +365,7 @@ func TestDaemonRestartResume(t *testing.T) {
 
 	// First daemon: submit, then shut down immediately — in-flight runs
 	// finish, the rest never dispatch, the checkpoint stays a prefix.
-	svc1, err := NewService(dir, Options{Workers: 1})
+	svc1, err := NewService(dir, Options{Exec: runner.ExecOptions{Workers: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,7 +389,7 @@ func TestDaemonRestartResume(t *testing.T) {
 
 	// Second daemon on the same dir: the persisted campaign resumes on
 	// its own (no re-submission) and completes.
-	svc2, err := NewService(dir, Options{Workers: 3})
+	svc2, err := NewService(dir, Options{Exec: runner.ExecOptions{Workers: 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
