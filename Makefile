@@ -19,9 +19,10 @@ test:
 	$(GO) test -race -timeout 30m ./...
 	$(GO) -C bench test .
 
-# fuzz-smoke mirrors CI's fuzz steps: short runs of the calendar-vs-heap
+# fuzz-smoke is CI's fuzz step: short runs of the calendar-vs-heap
 # queue fuzzer, the strict config/spec decoder fuzzer and the checkpoint
-# resume fuzzer on top of their seed corpora.
+# resume fuzzer on top of their seed corpora. A fuzzer added here runs
+# in CI too.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzQueueMatchesHeap -fuzztime 15s ./internal/sim
 	$(GO) test -run '^$$' -fuzz FuzzDecodeStrict -fuzztime 15s ./internal/scenario

@@ -103,83 +103,3 @@ func TestWaypointInvalidSpeeds(t *testing.T) {
 	}()
 	NewWaypoint(geom.NewField(10, 10), 0, 0, 0, rand.New(rand.NewSource(1)))
 }
-
-func TestLine(t *testing.T) {
-	ms := Line(geom.Point{X: 10, Y: 5}, 100, 4)
-	if len(ms) != 4 {
-		t.Fatalf("len = %d", len(ms))
-	}
-	for i, m := range ms {
-		want := geom.Point{X: 10 + float64(i)*100, Y: 5}
-		if got := m.Pos(0); got != want {
-			t.Errorf("node %d at %v, want %v", i, got, want)
-		}
-	}
-}
-
-func TestStationaryUntil(t *testing.T) {
-	if got := Static(geom.Point{X: 1}).StationaryUntil(5); got != sim.MaxTime {
-		t.Errorf("Static stationary until %v, want MaxTime", got)
-	}
-	rng := rand.New(rand.NewSource(3))
-	w := NewWaypoint(geom.NewField(100, 100), 10, 10, sim.Second, rng)
-	// Mid-leg: moving now.
-	mid := w.legStart.Add(w.legTravel / 2)
-	if got := w.StationaryUntil(mid); got != mid {
-		t.Errorf("mid-leg stationary until %v, want %v", got, mid)
-	}
-	// During the pause: pinned until the pause ends.
-	arrive := w.legStart.Add(w.legTravel)
-	if got := w.StationaryUntil(arrive); got != arrive.Add(w.pause) {
-		t.Errorf("paused stationary until %v, want %v", got, arrive.Add(w.pause))
-	}
-	at := arrive.Add(w.pause / 2)
-	pos := w.Pos(at)
-	until := w.StationaryUntil(at)
-	if w.Pos(until) != pos {
-		t.Errorf("position moved within promised stationary window")
-	}
-}
-
-func TestEpochsStaticConstant(t *testing.T) {
-	var now sim.Time
-	e := NewEpochs(func() sim.Time { return now }, Static(geom.Point{}), Static(geom.Point{X: 5}))
-	first := e.Epoch()
-	for _, at := range []sim.Time{0, 10, sim.Time(400 * sim.Second)} {
-		now = at
-		if got := e.Epoch(); got != first {
-			t.Fatalf("static epoch changed to %d at %v", got, at)
-		}
-	}
-}
-
-func TestEpochsAdvanceWhileMoving(t *testing.T) {
-	var now sim.Time
-	rng := rand.New(rand.NewSource(9))
-	w := NewWaypoint(geom.NewField(100, 100), 5, 5, sim.Second, rng)
-	e := NewEpochs(func() sim.Time { return now }, w, Static(geom.Point{}))
-	travel := w.legTravel
-	e0 := e.Epoch()
-	// Same instant: same epoch.
-	if e.Epoch() != e0 {
-		t.Fatal("epoch changed without the clock moving")
-	}
-	// Clock advances mid-leg: the node moved, epoch must change.
-	now = w.legStart.Add(travel / 2)
-	e1 := e.Epoch()
-	if e1 == e0 {
-		t.Fatal("epoch frozen while a node was in flight")
-	}
-	// Jump into the pause, then step within it: one bump to enter the
-	// new (paused) geometry, then stable until the pause ends.
-	now = w.legStart.Add(w.legTravel) // w advanced legs; recompute arrive
-	e2 := e.Epoch()
-	if e2 == e1 {
-		t.Fatal("epoch frozen across arrival at the waypoint")
-	}
-	pauseMid := now.Add(w.pause / 2)
-	now = pauseMid
-	if got := e.Epoch(); got != e2 {
-		t.Fatalf("epoch advanced to %d during a pause", got)
-	}
-}

@@ -37,19 +37,19 @@ func benchGrid(sched *sim.Scheduler, ch *Channel, n int) []*Radio {
 // BenchmarkChannelTransmit measures the full cost of putting one frame
 // on the air — neighbor selection, received-power evaluation and arrival
 // event scheduling — plus draining the arrival events, from the paper's
-// 50-node scale up to the 1000-node regime the spatial index targets.
+// 50-node scale up to the 1000-node regime the spatial index targets,
+// under a pinned promise, a motion bound and the reference walk.
 func BenchmarkChannelTransmit(b *testing.B) {
 	variants := []struct {
 		name  string
 		setup func(ch *Channel)
 	}{
-		// static: positions pinned via a constant epoch — the link rows
-		// are built once and every transmit walks the cached slice.
-		{"static", func(ch *Channel) { ch.SetPositionEpoch(func() uint64 { return 0 }) }},
-		// mobile: no epoch source, but a waypoint-speed motion bound —
-		// the transmitter's row is rebuilt every frame from the spatial
-		// index's candidate cells (the scenario wiring for moving
-		// nodes).
+		// static: positions pinned (SetMaxSpeed(0)) — the link rows are
+		// built once and every transmit walks the cached slice.
+		{"static", func(ch *Channel) { ch.SetMaxSpeed(0) }},
+		// mobile: a waypoint-speed motion bound — the transmitter's row
+		// is rebuilt every frame from the spatial index's candidate
+		// cells (the scenario wiring for moving nodes).
 		{"mobile", func(ch *Channel) { ch.SetMaxSpeed(3) }},
 		// reference: the full propagation model against every radio,
 		// every frame, with no row cache, cutoff or spatial index

@@ -53,12 +53,12 @@ type linkEntry struct {
 	delay sim.Duration
 }
 
-// linkRow caches, for one (transmitter, power level) pair, the set of
-// radios a frame can reach and the per-link mean gain and delay. Rows
-// are built lazily on first transmit and reused while the position epoch
-// (and the channel's radio set) is unchanged.
+// linkRow holds, for one (transmitter, power level) pair, the set of
+// radios a frame can reach and the per-link mean gain and delay. On a
+// pinned channel (SetMaxSpeed(0)) each radio caches its rows, built
+// lazily on first transmit and reused until a radio attaches; otherwise
+// every frame rebuilds the channel's scratch row.
 type linkRow struct {
-	epoch     uint64
 	attachGen uint64
 	cutoff2   float64 // squared delivery-cutoff distance, 0 when unused
 	entries   []linkEntry
@@ -70,18 +70,16 @@ type linkRow struct {
 // a second Channel holding the same radios' twins (paper assumption 1:
 // the two channels do not interfere but share propagation behaviour).
 //
-// The hot path is cached: per (transmitter, power level), the channel
-// keeps a link row of in-range receivers with their mean gain and
-// propagation delay, so a transmit walks a pruned neighbor slice instead
-// of evaluating the propagation model against every radio. Rows are
-// invalidated by the position epoch (SetPositionEpoch) and by radio
-// attachment; with no epoch source the channel assumes positions may
-// change at any time and rebuilds the transmitter's row per frame, which
-// preserves exact semantics at the pre-cache cost. Row builds themselves
-// are served by a spatial cell grid over the attached radios (grid.go),
-// enumerating only the cells overlapping the delivery-cutoff disk —
-// O(neighbors) instead of O(radios) per rebuild — with cell assignments
-// kept current across bounded motion via SetMaxSpeed.
+// A transmit walks a link row of in-range receivers with their mean
+// gain and propagation delay instead of evaluating the propagation
+// model against every radio. The motion promise (SetMaxSpeed) decides
+// where rows come from: pinned channels cache one row per (transmitter,
+// power level), invalidated only by radio attachment; moving channels
+// rebuild the transmitter's row every frame, since some node is almost
+// always in flight. Under a promise, row builds are served by a spatial
+// cell grid over the attached radios (grid.go), enumerating only the
+// cells overlapping the delivery-cutoff disk — O(neighbors) instead of
+// O(radios) per build.
 type Channel struct {
 	sched *sim.Scheduler
 	model Propagation
@@ -96,23 +94,18 @@ type Channel struct {
 	// (and their exact RNG stream) while still skipping the geometry.
 	fade *Shadowing
 
-	// posEpoch reports the current position epoch; nil means unknown
-	// mobility (every instant is a new epoch). Same epoch promises all
-	// radio positions unchanged.
-	posEpoch func() uint64
-
 	// attachGen invalidates rows when radios attach after rows built.
 	attachGen uint64
 
 	// grid is the spatial index over attached radios (see grid.go).
-	// maxSpeed is the SetMaxSpeed motion bound in m/s (< 0: unknown,
-	// reassign conservatively). candIdx is the reusable
-	// candidate-enumeration buffer.
+	// maxSpeed is the SetMaxSpeed motion bound in m/s (0: pinned, < 0:
+	// no promise). candIdx is the reusable candidate-enumeration buffer.
 	grid     cellGrid
 	maxSpeed float64
 	candIdx  []int32
 
-	// scratch is the row reused for epoch-less (assume-mobile) builds.
+	// scratch is the row every frame rebuilds on a channel that is not
+	// pinned.
 	scratch linkRow
 
 	// deliverFloorW prunes deliveries below the carrier-sense
@@ -148,13 +141,6 @@ func (c *Channel) Model() Propagation { return c.model }
 
 // Scheduler returns the event scheduler the channel runs on.
 func (c *Channel) Scheduler() *sim.Scheduler { return c.sched }
-
-// SetPositionEpoch installs the position-epoch source. The contract: as
-// long as fn returns the same value, every attached radio's position is
-// unchanged. Static topologies pass a constant; mobile scenarios pass a
-// mobility.Epochs counter. Without a source the channel assumes any
-// instant may have moved every node.
-func (c *Channel) SetPositionEpoch(fn func() uint64) { c.posEpoch = fn }
 
 // AttachRadio creates a radio on this channel at the position reported
 // by pos (sampled lazily, so mobile nodes just pass their position
@@ -249,19 +235,17 @@ func (c *Channel) buildRow(row *linkRow, r *Radio, powerW float64) {
 	}
 }
 
-// linkRowFor returns the (possibly cached) link row for r at powerW.
+// linkRowFor returns the link row for r at powerW: the radio's cached
+// row on a pinned channel, otherwise the scratch row rebuilt from the
+// positions of this instant.
 func (c *Channel) linkRowFor(r *Radio, powerW float64) *linkRow {
-	if c.posEpoch == nil {
-		// Unknown mobility: rebuild into the shared scratch row. Same
-		// work as the pre-cache walk, reusing one backing array.
+	if c.maxSpeed != 0 {
 		c.buildRow(&c.scratch, r, powerW)
 		return &c.scratch
 	}
-	epoch := c.posEpoch()
 	row, cached := r.rowFor(powerW)
-	if !cached || row.epoch != epoch || row.attachGen != c.attachGen {
+	if !cached || row.attachGen != c.attachGen {
 		c.buildRow(row, r, powerW)
-		row.epoch = epoch
 	}
 	return row
 }

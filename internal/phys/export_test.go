@@ -14,14 +14,15 @@ func (r referenceModel) Name() string { return r.m.Name() }
 // UseReferenceWalk switches c to the reference delivery path: every
 // frame evaluates the full propagation model against every other radio
 // in attach order and keeps those at or above the delivery floor. No
-// link row is cached (the position epoch is dropped), the spatial index
-// is never consulted (no cutoff) and a fading model draws its fade
-// inside ReceivedPower, one draw per radio per frame. Whole-run identity
-// tests call it right after building a network.
+// link row is cached and the spatial index is never consulted (the
+// motion promise is dropped, and there is no cutoff), and a fading
+// model draws its fade inside ReceivedPower, one draw per radio per
+// frame. Whole-run identity tests call it right after building a
+// network.
 func UseReferenceWalk(c *Channel) {
 	c.model = referenceModel{c.model}
 	c.fade = nil
-	c.posEpoch = nil
+	c.SetMaxSpeed(-1)
 }
 
 // GridAssigned reports whether c's spatial index ever assigned radios
@@ -42,8 +43,8 @@ func CachedRows(c *Channel) int {
 type linearModel struct{ Propagation }
 
 // UseLinearWalk switches c's link-row builds to the linear all-radios
-// walk while keeping everything else on the production path: rows are
-// still cached per position epoch, and a fading model still splits the
+// walk while keeping everything else on the production path: a pinned
+// channel still caches its rows, and a fading model still splits the
 // cached mean from the per-delivery fade draw.
 func UseLinearWalk(c *Channel) {
 	c.model = linearModel{c.model}

@@ -24,30 +24,28 @@ import (
 // whole-run TestReferenceWalkIdentical check this against the reference
 // walk (UseReferenceWalk, test builds only).
 //
-// Staleness: cells hold radios by their position at assignment time.
-// With a motion bound (Channel.SetMaxSpeed) the index tolerates bounded
-// drift: a radio assigned at builtAt has moved at most
-// maxSpeed*(now-builtAt) metres since, so enumerating the disk inflated
-// by that drift still covers every radio currently in range (the
-// Verlet-list "skin" technique). Cells are reassigned incrementally —
-// only radios that crossed a cell boundary move — once the drift bound
-// exceeds the skin, which at waypoint speeds amortises the O(N)
-// reassignment over many seconds of simulated time (thousands of
-// frames), leaving each row rebuild O(candidates).
+// Staleness: cells hold radios by their position at assignment time,
+// and the channel's motion promise (Channel.SetMaxSpeed) bounds how
+// stale that can get. Pinned radios (0) never leave their cell, so the
+// grid is built once. Under a bound a radio assigned at builtAt has
+// moved at most maxSpeed*(now-builtAt) metres since, so enumerating the
+// disk inflated by that drift still covers every radio currently in
+// range (the Verlet-list "skin" technique). Once the drift bound
+// exceeds the skin the grid is rebuilt from scratch; at waypoint speeds
+// that happens every few tens of simulated seconds, so the O(N)
+// rebuild amortises over thousands of frames. Without a promise the
+// channel never consults the grid.
 type cellGrid struct {
 	maxCutoff float64 // largest delivery cutoff seen, sizes the cells
 	cell      float64 // cell edge length in metres
 	inv       float64 // 1 / cell
-	skin      float64 // drift tolerance before cells are reassigned
+	skin      float64 // drift tolerance before the grid is rebuilt
 
 	// cells maps packed cell coordinates to the attach indices of the
-	// radios assigned there; keys holds each radio's current cell,
-	// indexed by Radio.idx.
+	// radios assigned there.
 	cells map[uint64][]int32
-	keys  []uint64
 
-	builtAt   sim.Time // instant of the last (re)assignment
-	epoch     uint64   // position epoch at assignment (posEpoch != nil)
+	builtAt   sim.Time // instant of the last build
 	attachGen uint64
 	valid     bool
 }
@@ -61,9 +59,9 @@ type cellGrid struct {
 const gridCellFrac = 0.5
 
 // gridSkinFrac sets the drift tolerance as a fraction of the cell edge.
-// Larger values reassign less often but enumerate a wider disk; 1/4 of
+// Larger values rebuild less often but enumerate a wider disk; 1/4 of
 // a cell keeps the candidate overhead small while a 3 m/s waypoint
-// network reassigns only every skin/3 ≈ 23 simulated seconds.
+// network rebuilds only every skin/3 ≈ 23 simulated seconds.
 const gridSkinFrac = 0.25
 
 // packCell packs signed 32-bit cell coordinates into one map key.
@@ -77,22 +75,26 @@ func (g *cellGrid) cellOf(p geom.Point) uint64 {
 }
 
 // SetMaxSpeed promises that no attached radio's position changes faster
-// than mps metres per second of simulated time (0 = nobody ever moves).
-// The spatial index uses the bound to keep cell assignments valid
-// across bounded motion instead of reassigning at every new instant;
-// scenarios pass their waypoint SpeedMax (or 0 for pinned topologies).
-// Without the promise the index conservatively reassigns whenever
-// positions may have changed, which preserves exact semantics at O(N)
-// per rebuild epoch.
+// than mps metres per second of simulated time. It is the channel's
+// only input about motion, and it decides both the link-row cache and
+// the spatial index:
+//   - 0 (pinned): each radio caches one link row per power level, kept
+//     until a radio attaches; the grid is built once.
+//   - > 0 (bounded motion): every frame builds its row afresh through
+//     the grid, which is rebuilt once the drift bound exceeds its skin.
+//   - < 0 (no promise, the NewChannel default): every frame walks all
+//     radios; neither rows nor the grid are used.
+//
+// Scenarios pass their waypoint SpeedMax, or 0 for pinned topologies.
 func (c *Channel) SetMaxSpeed(mps float64) { c.maxSpeed = mps }
 
 // gridUsable reports whether the spatial index may serve candidate
-// enumeration: it needs a finite delivery cutoff (a Ranger model,
-// cutoff > 0) and no fading — a per-delivery fade draw keeps every
-// radio in the row, so there is nothing to prune (and pruning would
-// desync the fade RNG stream).
+// enumeration: it needs a motion promise, a finite delivery cutoff (a
+// Ranger model, cutoff > 0) and no fading — a per-delivery fade draw
+// keeps every radio in the row, so there is nothing to prune (and
+// pruning would desync the fade RNG stream).
 func (c *Channel) gridUsable(cutoff float64) bool {
-	return c.fade == nil && cutoff > 0
+	return c.maxSpeed >= 0 && c.fade == nil && cutoff > 0
 }
 
 // gridCandidates returns the attach indices, sorted ascending (= attach
@@ -147,32 +149,18 @@ func (c *Channel) gridCandidates(src geom.Point, cutoff float64) []int32 {
 func (c *Channel) ensureGrid(cutoff float64) float64 {
 	g := &c.grid
 	now := c.sched.Now()
-	if !g.valid || g.attachGen != c.attachGen || cutoff > g.maxCutoff {
-		c.rebuildGrid(cutoff, now)
-		return 0
-	}
-	if c.posEpoch != nil && c.posEpoch() == g.epoch {
-		// Same position epoch as assignment: nothing has moved.
-		return 0
-	}
-	// Positions may have changed since assignment; bound the drift.
-	if c.maxSpeed < 0 {
-		// No motion bound: reassign on every query, the conservative
-		// pre-index semantics (positions may change at any time).
-		c.reassignGrid(now)
-		return 0
-	}
 	drift := c.maxSpeed * now.Sub(g.builtAt).Seconds()
-	if drift > g.skin {
-		c.reassignGrid(now)
+	if !g.valid || g.attachGen != c.attachGen || cutoff > g.maxCutoff || drift > g.skin {
+		c.rebuildGrid(cutoff, now)
 		return 0
 	}
 	return drift
 }
 
 // rebuildGrid sizes the grid for the largest cutoff seen and assigns
-// every radio from scratch. Rare: first use, radio attachment, or a
-// power level with a larger range than any before.
+// every radio from scratch: on first use, after a radio attaches, for a
+// power level with a larger range than any before, and once bounded
+// motion has drifted past the skin.
 func (c *Channel) rebuildGrid(cutoff float64, now sim.Time) {
 	g := &c.grid
 	if cutoff > g.maxCutoff {
@@ -182,55 +170,11 @@ func (c *Channel) rebuildGrid(cutoff float64, now sim.Time) {
 		g.skin = g.cell * gridSkinFrac
 	}
 	g.cells = make(map[uint64][]int32, len(c.radios)/4+1)
-	if cap(g.keys) < len(c.radios) {
-		g.keys = make([]uint64, len(c.radios))
-	}
-	g.keys = g.keys[:len(c.radios)]
 	for i, r := range c.radios {
 		k := g.cellOf(r.pos())
-		g.keys[i] = k
 		g.cells[k] = append(g.cells[k], int32(i))
 	}
-	g.stamp(c, now)
-	g.valid = true
-}
-
-// reassignGrid refreshes cell assignments incrementally: radios that
-// stayed inside their cell — the overwhelming majority under bounded
-// motion — are untouched.
-func (c *Channel) reassignGrid(now sim.Time) {
-	g := &c.grid
-	for i, r := range c.radios {
-		k := g.cellOf(r.pos())
-		if k == g.keys[i] {
-			continue
-		}
-		g.removeFromCell(g.keys[i], int32(i))
-		g.cells[k] = append(g.cells[k], int32(i))
-		g.keys[i] = k
-	}
-	g.stamp(c, now)
-}
-
-// removeFromCell drops one radio index from a cell's slice. Order
-// within a cell is irrelevant (candidates are sorted by attach index
-// after collection), so swap-remove keeps it O(cell size).
-func (g *cellGrid) removeFromCell(key uint64, idx int32) {
-	s := g.cells[key]
-	for i, v := range s {
-		if v == idx {
-			s[i] = s[len(s)-1]
-			g.cells[key] = s[:len(s)-1]
-			return
-		}
-	}
-}
-
-// stamp records the assignment instant and position epoch.
-func (g *cellGrid) stamp(c *Channel, now sim.Time) {
 	g.builtAt = now
 	g.attachGen = c.attachGen
-	if c.posEpoch != nil {
-		g.epoch = c.posEpoch()
-	}
+	g.valid = true
 }

@@ -2,6 +2,7 @@ package phys
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -26,6 +27,7 @@ func TestGridCandidatesProperty(t *testing.T) {
 		sched := sim.NewScheduler()
 		par := DefaultParams()
 		ch := NewChannel(sched, NewTwoRayGround(par), par)
+		ch.SetMaxSpeed(0) // pinned radios: the grid serves every build
 		ref := NewChannel(sched, NewTwoRayGround(par), par)
 		UseReferenceWalk(ref)
 		n := 5 + rng.Intn(80)
@@ -113,27 +115,37 @@ func buildRecorded(t *testing.T, setup func(ch *Channel)) []string {
 	return log
 }
 
-// TestGridNilEpochMatchesUncached pins the epoch-less fallback: a
-// channel with no position-epoch source (unknown mobility) rebuilds the
-// scratch row per frame through the grid, and must deliver byte-for-
-// byte what the uncached, grid-less reference walk delivers.
+// TestGridNilEpochMatchesUncached pins the two per-frame modes against
+// the reference walk: a channel with no motion promise (the NewChannel
+// default) walks every radio without the grid, and a channel under a
+// motion bound builds each frame's scratch row through the grid. Both
+// must deliver byte-for-byte what the uncached, grid-less reference
+// walk delivers.
 func TestGridNilEpochMatchesUncached(t *testing.T) {
-	var gridCh, refCh *Channel
-	gridded := buildRecorded(t, func(ch *Channel) { gridCh = ch }) // nil epoch, grid on
+	var noPromiseCh, boundedCh, refCh *Channel
+	noPromise := buildRecorded(t, func(ch *Channel) { noPromiseCh = ch })
+	bounded := buildRecorded(t, func(ch *Channel) { boundedCh = ch; ch.SetMaxSpeed(3) })
 	reference := buildRecorded(t, func(ch *Channel) { refCh = ch; UseReferenceWalk(ch) })
-	if len(gridded) == 0 {
+	if len(reference) == 0 {
 		t.Fatal("no deliveries recorded, the comparison proves nothing")
 	}
-	if !GridAssigned(gridCh) || GridAssigned(refCh) {
-		t.Fatalf("grid assigned = %v (gridded), %v (reference); want true, false",
-			GridAssigned(gridCh), GridAssigned(refCh))
+	if GridAssigned(noPromiseCh) || !GridAssigned(boundedCh) || GridAssigned(refCh) {
+		t.Fatalf("grid assigned = %v (no promise), %v (bounded), %v (reference); want false, true, false",
+			GridAssigned(noPromiseCh), GridAssigned(boundedCh), GridAssigned(refCh))
 	}
-	if len(gridded) != len(reference) {
-		t.Fatalf("gridded run logged %d deliveries, reference %d", len(gridded), len(reference))
+	for _, ch := range []*Channel{noPromiseCh, boundedCh, refCh} {
+		if n := CachedRows(ch); n != 0 {
+			t.Fatalf("a channel that is not pinned cached %d rows", n)
+		}
 	}
-	for i := range gridded {
-		if gridded[i] != reference[i] {
-			t.Fatalf("delivery %d diverges:\n  gridded   %s\n  reference %s", i, gridded[i], reference[i])
+	for name, got := range map[string][]string{"no promise": noPromise, "bounded": bounded} {
+		if len(got) != len(reference) {
+			t.Fatalf("%s run logged %d deliveries, reference %d", name, len(got), len(reference))
+		}
+		for i := range got {
+			if got[i] != reference[i] {
+				t.Fatalf("%s delivery %d diverges:\n  got       %s\n  reference %s", name, i, got[i], reference[i])
+			}
 		}
 	}
 }
@@ -150,57 +162,67 @@ func (h *rxCountHandler) RadioCarrierIdle()                    {}
 func (h *rxCountHandler) RadioTxDone(*Transmission)            {}
 
 // TestGridSkinCoversBoundedMotion pins the Verlet-skin correctness
-// argument: under a SetMaxSpeed bound the grid is NOT reassigned while
+// argument: under a SetMaxSpeed bound the grid is NOT rebuilt while
 // the drift stays within the skin, yet a radio that moved from outside
 // the cutoff to inside it must still be found — the enumeration disk is
-// inflated by the drift bound.
+// inflated by the drift bound. The radio starts in a cell lying wholly
+// outside the cutoff disk, so only the inflation can reach it.
 func TestGridSkinCoversBoundedMotion(t *testing.T) {
 	sched := sim.NewScheduler()
 	par := DefaultParams()
 	ch := NewChannel(sched, NewTwoRayGround(par), par)
-	ch.SetMaxSpeed(10)
+	const speed = 10.0
+	ch.SetMaxSpeed(speed)
 
 	cutoff := ch.model.(Ranger).RangeForTxPower(0.2818, ch.deliverFloorW)
 	a := ch.AttachRadio(0, func() geom.Point { return geom.Point{} }, &rxCountHandler{})
-	pos := geom.Point{X: cutoff + 5} // just out of sensing range
+	// Just inside the corner of cell (2, 1), whose nearest point lies
+	// sqrt(5)/2 cutoffs from a: out of range, and out of the plain disk.
+	edge := cutoff * gridCellFrac
+	pos := geom.Point{X: 2*edge + 1, Y: edge + 1}
 	hb := &rxCountHandler{}
-	b := ch.AttachRadio(1, func() geom.Point { return pos }, hb)
+	ch.AttachRadio(1, func() geom.Point { return pos }, hb)
 
 	a.Transmit(0.2818, 1024, 100*sim.Microsecond, nil)
 	sched.RunAll()
 	if hb.rxs != 0 {
 		t.Fatalf("out-of-range radio heard %d deliveries, want 0", hb.rxs)
 	}
-	assignedCell := ch.grid.keys[b.idx]
 	if ch.grid.skin <= 0 {
 		t.Fatal("grid not built")
 	}
-
-	// Advance 6 simulated seconds and move b 60 m inward — within the
-	// 10 m/s promise and within the skin, so cells must NOT be
-	// reassigned.
-	sched.Schedule(sim.DurationOf(6), func() {})
-	sched.RunAll()
-	move := 60.0
-	if move >= ch.grid.skin {
-		t.Fatalf("test needs move %.0f < skin %.1f", move, ch.grid.skin)
+	if got := ch.grid.cellOf(pos); got != packCell(2, 1) {
+		t.Fatalf("radio assigned to cell %x, want (2, 1)", got)
 	}
-	pos = geom.Point{X: cutoff + 5 - move}
+	builtAt := ch.grid.builtAt
+
+	// Move b radially into range, 1 m inside the cutoff, and let just
+	// enough time pass for the 10 m/s promise to cover the move while
+	// the drift stays within the skin: the grid must NOT be rebuilt.
+	dist := math.Hypot(pos.X, pos.Y)
+	move := dist - (cutoff - 1)
+	if move >= ch.grid.skin {
+		t.Fatalf("test needs move %.1f < skin %.1f", move, ch.grid.skin)
+	}
+	sched.Schedule(sim.DurationOf((move+ch.grid.skin)/2/speed), func() {})
+	sched.RunAll()
+	scale := (cutoff - 1) / dist
+	pos = geom.Point{X: pos.X * scale, Y: pos.Y * scale}
 	a.Transmit(0.2818, 1024, 100*sim.Microsecond, nil)
 	sched.RunAll()
 	if hb.rxs != 1 {
 		t.Fatalf("moved-into-range radio heard %d deliveries, want 1", hb.rxs)
 	}
-	if got := ch.grid.keys[b.idx]; got != assignedCell {
-		t.Fatalf("grid reassigned (cell %x -> %x) although drift was within the skin", assignedCell, got)
+	if ch.grid.builtAt != builtAt {
+		t.Fatalf("grid rebuilt at %v (built at %v) although drift was within the skin", ch.grid.builtAt, builtAt)
 	}
 }
 
-// TestGridIncrementalReassign drives drift past the skin and checks the
-// reassignment is incremental and consistent: only the moved radio
-// changes cell, cell membership matches the keys table, and deliveries
-// follow the new geometry.
-func TestGridIncrementalReassign(t *testing.T) {
+// TestGridRebuildPastSkin drives drift past the skin and checks the
+// grid is rebuilt from the current positions: the moved radio sits in
+// its new position's cell, every radio sits in exactly one cell, and
+// deliveries follow the new geometry.
+func TestGridRebuildPastSkin(t *testing.T) {
 	sched := sim.NewScheduler()
 	par := DefaultParams()
 	ch := NewChannel(sched, NewTwoRayGround(par), par)
@@ -219,37 +241,36 @@ func TestGridIncrementalReassign(t *testing.T) {
 	if hb.begins != 0 || hc.begins != 1 {
 		t.Fatalf("first frame: b=%d (want 0), c=%d (want 1)", hb.begins, hc.begins)
 	}
-	cellC := ch.grid.keys[2]
+	firstBuild := ch.grid.builtAt
 
 	// 100 s at 50 m/s bounds the drift at 5000 m — far past the skin,
-	// so the next query reassigns. b teleports into range (within the
+	// so the next query rebuilds. b teleports into range (within the
 	// bound), c stays put.
 	sched.Schedule(sim.DurationOf(100), func() {})
 	sched.RunAll()
 	pos = geom.Point{X: 200}
 	a.Transmit(0.2818, 1024, 100*sim.Microsecond, nil)
 	sched.RunAll()
-	if hb.begins != 1 {
-		t.Fatalf("after move: b heard %d begins, want 1", hb.begins)
+	if hb.begins != 1 || hc.begins != 2 {
+		t.Fatalf("after move: b=%d (want 1), c=%d (want 2)", hb.begins, hc.begins)
 	}
-	if ch.grid.keys[2] != cellC {
-		t.Fatal("unmoved radio changed cell during incremental reassignment")
+	if ch.grid.builtAt == firstBuild {
+		t.Fatal("grid not rebuilt although drift exceeded the skin")
 	}
-	if got := ch.grid.keys[1]; got != ch.grid.cellOf(geom.Point{X: 200}) {
-		t.Fatalf("moved radio's cell %x does not match its position's cell", got)
-	}
-	// Cell membership must agree with the keys table exactly.
-	total := 0
+	// Every radio sits in exactly one cell: its current position's.
+	seen := make([]int, len(ch.radios))
 	for key, members := range ch.grid.cells {
 		for _, j := range members {
-			total++
-			if ch.grid.keys[j] != key {
-				t.Fatalf("radio %d listed in cell %x but keyed to %x", j, key, ch.grid.keys[j])
+			seen[j]++
+			if want := ch.grid.cellOf(ch.radios[j].pos()); key != want {
+				t.Fatalf("radio %d listed in cell %x, its position is in %x", j, key, want)
 			}
 		}
 	}
-	if total != len(ch.radios) {
-		t.Fatalf("grid holds %d radios, channel has %d", total, len(ch.radios))
+	for j, n := range seen {
+		if n != 1 {
+			t.Fatalf("radio %d sits in %d cells, want exactly 1", j, n)
+		}
 	}
 }
 
@@ -260,7 +281,7 @@ func TestGridCellGrowth(t *testing.T) {
 	sched := sim.NewScheduler()
 	par := DefaultParams()
 	ch := NewChannel(sched, NewTwoRayGround(par), par)
-	ch.SetPositionEpoch(func() uint64 { return 0 })
+	ch.SetMaxSpeed(0)
 
 	a := ch.AttachRadio(0, func() geom.Point { return geom.Point{} }, &countingHandler{})
 	hb := &countingHandler{}
@@ -301,15 +322,15 @@ func TestRowForSortedInsert(t *testing.T) {
 		if cached {
 			t.Fatalf("level %g reported cached on first lookup", p)
 		}
-		row.epoch = uint64(i + 1) // tag to verify identity on re-lookup
+		row.attachGen = uint64(i + 1) // tag to verify identity on re-lookup
 	}
 	for i, p := range order {
 		row, cached := r.rowFor(p)
 		if !cached {
 			t.Fatalf("level %g missed after insert", p)
 		}
-		if row.epoch != uint64(i+1) {
-			t.Fatalf("level %g returned another level's row (tag %d, want %d)", p, row.epoch, i+1)
+		if row.attachGen != uint64(i+1) {
+			t.Fatalf("level %g returned another level's row (tag %d, want %d)", p, row.attachGen, i+1)
 		}
 	}
 	for i := 1; i < len(r.rows); i++ {

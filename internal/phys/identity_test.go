@@ -78,12 +78,12 @@ func identityWorkloads(t *testing.T) []workload {
 		}
 		return runs
 	}
-	// Without a position epoch the channels rebuild the sender's row
-	// every frame, through the spatial index.
-	noEpoch := func(nw *scenario.Network) {
-		nw.DataCh.SetPositionEpoch(nil)
+	// Without a motion promise the channels rebuild the sender's row
+	// every frame by walking every radio, with no spatial index.
+	noPromise := func(nw *scenario.Network) {
+		nw.DataCh.SetMaxSpeed(-1)
 		if nw.CtrlCh != nil {
-			nw.CtrlCh.SetPositionEpoch(nil)
+			nw.CtrlCh.SetMaxSpeed(-1)
 		}
 	}
 	return []workload{
@@ -91,7 +91,7 @@ func identityWorkloads(t *testing.T) []workload {
 		{name: "fading", runs: single(mobile(4))},
 		{name: "static-fig1", runs: single(fig1)},
 		{name: "clusters", runs: single(clusters)},
-		{name: "grid-uncached", runs: single(mobile(0)), prep: noEpoch},
+		{name: "grid-uncached", runs: single(mobile(0)), prep: noPromise},
 		{name: "campaign-mobile-30", runs: expand(campaign("mobile-30", 30, both, nil))},
 		{name: "campaign-mobile-40", runs: expand(campaign("mobile-40", 40, both, nil))},
 		{name: "campaign-fading-30", runs: expand(campaign("fading-30", 30, []mac.Scheme{mac.PCMAC}, []float64{4}))},
@@ -128,21 +128,49 @@ func runJSONL(t *testing.T, w workload, tweak func(nw *scenario.Network)) ([]byt
 	return out.Bytes(), nets
 }
 
+// channels returns a network's data channel and, with PCMAC's control
+// channel on, its control channel.
+func channels(nw *scenario.Network) []*phys.Channel {
+	if nw.CtrlCh != nil {
+		return []*phys.Channel{nw.DataCh, nw.CtrlCh}
+	}
+	return []*phys.Channel{nw.DataCh}
+}
+
+// checkCacheContract pins which fast paths the channels of run i took,
+// given whether they kept Build's motion promise and whether their
+// model still exposes a delivery cutoff (ranged): a channel that is not
+// pinned holds no cached row, a pinned data channel holds at least one,
+// and an unfaded data channel with a promise and a cutoff serves its
+// row builds from the grid. Without either, no channel assigns cells.
+func checkCacheContract(t *testing.T, i int, nw *scenario.Network, promise, ranged bool) {
+	t.Helper()
+	pinned := promise && len(nw.Opts.Static) > 0
+	for _, ch := range channels(nw) {
+		if !pinned && phys.CachedRows(ch) > 0 {
+			t.Fatalf("run %d: channel without a pinned promise cached %d rows", i, phys.CachedRows(ch))
+		}
+		if (!promise || !ranged) && phys.GridAssigned(ch) {
+			t.Fatalf("run %d: channel without a promise or a cutoff assigned grid cells", i)
+		}
+	}
+	if pinned && phys.CachedRows(nw.DataCh) == 0 {
+		t.Fatalf("run %d: pinned data channel cached no link row", i)
+	}
+	if promise && ranged && nw.Opts.ShadowingSigmaDB == 0 && !phys.GridAssigned(nw.DataCh) {
+		t.Fatalf("run %d: unfaded data channel under a motion promise never assigned a grid cell", i)
+	}
+}
+
 // TestReferenceWalkIdentical is the whole-run proof that the link-row
 // cache and the spatial index are invisible: every workload runs once
 // on the production channels and once with every channel switched to
 // the reference walk right after Build (the full propagation model
 // against every radio, every frame), and the two JSONL streams must
-// match byte for byte. A stale row the position epoch missed, a grid
-// cell the drift bound failed to cover, or a fade draw taken out of
-// order shows up as a diverging delivery.
+// match byte for byte. A stale pinned row, a grid cell the drift bound
+// failed to cover, or a fade draw taken out of order shows up as a
+// diverging delivery.
 func TestReferenceWalkIdentical(t *testing.T) {
-	channels := func(nw *scenario.Network) []*phys.Channel {
-		if nw.CtrlCh != nil {
-			return []*phys.Channel{nw.DataCh, nw.CtrlCh}
-		}
-		return []*phys.Channel{nw.DataCh}
-	}
 	for _, w := range identityWorkloads(t) {
 		t.Run(w.name, func(t *testing.T) {
 			prod, prodNets := runJSONL(t, w, nil)
@@ -152,21 +180,11 @@ func TestReferenceWalkIdentical(t *testing.T) {
 				}
 			})
 			for i, nw := range prodNets {
-				// Production: fading keeps every radio in the row, so
-				// the grid steps aside and only the row cache shows.
-				data := nw.DataCh
-				if nw.Opts.ShadowingSigmaDB == 0 && !phys.GridAssigned(data) {
-					t.Fatalf("run %d: production data channel never assigned a grid cell", i)
-				}
-				if nw.Opts.ShadowingSigmaDB > 0 && phys.CachedRows(data) == 0 {
-					t.Fatalf("run %d: production data channel cached no link row", i)
-				}
-				for _, ch := range channels(refNets[i]) {
-					if phys.GridAssigned(ch) || phys.CachedRows(ch) > 0 {
-						t.Fatalf("run %d: reference channel assigned grid cells (%v) or cached %d rows",
-							i, phys.GridAssigned(ch), phys.CachedRows(ch))
-					}
-				}
+				// Production keeps Build's promise unless the workload
+				// drops it; fading keeps every radio in the row, so the
+				// grid steps aside there.
+				checkCacheContract(t, i, nw, w.prep == nil, true)
+				checkCacheContract(t, i, refNets[i], false, false)
 			}
 			if !bytes.Equal(prod, ref) {
 				t.Fatalf("production JSONL differs from the reference walk:\n--- production ---\n%s--- reference ---\n%s", prod, ref)
@@ -177,8 +195,9 @@ func TestReferenceWalkIdentical(t *testing.T) {
 
 // gridVsLinear diffs one identity workload between the production
 // channels and the same networks with every channel switched to the
-// linear walk (UseLinearWalk) right after Build; the link-row cache
-// stays on on both sides, so only the spatial index differs.
+// linear walk (UseLinearWalk) right after Build; both sides keep the
+// motion promise and its row-cache behaviour, so only the spatial index
+// differs.
 func gridVsLinear(t *testing.T, name string) {
 	t.Helper()
 	var w workload
@@ -198,16 +217,8 @@ func gridVsLinear(t *testing.T, name string) {
 		}
 	})
 	for i := range gridNets {
-		fading := gridNets[i].Opts.ShadowingSigmaDB > 0
-		if got := phys.GridAssigned(gridNets[i].DataCh); got == fading {
-			t.Fatalf("run %d: production data channel grid assigned = %v with fading = %v", i, got, fading)
-		}
-		if phys.GridAssigned(linearNets[i].DataCh) {
-			t.Fatalf("run %d: linear-walk data channel assigned grid cells", i)
-		}
-		if phys.CachedRows(linearNets[i].DataCh) == 0 {
-			t.Fatalf("run %d: linear-walk data channel cached no link row", i)
-		}
+		checkCacheContract(t, i, gridNets[i], w.prep == nil, true)
+		checkCacheContract(t, i, linearNets[i], w.prep == nil, false)
 	}
 	if !bytes.Equal(gridded, linear) {
 		t.Fatalf("grid JSONL differs from the linear walk:\n--- grid ---\n%s--- linear ---\n%s", gridded, linear)
@@ -216,7 +227,7 @@ func gridVsLinear(t *testing.T, name string) {
 
 // TestSpatialGridSoundMobile is the grid's invalidation-soundness
 // proof: a fast-moving waypoint run — cell assignments drifting through
-// the Verlet skin and reassigning repeatedly — must be bit-identical to
+// the Verlet skin and the grid rebuilt past it — must be bit-identical to
 // the linear all-radios walk. A stale cell the drift bound failed to
 // cover shows up as a missed delivery and fails the comparison.
 func TestSpatialGridSoundMobile(t *testing.T) {

@@ -17,13 +17,13 @@ func (h *countingHandler) RadioCarrierIdle()                    {}
 func (h *countingHandler) RadioTxDone(*Transmission)            {}
 
 // TestLinkRowInvalidatedByAttach pins the attachGen invalidation: a
-// radio attached after a link row was built (and cached under a frozen
-// epoch) must still hear subsequent frames.
+// radio attached after a link row was built (and cached on a pinned
+// channel) must still hear subsequent frames.
 func TestLinkRowInvalidatedByAttach(t *testing.T) {
 	sched := sim.NewScheduler()
 	par := DefaultParams()
 	ch := NewChannel(sched, NewTwoRayGround(par), par)
-	ch.SetPositionEpoch(func() uint64 { return 0 }) // static world
+	ch.SetMaxSpeed(0) // static world
 
 	a := ch.AttachRadio(0, func() geom.Point { return geom.Point{} }, &countingHandler{})
 	hb := &countingHandler{}
@@ -49,34 +49,50 @@ func TestLinkRowInvalidatedByAttach(t *testing.T) {
 	}
 }
 
-// TestLinkRowEpochInvalidation moves a node between frames under a
-// hand-rolled epoch counter and checks deliveries follow the new
-// geometry only once the epoch advances.
+// TestLinkRowEpochInvalidation moves a node between frames on the two
+// channel modes that rebuild rows per frame and checks deliveries follow
+// the new geometry: with no motion promise b may jump at once; under a
+// motion bound it jumps only as far as the elapsed time allows, which
+// also exercises the grid's drift handling.
 func TestLinkRowEpochInvalidation(t *testing.T) {
-	sched := sim.NewScheduler()
-	par := DefaultParams()
-	ch := NewChannel(sched, NewTwoRayGround(par), par)
-	epoch := uint64(0)
-	ch.SetPositionEpoch(func() uint64 { return epoch })
+	for _, tc := range []struct {
+		name     string
+		maxSpeed float64
+		wait     float64 // simulated seconds between the two frames
+	}{
+		{"no-promise", -1, 0},
+		{"bounded-motion", 50, 100},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sched := sim.NewScheduler()
+			par := DefaultParams()
+			ch := NewChannel(sched, NewTwoRayGround(par), par)
+			ch.SetMaxSpeed(tc.maxSpeed)
 
-	pos := geom.Point{X: 100} // in decode range of the max power level
-	a := ch.AttachRadio(0, func() geom.Point { return geom.Point{} }, &countingHandler{})
-	hb := &countingHandler{}
-	ch.AttachRadio(1, func() geom.Point { return pos }, hb)
+			pos := geom.Point{X: 100} // in decode range of the max power level
+			a := ch.AttachRadio(0, func() geom.Point { return geom.Point{} }, &countingHandler{})
+			hb := &countingHandler{}
+			ch.AttachRadio(1, func() geom.Point { return pos }, hb)
 
-	a.Transmit(0.2818, 1024, 100*sim.Microsecond, nil)
-	sched.RunAll()
-	if hb.begins != 1 {
-		t.Fatalf("in range: %d begins, want 1", hb.begins)
-	}
+			a.Transmit(0.2818, 1024, 100*sim.Microsecond, nil)
+			sched.RunAll()
+			if hb.begins != 1 {
+				t.Fatalf("in range: %d begins, want 1", hb.begins)
+			}
 
-	// Teleport b out of even carrier-sense range and advance the epoch:
-	// the cached row must be rebuilt and the delivery dropped.
-	pos = geom.Point{X: 5000}
-	epoch++
-	a.Transmit(0.2818, 1024, 100*sim.Microsecond, nil)
-	sched.RunAll()
-	if hb.begins != 1 {
-		t.Fatalf("after move: %d begins, want still 1", hb.begins)
+			// Move b out of even carrier-sense range: the next frame's
+			// row must follow and drop the delivery.
+			sched.Schedule(sim.DurationOf(tc.wait), func() {})
+			sched.RunAll()
+			pos = geom.Point{X: 4000}
+			a.Transmit(0.2818, 1024, 100*sim.Microsecond, nil)
+			sched.RunAll()
+			if hb.begins != 1 {
+				t.Fatalf("after move: %d begins, want still 1", hb.begins)
+			}
+			if n := CachedRows(ch); n != 0 {
+				t.Fatalf("channel that is not pinned cached %d rows", n)
+			}
+		})
 	}
 }

@@ -79,8 +79,8 @@ type Radio struct {
 	current  int
 	totalW   float64
 
-	// rows caches this radio's outgoing link rows, one per discrete
-	// power level, sorted ascending by power. A float-keyed map here
+	// rows caches this radio's outgoing link rows on a pinned channel,
+	// one per discrete power level, sorted ascending by power. A float-keyed map here
 	// costs a hash + bucket probe on every frame; with the paper's ten
 	// levels a sorted-slice scan wins by ~4x and allocates nothing
 	// (BenchmarkLinkRowLookup).

@@ -22,7 +22,9 @@ import (
 // four-way handshake, change the history expiry, ...). Non-zero fields
 // of Patch override the campaign base; explicit grid axes (Schemes,
 // LoadsKbps, ...) are applied after the patch and win over it. Only
-// the merged scenario is validated, never the patch on its own.
+// the merged scenario is validated, never the patch on its own. A patch
+// may not set scheme, offered_load_kbps or seed: the always-applied
+// scheme and load axes and the per-run seed would overwrite them.
 type Variant struct {
 	Name  string              `json:"name"`
 	Patch scenario.FileConfig `json:"patch"`
@@ -35,6 +37,24 @@ func (v Variant) apply(o *scenario.Options) error {
 		return fmt.Errorf("runner: variant %q: %w", v.Name, err)
 	}
 	*o = patched
+	return nil
+}
+
+// checkPatch rejects the patch fields that could never reach a run,
+// naming the campaign field that sets each instead.
+func (v Variant) checkPatch() error {
+	for _, f := range []struct {
+		set            bool
+		field, instead string
+	}{
+		{v.Patch.Scheme != "", "scheme", "the schemes axis"},
+		{v.Patch.OfferedLoadKbps != 0, "offered_load_kbps", "the loads_kbps axis"},
+		{v.Patch.Seed != 0, "seed", "seed_list or base_seed"},
+	} {
+		if f.set {
+			return fmt.Errorf("runner: variant %q: patch field %q never reaches a run; use %s instead", v.Name, f.field, f.instead)
+		}
+	}
 	return nil
 }
 
@@ -241,6 +261,11 @@ func (c Campaign) Runs() ([]Run, error) {
 	for _, load := range c.LoadsKbps {
 		if load < 0 {
 			return nil, fmt.Errorf("runner: negative load %g", load)
+		}
+	}
+	for _, v := range c.Variants {
+		if err := v.checkPatch(); err != nil {
+			return nil, err
 		}
 	}
 	axes := c.axes()

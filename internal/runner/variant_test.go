@@ -46,6 +46,41 @@ func TestVariantValidatedWithBase(t *testing.T) {
 	}
 }
 
+// TestVariantRejectsDeadPatchFields: a patch's scheme, load and seed
+// are overwritten in every run by the scheme axis, the load axis and
+// the seed derivation, so Runs rejects them, naming the field and what
+// to use instead.
+func TestVariantRejectsDeadPatchFields(t *testing.T) {
+	for _, tc := range []struct {
+		field, value, instead string
+	}{
+		{"scheme", `"pcmac"`, "schemes"},
+		{"offered_load_kbps", `123`, "loads_kbps"},
+		{"seed", `5`, "seed_list or base_seed"},
+	} {
+		t.Run(tc.field, func(t *testing.T) {
+			spec := fmt.Sprintf(`{"name": "x", "variants": [{"name": "v", "patch": {%q: %s}}]}`, tc.field, tc.value)
+			cf, err := ParseCampaignFile([]byte(spec))
+			if err != nil {
+				t.Fatal(err)
+			}
+			c, err := cf.Campaign()
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = c.Runs()
+			if err == nil {
+				t.Fatalf("patch {%q: %s} accepted", tc.field, tc.value)
+			}
+			for _, want := range []string{`"` + tc.field + `"`, tc.instead} {
+				if !strings.Contains(err.Error(), want) {
+					t.Errorf("error %q does not name %s", err, want)
+				}
+			}
+		})
+	}
+}
+
 // patchValues holds one valid non-zero value per FileConfig field, by
 // JSON name, each different from overlayBase's value for it.
 var patchValues = map[string]string{

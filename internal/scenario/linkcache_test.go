@@ -1,47 +1,65 @@
 package scenario
 
-import "testing"
+import (
+	"testing"
 
-// cachedVsUncached diffs a whole simulation between the production
-// channels and the same network with the position epoch dropped right
-// after Build: without an epoch the channels cache no link row and
-// rebuild the sender's row on every frame (still through the spatial
-// index). The link-row cache must be invisible in every metric.
-func cachedVsUncached(t *testing.T, name string, o Options) {
+	"repro/internal/mac"
+)
+
+// promisedVsNone diffs a whole simulation between the production
+// channels, which carry Build's motion promise (SetMaxSpeed), and the
+// same network with the promise dropped right after Build: without one
+// the channels cache no link row and use no spatial index, rebuilding
+// the sender's row on every frame by walking every radio. Whatever the
+// promise enables must be invisible in every metric.
+func promisedVsNone(t *testing.T, name string, o Options, pinned bool) {
 	t.Helper()
-	cached, err := Run(o)
+	promised, err := Build(o)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if got := len(promised.Opts.Static) > 0; got != pinned {
+		t.Fatalf("%s: pinned placement = %v, want %v", name, got, pinned)
+	}
+	withPromise := promised.Run()
 	nw, err := Build(o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	nw.DataCh.SetPositionEpoch(nil)
+	nw.DataCh.SetMaxSpeed(-1)
 	if nw.CtrlCh != nil {
-		nw.CtrlCh.SetPositionEpoch(nil)
+		nw.CtrlCh.SetMaxSpeed(-1)
 	}
-	uncached := nw.Run()
-	if cached.Events == 0 {
+	without := nw.Run()
+	if withPromise.Events == 0 {
 		t.Fatalf("%s: empty run proves nothing", name)
 	}
-	equalResults(t, name, cached, uncached)
+	equalResults(t, name, withPromise, without)
 }
 
-// TestLinkCacheSoundMobile is the invalidation-soundness proof the cache
-// rests on: a moving-waypoint run must produce bit-identical results
-// with and without cached link rows. Any stale row — a position change
-// the epoch counter missed — shows up as a diverging delivery and fails
-// the comparison.
+// TestLinkCacheSoundMobile proves the motion promise sound: a
+// fast-moving waypoint run, whose spatial index tolerates drift up to
+// the promised speed, must produce bit-identical results to the same
+// run without the promise. The field is wider than the max-power
+// cutoff and PCMAC sends at short-range dials, so radios cross cutoff
+// disks while the grid's cells are stale; a radio that outran the
+// drift bound shows up as a missed delivery and fails the comparison.
 func TestLinkCacheSoundMobile(t *testing.T) {
-	cachedVsUncached(t, "mobile", mobileOpts(0))
+	o := mobileOpts(0)
+	o.Nodes, o.FieldW, o.FieldH = 30, 1000, 1000
+	o.Scheme = mac.PCMAC
+	promisedVsNone(t, "mobile", o, false)
 }
 
-// TestLinkCacheSoundShadowing adds log-normal fading: cached rows hold
-// only the deterministic mean, so the fade generator must be consumed
-// in the same order (one draw per attached radio per frame) whether the
-// row was reused or rebuilt, or the streams desync and every subsequent
+// TestLinkCacheSoundShadowing adds log-normal fading to a pinned
+// topology, where link rows are cached: cached rows hold only the
+// deterministic mean, so the fade generator must be consumed in the
+// same order (one draw per attached radio per frame) whether the row
+// was reused or rebuilt, or the streams desync and every subsequent
 // delivery differs.
 func TestLinkCacheSoundShadowing(t *testing.T) {
-	cachedVsUncached(t, "shadowing", mobileOpts(4.0))
+	o := mobileOpts(4.0)
+	o.Nodes, o.Flows = 30, 6
+	o.Topology = TopologyClusters
+	promisedVsNone(t, "shadowing", o, true)
 }

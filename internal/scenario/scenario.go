@@ -388,7 +388,6 @@ func Build(o Options) (*Network, error) {
 	// hook can trigger responses; populated when flows are built.
 	reqresp := make(map[uint32]*traffic.ReqResp)
 
-	epochs := mobility.NewEpochs(sched.Now)
 	for i := 0; i < o.Nodes; i++ {
 		var mob mobility.Model
 		if len(o.Static) > 0 {
@@ -396,7 +395,6 @@ func Build(o Options) (*Network, error) {
 		} else {
 			mob = mobility.NewWaypoint(field, o.SpeedMin, o.SpeedMax, o.Pause, rand.New(rand.NewSource(master.Int63())))
 		}
-		epochs.Track(mob)
 		n, err := newNode(packet.NodeID(i), &o, sched, dataCh, ctrlCh, mob, eprof, rand.New(rand.NewSource(master.Int63())))
 		if err != nil {
 			return nil, fmt.Errorf("scenario: %w", err)
@@ -423,20 +421,16 @@ func Build(o Options) (*Network, error) {
 		nw.Nodes = append(nw.Nodes, n)
 	}
 
-	// Let the channels cache link tables between position changes. One
-	// epoch counter serves both channels: they share the same node set
-	// and therefore the same geometry. The motion bound (waypoint
-	// SpeedMax, or 0 for pinned placements) lets the spatial index keep
-	// cell assignments across bounded drift instead of reassigning at
-	// every new position epoch.
+	// The motion promise is the channels' only input about motion:
+	// pinned placements (0) cache link rows and build the spatial index
+	// once; waypoint motion is bounded by SpeedMax, so the index keeps
+	// its cells across bounded drift while rows are built per frame.
 	maxSpeed := o.SpeedMax
 	if len(o.Static) > 0 {
 		maxSpeed = 0
 	}
-	dataCh.SetPositionEpoch(epochs.Epoch)
 	dataCh.SetMaxSpeed(maxSpeed)
 	if ctrlCh != nil {
-		ctrlCh.SetPositionEpoch(epochs.Epoch)
 		ctrlCh.SetMaxSpeed(maxSpeed)
 	}
 

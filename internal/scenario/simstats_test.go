@@ -70,9 +70,8 @@ func TestSimStatsDeterministic(t *testing.T) {
 }
 
 // mobileOpts is a deliberately mobile, short scenario: nodes are in
-// flight for most of the run, so the position epoch advances constantly
-// and the link rows are rebuilt at nearly every frame — the worst case
-// for invalidation bugs.
+// flight for most of the run and move fast, so the spatial index's
+// cells go stale quickly — the worst case for invalidation bugs.
 func mobileOpts(shadowSigma float64) Options {
 	return Options{
 		Nodes:            20,

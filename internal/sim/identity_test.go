@@ -77,12 +77,12 @@ func identityWorkloads(t *testing.T) []workload {
 		}
 		return runs
 	}
-	// Without a position epoch the channels rebuild the sender's row
-	// every frame, through the spatial index.
-	noEpoch := func(nw *scenario.Network) {
-		nw.DataCh.SetPositionEpoch(nil)
+	// Without a motion promise the channels rebuild the sender's row
+	// every frame by walking every radio, with no spatial index.
+	noPromise := func(nw *scenario.Network) {
+		nw.DataCh.SetMaxSpeed(-1)
 		if nw.CtrlCh != nil {
-			nw.CtrlCh.SetPositionEpoch(nil)
+			nw.CtrlCh.SetMaxSpeed(-1)
 		}
 	}
 	return []workload{
@@ -90,7 +90,7 @@ func identityWorkloads(t *testing.T) []workload {
 		{name: "fading", runs: single(mobile(4))},
 		{name: "static-fig1", runs: single(fig1)},
 		{name: "clusters", runs: single(clusters)},
-		{name: "grid-uncached", runs: single(mobile(0)), prep: noEpoch},
+		{name: "grid-uncached", runs: single(mobile(0)), prep: noPromise},
 		{name: "campaign-mobile-30", runs: expand(campaign("mobile-30", 30, both, nil))},
 		{name: "campaign-mobile-40", runs: expand(campaign("mobile-40", 40, both, nil))},
 		{name: "campaign-fading-30", runs: expand(campaign("fading-30", 30, []mac.Scheme{mac.PCMAC}, []float64{4}))},
