@@ -105,8 +105,9 @@ type Channel struct {
 	candIdx  []int32
 
 	// scratch is the row every frame rebuilds on a channel that is not
-	// pinned.
+	// pinned; spans is the reusable buffer transmit hands the scheduler.
 	scratch linkRow
+	spans   []sim.Span
 
 	// deliverFloorW prunes deliveries below the carrier-sense
 	// threshold. This matches the ns-2 PHY the paper used: frames too
@@ -251,7 +252,9 @@ func (c *Channel) linkRowFor(r *Radio, powerW float64) *linkRow {
 }
 
 // transmit starts a frame on the air from r. It is called by
-// Radio.Transmit, which validates state.
+// Radio.Transmit, which validates state. The frame's deliveries, fading
+// draws taken in row order, go to the scheduler in one ScheduleSpans
+// call: a begin and an end arrival per receiver.
 func (c *Channel) transmit(r *Radio, powerW float64, bits int, dur sim.Duration, payload any) *Transmission {
 	c.seq++
 	tx := &Transmission{
@@ -265,6 +268,7 @@ func (c *Channel) transmit(r *Radio, powerW float64, bits int, dur sim.Duration,
 		SrcPos:   r.pos(),
 	}
 	row := c.linkRowFor(r, powerW)
+	spans := c.spans[:0]
 	if c.fade != nil {
 		for i := range row.entries {
 			en := &row.entries[i]
@@ -272,15 +276,15 @@ func (c *Channel) transmit(r *Radio, powerW float64, bits int, dur sim.Duration,
 			if pr < c.deliverFloorW {
 				continue
 			}
-			c.sched.ScheduleEvent(en.delay, en.to, evBeginArrival, tx, pr)
-			c.sched.ScheduleEvent(en.delay+dur, en.to, evEndArrival, tx, 0)
+			spans = append(spans, sim.Span{D: en.delay, H: en.to, X: pr})
 		}
-		return tx
+	} else {
+		for i := range row.entries {
+			en := &row.entries[i]
+			spans = append(spans, sim.Span{D: en.delay, H: en.to, X: en.prW})
+		}
 	}
-	for i := range row.entries {
-		en := &row.entries[i]
-		c.sched.ScheduleEvent(en.delay, en.to, evBeginArrival, tx, en.prW)
-		c.sched.ScheduleEvent(en.delay+dur, en.to, evEndArrival, tx, 0)
-	}
+	c.sched.ScheduleSpans(spans, dur, evBeginArrival, evEndArrival, tx)
+	c.spans = spans
 	return tx
 }

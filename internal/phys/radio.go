@@ -32,7 +32,7 @@ type Handler interface {
 
 // Typed event kinds dispatched to Radio.HandleEvent. Using typed events
 // instead of closures keeps the two-per-receiver-per-frame arrival
-// events allocation-free (they ride the scheduler's event pool).
+// events allocation-free (they ride the scheduler's pooled span runs).
 const (
 	evBeginArrival int32 = iota
 	evEndArrival

@@ -224,7 +224,9 @@ func (s *Service) Logger() *slog.Logger { return s.log }
 // resumePersisted relaunches every campaign with a spec.json under the
 // state dir. Checkpointed runs replay instantly (resumed, not
 // re-executed), so a restarted daemon converges to where it was killed
-// and continues.
+// and continues. A campaign whose spec cannot be read, parsed or
+// submitted is logged at error level and left on disk untouched; the
+// others still resume. Only an unreadable state dir is an error.
 func (s *Service) resumePersisted() error {
 	entries, err := os.ReadDir(s.dir)
 	if err != nil {
@@ -239,15 +241,15 @@ func (s *Service) resumePersisted() error {
 		if os.IsNotExist(err) {
 			continue
 		}
-		if err != nil {
-			return fmt.Errorf("serve: %w", err)
+		var cf runner.CampaignFile
+		if err == nil {
+			cf, err = runner.ParseCampaignFile(b)
 		}
-		cf, err := runner.ParseCampaignFile(b)
-		if err != nil {
-			return fmt.Errorf("serve: resuming %s: %w", specPath, err)
+		if err == nil {
+			_, _, err = s.Submit(cf)
 		}
-		if _, _, err := s.Submit(cf); err != nil {
-			return fmt.Errorf("serve: resuming %s: %w", specPath, err)
+		if err != nil {
+			s.log.Error("stored campaign not resumed", "spec", specPath, "err", err)
 		}
 	}
 	return nil

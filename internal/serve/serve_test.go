@@ -5,9 +5,11 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -415,6 +417,62 @@ func TestDaemonRestartResume(t *testing.T) {
 	c3, created, err := svc2.Submit(cf)
 	if err != nil || created || c3 != c2 {
 		t.Fatalf("re-submit after restart: %v created=%v same=%v", err, created, c3 == c2)
+	}
+}
+
+// TestRestartSkipsBadStoredCampaign: a state dir holding one valid
+// stored campaign beside one unparseable and one invalid spec.json
+// still starts; the valid campaign resumes and completes, each bad one
+// is logged with its path and left on disk as it was.
+func TestRestartSkipsBadStoredCampaign(t *testing.T) {
+	dir := t.TempDir()
+	cf := tinyCampaign().File()
+	spec, err := json.Marshal(cf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stored := map[string][]byte{
+		"torn":     []byte(`{"name": "torn", "base": {`),
+		"patch":    []byte(`{"name": "patch", "variants": [{"name": "v", "patch": {"scheme": "pcmac"}}]}`),
+		SpecID(cf): spec,
+	}
+	for name, b := range stored {
+		if err := os.MkdirAll(filepath.Join(dir, name), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name, "spec.json"), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var logs bytes.Buffer
+	svc, err := NewService(dir, Options{Logger: slog.New(slog.NewTextHandler(&logs, nil))})
+	if err != nil {
+		t.Fatalf("NewService refused a state dir with one bad campaign: %v", err)
+	}
+	defer svc.Close()
+	c, err := svc.Get(SpecID(cf))
+	if err != nil {
+		t.Fatalf("valid stored campaign not resumed: %v", err)
+	}
+	waitSettled(t, c)
+	if st := c.Status(); st.State != StateDone || st.Done != 8 {
+		t.Fatalf("resumed campaign: %+v", st)
+	}
+	for _, name := range []string{"torn", "patch"} {
+		path := filepath.Join(dir, name, "spec.json")
+		if !strings.Contains(logs.String(), "level=ERROR") || !strings.Contains(logs.String(), path) {
+			t.Errorf("no error log naming %s:\n%s", path, logs.String())
+		}
+		got, err := os.ReadFile(path)
+		if err != nil || !bytes.Equal(got, stored[name]) {
+			t.Errorf("%s changed: %q, %v", path, got, err)
+		}
+		if ents, _ := os.ReadDir(filepath.Join(dir, name)); len(ents) != 1 {
+			t.Errorf("%s holds %d entries, want only spec.json", name, len(ents))
+		}
+	}
+	if n := len(svc.List()); n != 1 {
+		t.Errorf("service knows %d campaigns, want 1", n)
 	}
 }
 

@@ -99,9 +99,12 @@ func (l *burstLoad) HandleEvent(kind int32, _ any, _ float64) {
 // timeout timer, fires until all 2k arrivals have landed, and stops the
 // timer. A standing background population, each event re-arming itself
 // when it fires, interleaves with the arrivals; its sizes are the
-// workloads' peak pending depths (paper-fig8 ~400, scale500-mobile
-// ~1600, scale2000-static ~4000). All of it rides the pooled paths, so
-// the loop is allocation-free.
+// workloads' peak pending depths before arrivals were filed as runs
+// (paper-fig8 ~400, scale500-mobile ~1600, scale2000-static ~4000).
+// The file= axis is how the arrivals reach the queue: 2k ScheduleEvent
+// calls, or one ScheduleSpans call (two runs; the heap files those as
+// single events, so it runs only the first). All of it rides the pooled
+// paths, so the loop is allocation-free.
 func BenchmarkSchedulerBurst(b *testing.B) {
 	const (
 		k       = 32
@@ -116,35 +119,48 @@ func BenchmarkSchedulerBurst(b *testing.B) {
 		}
 	}
 	for _, q := range benchQueues {
-		for _, pending := range []int{400, 1600, 4000} {
-			b.Run(fmt.Sprintf("q=%s/pending=%d", q.name, pending), func(b *testing.B) {
-				s := q.new()
-				// Background span such that about k background events
-				// fire per frame time.
-				span := int(frame) * pending / k
-				l := &burstLoad{s: s, delays: make([]Duration, 4096)}
-				for i := range l.delays {
-					l.delays[i] = Duration(1 + rng.Intn(span))
-				}
-				for i := 0; i < pending; i++ {
-					s.ScheduleEvent(l.delays[i%len(l.delays)], l, 0, nil, 0)
-				}
-				tm := NewTimer(s, func() {})
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					for _, d := range prop[i%senders] {
-						s.ScheduleEvent(d, l, 1, nil, 0)
-						s.ScheduleEvent(d+frame, l, 1, nil, 0)
+		for _, file := range []string{"events", "spans"} {
+			if file == "spans" && q.name == "heap" {
+				continue
+			}
+			for _, pending := range []int{400, 1600, 4000} {
+				b.Run(fmt.Sprintf("q=%s/file=%s/pending=%d", q.name, file, pending), func(b *testing.B) {
+					s := q.new()
+					// Background span such that about k background events
+					// fire per frame time.
+					span := int(frame) * pending / k
+					l := &burstLoad{s: s, delays: make([]Duration, 4096)}
+					for i := range l.delays {
+						l.delays[i] = Duration(1 + rng.Intn(span))
 					}
-					l.inFlight += 2 * k
-					tm.Start(2 * frame)
-					for l.inFlight > 0 {
-						s.Step()
+					for i := 0; i < pending; i++ {
+						s.ScheduleEvent(l.delays[i%len(l.delays)], l, 0, nil, 0)
 					}
-					tm.Stop()
-				}
-			})
+					spans := make([]Span, k)
+					tm := NewTimer(s, func() {})
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						if file == "spans" {
+							for j, d := range prop[i%senders] {
+								spans[j] = Span{D: d, H: l}
+							}
+							s.ScheduleSpans(spans, frame, 1, 1, nil)
+						} else {
+							for _, d := range prop[i%senders] {
+								s.ScheduleEvent(d, l, 1, nil, 0)
+								s.ScheduleEvent(d+frame, l, 1, nil, 0)
+							}
+						}
+						l.inFlight += 2 * k
+						tm.Start(2 * frame)
+						for l.inFlight > 0 {
+							s.Step()
+						}
+						tm.Stop()
+					}
+				})
+			}
 		}
 	}
 }

@@ -24,6 +24,11 @@ func (b *binaryHeap) popMin() *Event {
 	return heap.Pop(&b.h).(*Event)
 }
 
+func (b *binaryHeap) rekeyMin(at Time, seq uint64) {
+	b.h[0].at, b.h[0].seq = at, seq
+	heap.Fix(&b.h, 0)
+}
+
 func (b *binaryHeap) remove(e *Event) { heap.Remove(&b.h, e.index) }
 
 func (b *binaryHeap) len() int { return len(b.h) }

@@ -43,6 +43,13 @@ func identityWorkloads(t *testing.T) []workload {
 	fig1.Warmup = sim.Duration(sim.Second / 2)
 	clusters := mobile(0)
 	clusters.Topology = scenario.TopologyClusters // pinned, dense cells
+	// A field wider than the max-power cutoff, with PCMAC sending at
+	// short-range dials: radios cross cutoff disks while the grid's
+	// cells are stale, so a grid query that ignores the drift bound
+	// misses deliveries.
+	wide := mobile(0)
+	wide.Nodes, wide.FieldW, wide.FieldH = 30, 1000, 1000
+	wide.Scheme = mac.PCMAC
 
 	campaign := func(name string, nodes int, schemes []mac.Scheme, shadowDB []float64) runner.Campaign {
 		base := scenario.Options{
@@ -90,6 +97,7 @@ func identityWorkloads(t *testing.T) []workload {
 		{name: "fading", runs: single(mobile(4))},
 		{name: "static-fig1", runs: single(fig1)},
 		{name: "clusters", runs: single(clusters)},
+		{name: "wide-mobile", runs: single(wide)},
 		{name: "grid-uncached", runs: single(mobile(0)), prep: noPromise},
 		{name: "campaign-mobile-30", runs: expand(campaign("mobile-30", 30, both, nil))},
 		{name: "campaign-mobile-40", runs: expand(campaign("mobile-40", 40, both, nil))},

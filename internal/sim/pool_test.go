@@ -60,8 +60,8 @@ type ptrHandler struct{ fn func() }
 func (h *ptrHandler) HandleEvent(int32, any, float64) { h.fn() }
 
 // TestPooledPathsAllocationFree is the free-list contract: after warm-up,
-// closures, typed events and Timer churn perform no heap allocation per
-// cycle.
+// closures, typed events, span runs and Timer churn perform no heap
+// allocation per cycle.
 func TestPooledPathsAllocationFree(t *testing.T) {
 	s := NewScheduler()
 	rec := &ptrHandler{fn: func() {}}
@@ -84,6 +84,18 @@ func TestPooledPathsAllocationFree(t *testing.T) {
 		s.Step()
 	}); n != 0 {
 		t.Errorf("Schedule+Step allocates %.1f/op, want 0", n)
+	}
+
+	// A span call takes a pooled run, two pooled events and the sort
+	// buffer; all are reused once the run drains.
+	spans := []Span{{D: 3, H: rec}, {D: 1, H: rec}, {D: 2, H: rec, X: 1}}
+	s.ScheduleSpans(spans, 5, 0, 1, nil)
+	s.RunAll()
+	if n := testing.AllocsPerRun(100, func() {
+		s.ScheduleSpans(spans, 5, 0, 1, nil)
+		s.RunAll()
+	}); n != 0 {
+		t.Errorf("ScheduleSpans+RunAll allocates %.1f/op, want 0", n)
 	}
 
 	tm := NewTimer(s, func() {})

@@ -24,10 +24,15 @@ import "math/bits"
 //     which the calendar queue handles by re-anchoring.)
 //   - remove is called only for queued events, exactly once per queued
 //     lifetime (the scheduler's one remover is Timer.Stop).
+//   - rekeyMin is called right after peekMin returned a non-nil event,
+//     with a key no smaller than that event's: it gives the minimum the
+//     new key and restores the order, and counts as a pop (the
+//     scheduler re-files a span run at its next delivery this way).
 type eventQueue interface {
 	push(e *Event)
 	peekMin() *Event
 	popMin() *Event
+	rekeyMin(at Time, seq uint64)
 	remove(e *Event)
 	len() int
 }
@@ -239,6 +244,23 @@ func (q *calendarQueue) popMin() *Event {
 	q.pops++
 	q.remove(e)
 	return e
+}
+
+func (q *calendarQueue) rekeyMin(at Time, seq uint64) {
+	bk := &q.buckets[q.cur]
+	e := bk.items[bk.head].ev
+	it := qitem{at: at, seq: seq, ev: e}
+	if d := Duration(at - q.base); d < q.yr && int(d/q.width) == q.cur &&
+		(bk.head+1 == len(bk.items) || qless(it, bk.items[bk.head+1])) {
+		// Still the least item of its bucket: rewrite it in place.
+		bk.items[bk.head] = it
+		e.at, e.seq = at, seq
+		q.pops++
+		return
+	}
+	q.popMin()
+	e.at, e.seq = at, seq
+	q.push(e)
 }
 
 func (q *calendarQueue) remove(e *Event) {

@@ -15,6 +15,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Time is an absolute simulation time in nanoseconds since the start of
@@ -62,23 +63,30 @@ func DurationOf(seconds float64) Duration {
 	return Duration(math.Round(seconds * float64(Second)))
 }
 
-// Event is a pending callback in the scheduler. Every event is owned by
-// the scheduler and recycled through its free list the moment it fires
-// (or, for a Timer's event, is stopped): no handle to one escapes the
-// package, so no caller can observe the reuse.
+// Event is one entry of the pending set: a single callback, or one half
+// of a span run (ScheduleSpans) standing in the queue for all of that
+// half's remaining deliveries. Every event is owned by the scheduler and
+// recycled through its free list the moment it fires (or, for a Timer's
+// event, is stopped; for a run's, its last delivery fires): no handle to
+// one escapes the package, so no caller can observe the reuse.
 type Event struct {
-	at     Time
+	at     Time // a run's event is keyed by its next delivery's (at, seq)
 	seq    uint64
 	index  int   // absolute slot in its calendar bucket's items (or the ladder); -1 when not queued
 	bucket int32 // calendar bucket number (ladderBucket for the overflow ladder)
 
 	// When the event fires it dispatches h.HandleEvent(kind, arg, x).
 	// The three payload slots cover the hot paths (phys arrivals carry
-	// radio/tx/power) without a closure allocation per event.
+	// radio/tx/power) without a closure allocation per event. A run's
+	// event uses none of them except kind, which holds the half
+	// (runBegin or runEnd).
 	kind int32
 	h    EventHandler
 	arg  any
 	x    float64
+
+	// run is non-nil while the event stands in for a span run.
+	run *spanRun
 }
 
 // EventHandler receives typed events scheduled with ScheduleEvent. The
@@ -104,8 +112,16 @@ type Scheduler struct {
 	stopped bool
 
 	// free is the event free list every fired or stopped event
-	// returns to.
-	free []*Event
+	// returns to; runFree is the same for span runs, and keys is
+	// ScheduleSpans' sort buffer.
+	free    []*Event
+	runFree []*spanRun
+	keys    []uint64
+
+	// singleSpans makes ScheduleSpans file plain events (set by the
+	// test-only UseHeap, so the reference heap stays one event per
+	// arrival).
+	singleSpans bool
 
 	// Executed counts events that have fired, for diagnostics and for
 	// runaway detection in tests.
@@ -128,7 +144,8 @@ func (s *Scheduler) Now() Time { return s.now }
 // Executed returns how many events have fired so far.
 func (s *Scheduler) Executed() uint64 { return s.executed }
 
-// Pending returns the number of events currently queued.
+// Pending returns the number of entries currently queued. A span run's
+// half counts once however many deliveries it still holds.
 func (s *Scheduler) Pending() int { return s.q.len() }
 
 // TrackDepth enables (or disables) peak pending-depth tracking. It is
@@ -144,9 +161,10 @@ func (s *Scheduler) TrackDepth(on bool) {
 	}
 }
 
-// PeakPending reports the deepest the pending-event set has been while
-// depth tracking was enabled (0 if it never was). The calendar queue's
-// sizing is judged against this number.
+// PeakPending reports the deepest the pending set has been, in queue
+// entries as Pending counts them, while depth tracking was enabled (0 if
+// it never was). The calendar queue's sizing is judged against this
+// number.
 func (s *Scheduler) PeakPending() int { return s.peakPending }
 
 // notePush folds the post-push queue depth into the tracked peak.
@@ -182,6 +200,128 @@ func (s *Scheduler) ScheduleEvent(d Duration, h EventHandler, kind int32, arg an
 	s.push(s.now.Add(d), h, kind, arg, x)
 }
 
+// Span is one delivery of a ScheduleSpans call: its handler H, its delay
+// D from now, and the x its begin event carries.
+type Span struct {
+	D Duration
+	H EventHandler
+	X float64
+}
+
+// The halves of a span run, held in its event's kind.
+const (
+	runBegin = 0
+	runEnd   = 1
+)
+
+// spanItem is one delivery of a span run, in the run's sorted order.
+type spanItem struct {
+	d   Duration // delay from the run's base
+	seq uint64   // the begin event's seq; the end event's is seq+1
+	h   EventHandler
+	x   float64
+}
+
+// spanRun holds a ScheduleSpans call's deliveries sorted by (delay,
+// row order), which is (at, seq) order for both halves. Each half has
+// one queue entry, keyed by its next item. The end half's last item has
+// the largest key of all 2k, so the run returns to the pool when the
+// end half is spent.
+type spanRun struct {
+	items []spanItem
+	next  [2]int // next undispatched item of each half
+	base  Time
+	dur   Duration
+	kind  [2]int32
+	arg   any
+}
+
+// key returns the (at, seq) key of item i of the given half.
+func (r *spanRun) key(half int32, i int) (Time, uint64) {
+	it := &r.items[i]
+	if half == runEnd {
+		return r.base.Add(it.d + r.dur), it.seq + 1
+	}
+	return r.base.Add(it.d), it.seq
+}
+
+// ScheduleSpans files a transmission's deliveries: for each span, in
+// row order, a begin event h.HandleEvent(kindBegin, arg, X) at now+D and
+// an end event h.HandleEvent(kindEnd, arg, 0) at now+D+dur. The events
+// draw the seqs 2k ScheduleEvent calls in that order would (begin i
+// gets s+2i, end i s+2i+1), so they fire exactly as those calls' events
+// would. Two or more spans are filed as two runs, the begins and the
+// ends, each sorted by (at, seq) and queued as one entry keyed by its
+// next delivery: the queue holds two entries per call instead of 2k,
+// and dispatching a delivery re-keys its run's entry instead of popping
+// one event and filing another. Every delivery still counts one
+// executed event. A call with fewer than two spans, or with a delay of
+// 2^32 ns (about 4.3 s, a million kilometres of propagation) or more,
+// which the packed sort keys cannot hold, files single events instead.
+// A negative D or dur panics; after warm-up the call performs no heap
+// allocation.
+func (s *Scheduler) ScheduleSpans(spans []Span, dur Duration, kindBegin, kindEnd int32, arg any) {
+	if dur < 0 {
+		panic(fmt.Sprintf("sim: negative duration %d", dur))
+	}
+	far := false
+	for i := range spans {
+		sp := &spans[i]
+		if sp.D < 0 {
+			panic(fmt.Sprintf("sim: negative delay %d", sp.D))
+		}
+		if sp.H == nil {
+			panic("sim: nil event handler")
+		}
+		far = far || sp.D > math.MaxUint32
+	}
+	if len(spans) < 2 || far || s.singleSpans {
+		for i := range spans {
+			sp := &spans[i]
+			s.push(s.now.Add(sp.D), sp.H, kindBegin, arg, sp.X)
+			s.push(s.now.Add(sp.D+dur), sp.H, kindEnd, arg, 0)
+		}
+		return
+	}
+	keys := s.keys[:0]
+	for i := range spans {
+		keys = append(keys, uint64(spans[i].D)<<32|uint64(i))
+	}
+	slices.Sort(keys)
+	s.keys = keys
+	var r *spanRun
+	if n := len(s.runFree); n > 0 {
+		r = s.runFree[n-1]
+		s.runFree[n-1] = nil
+		s.runFree = s.runFree[:n-1]
+	} else {
+		r = &spanRun{}
+	}
+	for _, k := range keys {
+		i := uint32(k)
+		sp := &spans[i]
+		r.items = append(r.items, spanItem{d: sp.D, seq: s.seq + 2*uint64(i), h: sp.H, x: sp.X})
+	}
+	s.seq += 2 * uint64(len(spans))
+	r.next = [2]int{}
+	r.base = s.now
+	r.dur = dur
+	r.kind = [2]int32{kindBegin, kindEnd}
+	r.arg = arg
+	s.fileRun(r, runBegin)
+	s.fileRun(r, runEnd)
+}
+
+// fileRun queues one half of r at its first item.
+func (s *Scheduler) fileRun(r *spanRun, half int32) {
+	e := s.take()
+	e.at, e.seq = r.key(half, 0)
+	e.kind = half
+	e.run = r
+	s.q.push(e)
+	s.notePush()
+}
+
 // scheduleOwned queues an event at absolute time t and returns it to an
 // in-package owner (Timer). The owner must be the event's only holder
 // and must drop it on fire (before its callback runs) or hand it back
@@ -196,14 +336,7 @@ func (s *Scheduler) scheduleOwned(t Time, h EventHandler) *Event {
 // push takes an event from the free list (or allocates one), stamps it
 // with the next sequence number and files it.
 func (s *Scheduler) push(t Time, h EventHandler, kind int32, arg any, x float64) *Event {
-	var e *Event
-	if n := len(s.free); n > 0 {
-		e = s.free[n-1]
-		s.free[n-1] = nil
-		s.free = s.free[:n-1]
-	} else {
-		e = &Event{index: -1}
-	}
+	e := s.take()
 	e.at = t
 	e.seq = s.seq
 	s.seq++
@@ -216,12 +349,37 @@ func (s *Scheduler) push(t Time, h EventHandler, kind int32, arg any, x float64)
 	return e
 }
 
+// take returns an event from the free list, or a new one.
+func (s *Scheduler) take() *Event {
+	if n := len(s.free); n > 0 {
+		e := s.free[n-1]
+		s.free[n-1] = nil
+		s.free = s.free[:n-1]
+		return e
+	}
+	return &Event{index: -1}
+}
+
 // release returns an event to the free list, dropping payload
 // references so the pool does not retain garbage.
 func (s *Scheduler) release(e *Event) {
 	e.h = nil
 	e.arg = nil
+	e.run = nil
 	s.free = append(s.free, e)
+}
+
+// spendHalf retires a run half whose last item has been taken, and
+// returns the run to its pool with its end half.
+func (s *Scheduler) spendHalf(e *Event) {
+	r := e.run
+	s.release(e)
+	if e.kind == runEnd {
+		clear(r.items)
+		r.items = r.items[:0]
+		r.arg = nil
+		s.runFree = append(s.runFree, r)
+	}
 }
 
 // cancelOwned removes an owner's queued event and returns it to the
@@ -234,12 +392,33 @@ func (s *Scheduler) cancelOwned(e *Event) {
 // Step fires the single earliest pending event. It reports false when the
 // queue is empty.
 func (s *Scheduler) Step() bool {
-	e := s.q.popMin()
+	e := s.q.peekMin()
 	if e == nil {
 		return false
 	}
 	s.now = e.at
 	s.executed++
+	if r := e.run; r != nil {
+		// Dispatch the run's head item and re-key the run at its next
+		// one, which sorts after everything dispatched so far.
+		half := e.kind
+		i := r.next[half]
+		it := &r.items[i]
+		h, kind, arg, x := it.h, r.kind[half], r.arg, it.x
+		if half == runEnd {
+			x = 0
+		}
+		if i+1 < len(r.items) {
+			r.next[half] = i + 1
+			s.q.rekeyMin(r.key(half, i+1))
+		} else {
+			s.q.popMin()
+			s.spendHalf(e)
+		}
+		h.HandleEvent(kind, arg, x)
+		return true
+	}
+	s.q.popMin()
 	h, kind, arg, x := e.h, e.kind, e.arg, e.x
 	// Recycle before dispatch: the callback may schedule new events and
 	// can reuse this struct immediately. Timer, the one owner that
