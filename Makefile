@@ -1,5 +1,6 @@
-# Mirrors .github/workflows/ci.yml exactly: `make lint build test bench`
-# is what CI runs.
+# Mirrors .github/workflows/ci.yml: its ci job runs the steps of
+# `make lint build test fuzz-smoke bench`, and its campaign-smoke and
+# chaos-smoke jobs run the targets of those names (plus daemon-smoke).
 GO ?= go
 
 # Hot-path microbenchmarks tracked by the perf trajectory (bench-json)
@@ -59,60 +60,99 @@ lint:
 lint-golangci:
 	golangci-lint run
 
-# campaign-smoke mirrors CI's end-to-end campaign job: the bursty
-# preset must dry-run, execute a tiny grid to non-empty JSONL and
-# resume cleanly from its own checkpoint; the scale preset must expand
-# and push a real 500-node run through the spatial index; the scale and
-# ablation-ctrl presets, emitted as specs and read back, must dry-run
-# byte-identically to the presets themselves.
+# campaign-smoke is CI's end-to-end campaign job (its campaign-smoke
+# job runs this target, then daemon-smoke). Every check fails the
+# target: the bursty preset dry-runs non-empty, runs a tiny grid to 8
+# records and resumes from its own checkpoint leaving the file
+# byte-identical; the clustered preset writes a non-empty file; the
+# scale preset expands to 384 runs and pushes a real 500-node grid
+# (2 records) through the spatial index; the scale and ablation-ctrl
+# presets, emitted as specs and read back, dry-run byte-identically to
+# the presets themselves; the lifetime preset writes 4 records, each
+# with consumed energy above radiated energy and a non-empty alive
+# timeline; and -timing records carry wall_ms and peak_queue above
+# zero, while untimed records carry neither field. Needs jq.
 campaign-smoke:
-	@$(GO) run ./cmd/campaign -preset bursty -dry-run > /dev/null
-	@$(GO) run ./cmd/campaign -preset scale -dry-run > /dev/null
 	@set -e; tmp=$$(mktemp -d); trap 'rm -rf $$tmp' EXIT; \
-	$(GO) build -o $$tmp/campaign ./cmd/campaign; \
+	$(GO) build -o $$tmp/campaign ./cmd/campaign; c=$$tmp/campaign; \
+	lines() { n=$$(wc -l < $$1); test "$$n" -eq $$2 || { echo "campaign-smoke: $$1 has $$n lines, want $$2" >&2; exit 1; }; }; \
+	none() { test -z "$$1" || { echo "campaign-smoke: $$2:" >&2; echo "$$1" >&2; exit 1; }; }; \
+	$$c -preset bursty -dry-run > $$tmp/dry.txt; test -s $$tmp/dry.txt; \
+	$$c -preset scale -dry-run > $$tmp/scale-dry.txt; \
+	lines $$tmp/scale-dry.txt 384; \
 	for p in scale ablation-ctrl; do \
-	  $$tmp/campaign -preset $$p -emit-spec > $$tmp/$$p.json; \
-	  $$tmp/campaign -preset $$p -dry-run > $$tmp/$$p.preset 2>&1; \
-	  $$tmp/campaign -spec $$tmp/$$p.json -dry-run > $$tmp/$$p.spec 2>&1; \
+	  $$c -preset $$p -emit-spec > $$tmp/$$p.json; \
+	  $$c -preset $$p -dry-run > $$tmp/$$p.preset 2>&1; \
+	  $$c -spec $$tmp/$$p.json -dry-run > $$tmp/$$p.spec 2>&1; \
 	  cmp $$tmp/$$p.preset $$tmp/$$p.spec; \
-	done
-	@tmp=$$(mktemp); \
-	$(GO) run ./cmd/campaign -preset bursty -duration 4 -seeds 1 -loads 250 -out $$tmp -q && \
-	test -s $$tmp && \
-	$(GO) run ./cmd/campaign -preset bursty -duration 4 -seeds 1 -loads 250 -out $$tmp -resume -q > /dev/null && \
-	$(GO) run ./cmd/campaign -preset lifetime -duration 4 -seeds 1 -loads 250 -out $$tmp.life -q > /dev/null && \
-	$(GO) run ./cmd/campaign -preset scale -variants n=500 -topology grid -duration 4 -seeds 1 -loads 250 -out $$tmp.scale -q > /dev/null && \
-	echo "campaign-smoke: ok ($$(wc -l < $$tmp) records, $$(wc -l < $$tmp.life) lifetime, $$(wc -l < $$tmp.scale) scale)"; \
-	rc=$$?; rm -f $$tmp $$tmp.life $$tmp.scale; exit $$rc
+	done; \
+	bursty="-preset bursty -duration 4 -seeds 1 -loads 250"; \
+	$$c $$bursty -out $$tmp/smoke.jsonl -q > /dev/null; \
+	lines $$tmp/smoke.jsonl 8; \
+	cp $$tmp/smoke.jsonl $$tmp/smoke.orig; \
+	$$c $$bursty -out $$tmp/smoke.jsonl -resume -q > /dev/null; \
+	cmp $$tmp/smoke.orig $$tmp/smoke.jsonl; \
+	$$c -preset clustered -topology clusters,corridor -duration 4 -seeds 1 -loads 250 -out $$tmp/clustered.jsonl -q > /dev/null; \
+	test -s $$tmp/clustered.jsonl; \
+	$$c -preset scale -variants n=500 -topology grid -duration 4 -seeds 1 -loads 250 -out $$tmp/scale.jsonl -q > /dev/null; \
+	lines $$tmp/scale.jsonl 2; \
+	$$c -preset lifetime -duration 4 -seeds 1 -loads 250 -out $$tmp/life.jsonl -q > /dev/null; \
+	lines $$tmp/life.jsonl 4; \
+	none "$$(jq -c 'select((.consumed_energy_j <= .energy_j) or (((.alive_timeline // []) | length) == 0))' $$tmp/life.jsonl)" \
+	  "lifetime records violating the energy invariants"; \
+	$$c $$bursty -timing -out $$tmp/timing.jsonl -q > /dev/null; \
+	none "$$(jq -c 'select((.wall_ms // 0) <= 0 or (.peak_queue // 0) <= 0)' $$tmp/timing.jsonl)" \
+	  "-timing records missing timing fields"; \
+	none "$$(jq -c 'select(has("wall_ms") or has("peak_queue"))' $$tmp/smoke.jsonl)" \
+	  "untimed records carrying timing fields"; \
+	echo "campaign-smoke: ok"
 
-# daemon-smoke mirrors CI's campaign-daemon step: boot campaignd on a
-# fresh state dir, submit the bursty preset's spec over HTTP, wait for
-# completion, require the served JSONL byte-identical to cmd/campaign's
-# output for the same spec, and assert the /metrics completed-run
-# counter matches the record count.
+# daemon-smoke is the second half of CI's campaign-smoke job: boot
+# campaignd on a fresh state dir, submit the bursty preset's spec over
+# HTTP, wait for completion, and require the served JSONL byte-identical
+# to cmd/campaign's output for the same spec; the SSE replay carries 8
+# result events and a done frame; /metrics has the completed-run
+# counter's TYPE line, a counter equal to the record count, the
+# campaign's campaign_done_runs gauge at 8 and campaignd_build_info.
+# A second daemon started with -pprof serves a non-empty CPU profile.
+# Needs curl and jq.
 daemon-smoke:
 	@set -e; \
 	tmp=$$(mktemp -d); pid=""; \
 	trap 'test -n "$$pid" && kill $$pid 2>/dev/null; rm -rf $$tmp' EXIT; \
+	healthy() { for i in $$(seq 100); do curl -sf http://127.0.0.1:$$1/healthz > /dev/null && return; sleep 0.1; done; }; \
 	$(GO) run ./cmd/campaign -preset bursty -duration 4 -seeds 1 -loads 250 -emit-spec > $$tmp/spec.json; \
 	$(GO) run ./cmd/campaign -spec $$tmp/spec.json -out $$tmp/cli.jsonl -q > /dev/null; \
 	$(GO) build -o $$tmp/campaignd ./cmd/campaignd; \
 	$$tmp/campaignd -addr 127.0.0.1:8941 -dir $$tmp/state 2> /dev/null & pid=$$!; \
-	for i in $$(seq 100); do curl -sf http://127.0.0.1:8941/healthz > /dev/null && break; sleep 0.1; done; \
-	id=$$(curl -sf -d @$$tmp/spec.json http://127.0.0.1:8941/campaigns | sed 's/.*"id":"\([^"]*\)".*/\1/'); \
+	healthy 8941; \
+	id=$$(curl -sf -d @$$tmp/spec.json http://127.0.0.1:8941/campaigns | jq -r .id); \
 	test -n "$$id"; \
 	state=""; \
 	for i in $$(seq 600); do \
-	  state=$$(curl -sf http://127.0.0.1:8941/campaigns/$$id | sed 's/.*"state":"\([^"]*\)".*/\1/'); \
+	  state=$$(curl -sf http://127.0.0.1:8941/campaigns/$$id | jq -r .state); \
 	  test "$$state" = done && break; sleep 0.1; \
 	done; \
 	test "$$state" = done; \
 	curl -sf http://127.0.0.1:8941/campaigns/$$id/results.jsonl > $$tmp/served.jsonl; \
 	cmp $$tmp/cli.jsonl $$tmp/served.jsonl; \
-	completed=$$(curl -sf http://127.0.0.1:8941/metrics | awk '$$1 == "campaign_runs_completed_total" {print int($$2)}'); \
+	curl -sf http://127.0.0.1:8941/campaigns/$$id/events > $$tmp/events.txt; \
+	results=$$(grep -c '^event: result$$' $$tmp/events.txt); \
+	test "$$results" -eq 8; \
+	grep -q '^event: done$$' $$tmp/events.txt; \
+	curl -sf http://127.0.0.1:8941/metrics > $$tmp/metrics.txt; \
+	grep -q '^# TYPE campaign_runs_completed_total counter$$' $$tmp/metrics.txt; \
+	completed=$$(awk '$$1 == "campaign_runs_completed_total" {print int($$2)}' $$tmp/metrics.txt); \
 	records=$$(wc -l < $$tmp/served.jsonl); \
 	test "$$completed" -eq "$$records"; \
-	echo "daemon-smoke: ok ($$records records served byte-identical; completed_total=$$completed)"
+	grep -q "^campaign_done_runs{campaign=\"$$id\"} 8$$" $$tmp/metrics.txt; \
+	grep -q '^campaignd_build_info{' $$tmp/metrics.txt; \
+	kill $$pid; \
+	$$tmp/campaignd -addr 127.0.0.1:8942 -dir $$tmp/pprof-state -pprof 2> /dev/null & pid=$$!; \
+	healthy 8942; \
+	curl -sf 'http://127.0.0.1:8942/debug/pprof/profile?seconds=1' > $$tmp/profile.pb; \
+	test -s $$tmp/profile.pb; \
+	echo "daemon-smoke: ok ($$records records served byte-identical; $$results SSE results; completed_total=$$completed; pprof profile served)"
 
 # chaos-smoke mirrors CI's chaos-smoke job: SIGKILL campaignd at least
 # three times mid-campaign, resume on the same state dir, and require

@@ -138,12 +138,8 @@ func main() {
 	fmt.Printf("radiated energy           %.2f J data + %.2f J control\n", res.RadiatedEnergyJ, res.CtrlRadiatedEnergyJ)
 	fmt.Printf("radiated per delivered KB %.3f mJ\n", res.RadiatedPerDeliveredKB()*1e3)
 	b := res.EnergyByState
-	sleep := ""
-	if b[energy.Sleep] > 0 {
-		sleep = fmt.Sprintf(" + sleep %.1f", b[energy.Sleep])
-	}
-	fmt.Printf("consumed energy           %.1f J (tx %.1f + rx %.1f + idle %.1f + overhear %.1f%s)\n",
-		res.ConsumedEnergyJ, b[energy.Tx], b[energy.Rx], b[energy.Idle], b[energy.Overhear], sleep)
+	fmt.Printf("consumed energy           %.1f J (tx %.1f + rx %.1f + idle %.1f + overhear %.1f)\n",
+		res.ConsumedEnergyJ, b[energy.Tx], b[energy.Rx], b[energy.Idle], b[energy.Overhear])
 	fmt.Printf("consumed per delivered KB %.3f mJ\n", res.ConsumedPerDeliveredKB()*1e3)
 	fmt.Printf("energy fairness           %.3f\n", res.EnergyFairness)
 	if res.Opts.BatteryJ > 0 {

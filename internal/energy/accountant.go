@@ -12,20 +12,19 @@ type State uint8
 // The radio energy states. Rx and Overhear draw the same power — the
 // receive chain cannot know mid-frame whom a frame is for — but are
 // accounted separately: overhearing is the cost a MAC can only avoid by
-// sleeping, and the split is what makes idle/overhear-dominated budgets
+// switching its radio off, and the split is what makes idle/overhear-dominated budgets
 // visible next to the radiated-TX-only view.
 const (
 	Idle State = iota
 	Tx
 	Rx
 	Overhear
-	Sleep
 	Off
 	NumStates
 )
 
 func (s State) String() string {
-	names := [...]string{"idle", "tx", "rx", "overhear", "sleep", "off"}
+	names := [...]string{"idle", "tx", "rx", "overhear", "off"}
 	if int(s) < len(names) {
 		return names[s]
 	}
@@ -89,7 +88,6 @@ type Accountant struct {
 	txRadiatedW  float64
 	locked       bool
 	carrier      bool
-	sleeping     bool
 
 	// lockJ/lockS track the current lock's accrual so it can be
 	// reclassified Rx→Overhear when the frame turns out not to be for
@@ -143,8 +141,6 @@ func (a *Accountant) stateNow() State {
 		return Rx // reclassified at lock end if the frame was not ours
 	case a.carrier:
 		return Overhear // sensed-busy but not decoding: wasted listening
-	case a.sleeping:
-		return Sleep
 	default:
 		return Idle
 	}
@@ -159,8 +155,6 @@ func (a *Accountant) drawW(s State) float64 {
 		return a.prof.TxCircuitW + a.txRadiatedW
 	case Rx, Overhear:
 		return a.prof.RxW
-	case Sleep:
-		return a.prof.SleepW
 	default:
 		return a.prof.IdleW
 	}
@@ -253,15 +247,6 @@ func (a *Accountant) CarrierBusy() {
 func (a *Accountant) CarrierIdle() {
 	a.accrue()
 	a.carrier = false
-	a.bat.rearm()
-}
-
-// SetSleep enters or leaves the low-power sleep state. The simulator's
-// MACs never sleep on their own; the knob exists for duty-cycle
-// studies and tests.
-func (a *Accountant) SetSleep(on bool) {
-	a.accrue()
-	a.sleeping = on
 	a.bat.rearm()
 }
 

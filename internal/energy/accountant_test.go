@@ -10,7 +10,7 @@ import (
 // testProfile has round numbers so every expectation below is
 // hand-computable.
 func testProfile() Profile {
-	return Profile{Name: "test", TxCircuitW: 2, RxW: 1.5, IdleW: 0.5, SleepW: 0.1}
+	return Profile{Name: "test", TxCircuitW: 2, RxW: 1.5, IdleW: 0.5}
 }
 
 // advance drains due events and moves the clock d forward.
@@ -51,10 +51,6 @@ func TestAccountantClosedForm(t *testing.T) {
 	a.LockStart()
 	advance(t, s, 2*sim.Second)
 	a.LockEnd(false)
-	// 4 s asleep: 0.4 J.
-	a.SetSleep(true)
-	advance(t, s, 4*sim.Second)
-	a.SetSleep(false)
 	// 1 s idle again: total idle 1.0 J.
 	advance(t, s, sim.Second)
 	a.Flush()
@@ -64,15 +60,13 @@ func TestAccountantClosedForm(t *testing.T) {
 	within(t, "tx J", b[Tx], 4.5)
 	within(t, "rx J", b[Rx], 1.5)
 	within(t, "overhear J", b[Overhear], 3.75)
-	within(t, "sleep J", b[Sleep], 0.4)
 	within(t, "off J", b[Off], 0)
-	within(t, "total J", a.ConsumedJ(), 1.0+4.5+1.5+3.75+0.4)
+	within(t, "total J", a.ConsumedJ(), 1.0+4.5+1.5+3.75)
 
 	within(t, "idle s", a.StateSeconds(Idle), 2.0)
 	within(t, "tx s", a.StateSeconds(Tx), 2.0)
 	within(t, "rx s", a.StateSeconds(Rx), 1.0)
 	within(t, "overhear s", a.StateSeconds(Overhear), 2.5)
-	within(t, "sleep s", a.StateSeconds(Sleep), 4.0)
 }
 
 // TestAccountantAbortedLockIsOverhearing checks the half-duplex case:
@@ -284,8 +278,8 @@ func TestSharedBatteryRearmSettlesSiblings(t *testing.T) {
 	// fix, rearm computed residual without ctrl's 0.75 J accrued since
 	// t=0 and predicted death at 2.75 s.
 	s.Schedule(sim.Duration(3*sim.Second/2), func() {
-		data.SetSleep(true)
-		data.SetSleep(false)
+		data.CarrierBusy()
+		data.CarrierIdle()
 	})
 	s.Run(sim.Time(5 * sim.Second))
 

@@ -3,7 +3,7 @@
 // integrates the radio's electrical draw over every state the paper's
 // protocols put it in — transmitting at the actually selected power
 // level (plus fixed circuit overhead), receiving, idle listening,
-// overhearing-then-discarding, and an optional sleep state — and an
+// overhearing-then-discarding — and an
 // optional battery whose depletion feeds back into the simulation: a
 // dead node's radio stops transmitting and receiving, so routes through
 // it break and AODV must re-route around it.
@@ -40,18 +40,13 @@ type Profile struct {
 	RxW float64
 	// IdleW is the idle-listening draw: powered up, medium idle.
 	IdleW float64
-	// SleepW is the draw in the optional sleep state.
-	SleepW float64
 }
 
 // Validate rejects physically meaningless profiles.
 func (p Profile) Validate() error {
-	switch {
-	case p.TxCircuitW < 0 || p.RxW <= 0 || p.IdleW < 0 || p.SleepW < 0:
-		return fmt.Errorf("energy: profile %q has non-positive draws (tx=%g rx=%g idle=%g sleep=%g)",
-			p.Name, p.TxCircuitW, p.RxW, p.IdleW, p.SleepW)
-	case p.SleepW > p.IdleW:
-		return fmt.Errorf("energy: profile %q sleeps hotter than idle (%g > %g W)", p.Name, p.SleepW, p.IdleW)
+	if p.TxCircuitW < 0 || p.RxW <= 0 || p.IdleW < 0 {
+		return fmt.Errorf("energy: profile %q has non-positive draws (tx=%g rx=%g idle=%g)",
+			p.Name, p.TxCircuitW, p.RxW, p.IdleW)
 	}
 	return nil
 }
@@ -61,14 +56,14 @@ func (p Profile) Validate() error {
 // overhead is sized so that transmitting at the paper's maximal level
 // (281.8 mW radiated) draws about 1.33 W total.
 func WaveLAN() Profile {
-	return Profile{Name: "wavelan", TxCircuitW: 1.05, RxW: 0.90, IdleW: 0.74, SleepW: 0.047}
+	return Profile{Name: "wavelan", TxCircuitW: 1.05, RxW: 0.90, IdleW: 0.74}
 }
 
 // Sensor returns a low-power sensor-node profile (CC2420-class): the
 // receive chain dominates and idle listening is three orders of
 // magnitude cheaper, so duty cycle — not time — decides lifetime.
 func Sensor() Profile {
-	return Profile{Name: "sensor", TxCircuitW: 0.045, RxW: 0.060, IdleW: 0.0015, SleepW: 0.00002}
+	return Profile{Name: "sensor", TxCircuitW: 0.045, RxW: 0.060, IdleW: 0.0015}
 }
 
 // profiles is the registry behind ParseProfile.

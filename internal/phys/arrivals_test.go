@@ -17,7 +17,7 @@ func arrivalsRig(t *testing.T) (*Radio, []*Transmission) {
 		r := ch.AttachRadio(i+1, func() geom.Point { return p }, benchHandler{})
 		txs = append(txs, &Transmission{
 			Seq: uint64(i + 1), From: r, PowerW: 0.2818,
-			Bits: 1024, Duration: sim.Millisecond, SrcPos: p,
+			Bits: 1024, Duration: sim.Millisecond,
 		})
 	}
 	rx := ch.AttachRadio(0, func() geom.Point { return geom.Point{} }, benchHandler{})

@@ -136,7 +136,7 @@ func BenchmarkRadioArrivals(b *testing.B) {
 		}
 		txs = append(txs, &Transmission{
 			Seq: uint64(i), From: r, PowerW: 0.2818,
-			Bits: 4096, Duration: 100 * sim.Microsecond, SrcPos: r.Pos(),
+			Bits: 4096, Duration: 100 * sim.Microsecond,
 		})
 	}
 	b.ReportAllocs()

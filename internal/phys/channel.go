@@ -24,8 +24,6 @@ type Transmission struct {
 	Duration sim.Duration
 	// Payload is the MAC frame being carried.
 	Payload any
-	// SrcPos is the transmitter position captured at Start.
-	SrcPos geom.Point
 }
 
 // End returns the instant the transmitter stops emitting.
@@ -99,10 +97,9 @@ type Channel struct {
 
 	// grid is the spatial index over attached radios (see grid.go).
 	// maxSpeed is the SetMaxSpeed motion bound in m/s (0: pinned, < 0:
-	// no promise). candIdx is the reusable candidate-enumeration buffer.
+	// no promise).
 	grid     cellGrid
 	maxSpeed float64
-	candIdx  []int32
 
 	// scratch is the row every frame rebuilds on a channel that is not
 	// pinned; spans is the reusable buffer transmit hands the scheduler.
@@ -164,58 +161,29 @@ func (c *Channel) AttachRadio(id int, pos func() geom.Point, h Handler) *Radio {
 func (c *Channel) Radios() []*Radio { return c.radios }
 
 // buildRow fills row with the link entries for radio r transmitting at
-// powerW, using positions sampled now.
+// powerW, using positions sampled now. Entry order is whatever order
+// candidates yields: the scheduler orders a frame's deliveries by delay
+// and receiver attach index, not by row position.
 func (c *Channel) buildRow(row *linkRow, r *Radio, powerW float64) {
 	row.entries = row.entries[:0]
 	row.attachGen = c.attachGen
 	src := r.pos()
-	if c.fade != nil {
-		// Fading: the floor check depends on the per-delivery draw, so
-		// every radio stays in the row and only the deterministic mean
-		// is cached. (A mean-based cutoff would change which frames a
-		// lucky fade can deliver — and desync the RNG stream.)
-		row.cutoff2 = 0
-		for _, o := range c.radios {
-			if o == r {
-				continue
-			}
-			dist := src.Dist(o.pos())
-			row.entries = append(row.entries, linkEntry{
-				to:    o,
-				prW:   c.fade.MeanReceivedPower(powerW, dist),
-				delay: sim.DurationOf(dist / SpeedOfLight),
-			})
-		}
-		return
-	}
 	// Deterministic model: prune to radios that can sense the frame.
 	// When the model can invert itself, a squared-distance cutoff skips
 	// the propagation evaluation for far radios; the tiny relative slack
 	// keeps radios at the exact boundary inside the exact pr-vs-floor
 	// check below, so pruning never changes which radios deliver.
+	// Fading: the floor check depends on the per-delivery draw, so every
+	// radio stays in the row and only the deterministic mean is cached.
+	// (A mean-based cutoff would change which frames a lucky fade can
+	// deliver — and desync the RNG stream.)
 	row.cutoff2 = 0
 	cutoff := 0.0
-	if rg, ok := c.model.(Ranger); ok {
+	if rg, ok := c.model.(Ranger); ok && c.fade == nil {
 		cutoff = rg.RangeForTxPower(powerW, c.deliverFloorW) * (1 + 1e-9)
 		row.cutoff2 = cutoff * cutoff
 	}
-	// One filter body serves both enumerations: the spatial index (when
-	// usable) restricts the walk to the cells overlapping the cutoff
-	// disk, already sorted by attach index — the linear walk's order —
-	// so entries (order and bits) are identical either way.
-	var cands []int32
-	if c.gridUsable(cutoff) {
-		cands = c.gridCandidates(src, cutoff)
-	}
-	n := len(c.radios)
-	if cands != nil {
-		n = len(cands)
-	}
-	for k := 0; k < n; k++ {
-		o := c.radios[k]
-		if cands != nil {
-			o = c.radios[cands[k]]
-		}
+	for o := range c.candidates(src, cutoff) {
 		if o == r {
 			continue
 		}
@@ -224,8 +192,10 @@ func (c *Channel) buildRow(row *linkRow, r *Radio, powerW float64) {
 			continue
 		}
 		dist := src.Dist(p)
-		pr := c.model.ReceivedPower(powerW, dist)
-		if pr < c.deliverFloorW {
+		var pr float64
+		if c.fade != nil {
+			pr = c.fade.MeanReceivedPower(powerW, dist)
+		} else if pr = c.model.ReceivedPower(powerW, dist); pr < c.deliverFloorW {
 			continue
 		}
 		row.entries = append(row.entries, linkEntry{
@@ -253,8 +223,9 @@ func (c *Channel) linkRowFor(r *Radio, powerW float64) *linkRow {
 
 // transmit starts a frame on the air from r. It is called by
 // Radio.Transmit, which validates state. The frame's deliveries, fading
-// draws taken in row order, go to the scheduler in one ScheduleSpans
-// call: a begin and an end arrival per receiver.
+// draws taken in row order (attach order: a fading row holds every
+// radio), go to the scheduler in one ScheduleSpans call: a begin and an
+// end arrival per receiver, ordinal its attach index.
 func (c *Channel) transmit(r *Radio, powerW float64, bits int, dur sim.Duration, payload any) *Transmission {
 	c.seq++
 	tx := &Transmission{
@@ -265,24 +236,18 @@ func (c *Channel) transmit(r *Radio, powerW float64, bits int, dur sim.Duration,
 		Start:    c.sched.Now(),
 		Duration: dur,
 		Payload:  payload,
-		SrcPos:   r.pos(),
 	}
 	row := c.linkRowFor(r, powerW)
 	spans := c.spans[:0]
-	if c.fade != nil {
-		for i := range row.entries {
-			en := &row.entries[i]
-			pr := en.prW * c.fade.Fade()
-			if pr < c.deliverFloorW {
+	for i := range row.entries {
+		en := &row.entries[i]
+		pr := en.prW
+		if c.fade != nil {
+			if pr *= c.fade.Fade(); pr < c.deliverFloorW {
 				continue
 			}
-			spans = append(spans, sim.Span{D: en.delay, H: en.to, X: pr})
 		}
-	} else {
-		for i := range row.entries {
-			en := &row.entries[i]
-			spans = append(spans, sim.Span{D: en.delay, H: en.to, X: en.prW})
-		}
+		spans = append(spans, sim.Span{D: en.delay, O: uint32(en.to.idx), H: en.to, X: pr})
 	}
 	c.sched.ScheduleSpans(spans, dur, evBeginArrival, evEndArrival, tx)
 	c.spans = spans

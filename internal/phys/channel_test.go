@@ -55,9 +55,6 @@ func TestTransmissionMethods(t *testing.T) {
 	if tx.Bits != testBits {
 		t.Errorf("Bits = %d", tx.Bits)
 	}
-	if tx.SrcPos != (geom.Point{X: 0, Y: 0}) {
-		t.Errorf("SrcPos = %v", tx.SrcPos)
-	}
 	f.sched.RunAll()
 }
 

@@ -1,8 +1,8 @@
 package phys
 
 import (
+	"iter"
 	"math"
-	"slices"
 
 	"repro/internal/geom"
 	"repro/internal/sim"
@@ -15,11 +15,12 @@ import (
 // instead of O(N) per (transmitter, power level) rebuild.
 //
 // Determinism: the grid never decides *which* radios receive a frame.
-// It yields a candidate superset of the cutoff disk; the caller applies
-// the exact squared-distance and delivery-floor filters of the linear
-// walk, in candidate order sorted by radio attach index, so the
-// resulting link row — entry order, received-power bits, delays, and
-// therefore scheduler event order, RNG streams and JSONL output — is
+// It yields a candidate superset of the cutoff disk, in cell order; the
+// caller applies the exact squared-distance and delivery-floor filters
+// of the linear walk, so the link row holds the same receivers with
+// bit-identical powers and delays. Row order does not matter: the
+// scheduler orders a frame's deliveries by delay and receiver attach
+// index (sim.Span.O), so event order, RNG streams and JSONL output are
 // byte-identical to the full walk. TestGridCandidatesProperty and the
 // whole-run TestReferenceWalkIdentical check this against the reference
 // walk (UseReferenceWalk, test builds only).
@@ -97,26 +98,36 @@ func (c *Channel) gridUsable(cutoff float64) bool {
 	return c.maxSpeed >= 0 && c.fade == nil && cutoff > 0
 }
 
-// gridCandidates returns the attach indices, sorted ascending (= attach
-// order), of every radio whose current position can lie within cutoff
-// metres of src. The slice is the channel's scratch buffer, valid until
-// the next call. Callers must apply the exact cutoff/floor filters; the
+// candidates yields every radio whose current position can lie within
+// cutoff metres of src: the radios of the grid cells overlapping the
+// cutoff disk when the spatial index is usable, else every radio in
+// attach order. Callers must apply the exact cutoff/floor filters; the
 // result is a superset of the cutoff disk.
-func (c *Channel) gridCandidates(src geom.Point, cutoff float64) []int32 {
+func (c *Channel) candidates(src geom.Point, cutoff float64) iter.Seq[*Radio] {
+	return func(yield func(*Radio) bool) {
+		if c.gridUsable(cutoff) {
+			c.gridCandidates(src, cutoff, yield)
+			return
+		}
+		for _, o := range c.radios {
+			if !yield(o) {
+				return
+			}
+		}
+	}
+}
+
+// gridCandidates yields, cell by cell, the radios of every grid cell
+// that can hold a radio now within cutoff metres of src.
+func (c *Channel) gridCandidates(src geom.Point, cutoff float64, yield func(*Radio) bool) {
 	drift := c.ensureGrid(cutoff)
 	g := &c.grid
 	r := cutoff + drift
 	r2 := r * r
-	if c.candIdx == nil {
-		// Callers distinguish "grid unusable" (nil) from "no candidates"
-		// (empty), so the scratch buffer must never be nil.
-		c.candIdx = make([]int32, 0, 64)
-	}
 	ix0 := int32(math.Floor((src.X - r) * g.inv))
 	ix1 := int32(math.Floor((src.X + r) * g.inv))
 	iy0 := int32(math.Floor((src.Y - r) * g.inv))
 	iy1 := int32(math.Floor((src.Y + r) * g.inv))
-	c.candIdx = c.candIdx[:0]
 	for iy := iy0; iy <= iy1; iy++ {
 		for ix := ix0; ix <= ix1; ix++ {
 			radios, ok := g.cells[packCell(ix, iy)]
@@ -132,14 +143,13 @@ func (c *Channel) gridCandidates(src geom.Point, cutoff float64) []int32 {
 			if cellRect.Dist2(src) > r2 {
 				continue
 			}
-			c.candIdx = append(c.candIdx, radios...)
+			for _, j := range radios {
+				if !yield(c.radios[j]) {
+					return
+				}
+			}
 		}
 	}
-	// Attach order is the contract: the linear walk enumerates
-	// c.radios in attach order, and scheduler event order (and with it
-	// every downstream RNG stream) follows link-row entry order.
-	slices.Sort(c.candIdx)
-	return c.candIdx
 }
 
 // ensureGrid brings the index up to date for a query needing the given

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/geom"
@@ -18,9 +19,10 @@ var dialLevels = []float64{1e-3, 2e-3, 3.45e-3, 5.95e-3, 10.26e-3,
 // TestGridCandidatesProperty is the spatial-index soundness property:
 // for random placements and every power level, (a) the grid's candidate
 // enumeration is a superset of the delivery-cutoff disk, and (b) the
-// link row built from grid candidates equals the reference walk's
-// (UseReferenceWalk) exactly — same receivers, same order, bit-identical
-// received powers and delays.
+// link row built from grid candidates holds exactly the reference
+// walk's (UseReferenceWalk) receivers, each with bit-identical received
+// power and delay. Row order is free: the scheduler orders deliveries
+// by receiver attach index.
 func TestGridCandidatesProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 40; trial++ {
@@ -41,24 +43,18 @@ func TestGridCandidatesProperty(t *testing.T) {
 			cutoff := ch.model.(Ranger).RangeForTxPower(powerW, ch.deliverFloorW) * (1 + 1e-9)
 
 			// (a) superset of the cutoff disk.
-			cands := ch.gridCandidates(src.pos(), cutoff)
-			inCand := make(map[int32]bool, len(cands))
-			last := int32(-1)
-			for _, j := range cands {
-				if j <= last {
-					t.Fatalf("trial %d power %g: candidates not in attach order: %v", trial, powerW, cands)
-				}
-				last = j
-				inCand[j] = true
+			inCand := make(map[int]bool)
+			for o := range ch.candidates(src.pos(), cutoff) {
+				inCand[o.idx] = true
 			}
 			for _, o := range ch.radios {
-				if src.pos().Dist2(o.pos()) <= cutoff*cutoff && !inCand[int32(o.idx)] {
+				if src.pos().Dist2(o.pos()) <= cutoff*cutoff && !inCand[o.idx] {
 					t.Fatalf("trial %d power %g: radio %d at dist %.1f inside cutoff %.1f missing from candidates",
 						trial, powerW, o.id, src.pos().Dist(o.pos()), cutoff)
 				}
 			}
 
-			// (b) grid row == reference row, order included, bit for bit.
+			// (b) grid row == reference row as a set, bit for bit.
 			var rowG, rowR linkRow
 			ch.buildRow(&rowG, src, powerW)
 			ref.buildRow(&rowR, ref.radios[src.idx], powerW)
@@ -66,18 +62,91 @@ func TestGridCandidatesProperty(t *testing.T) {
 				t.Fatalf("trial %d power %g: grid row has %d entries, reference %d",
 					trial, powerW, len(rowG.entries), len(rowR.entries))
 			}
-			for i := range rowG.entries {
-				g, r := rowG.entries[i], rowR.entries[i]
-				if g.to.idx != r.to.idx || g.prW != r.prW || g.delay != r.delay {
-					t.Fatalf("trial %d power %g entry %d: grid {to=%d pr=%b delay=%d} != reference {to=%d pr=%b delay=%d}",
-						trial, powerW, i, g.to.id, g.prW, g.delay, r.to.id, r.prW, r.delay)
+			byIdx := make(map[int]linkEntry, len(rowR.entries))
+			for _, r := range rowR.entries {
+				byIdx[r.to.idx] = r
+			}
+			for _, g := range rowG.entries {
+				r, ok := byIdx[g.to.idx]
+				if !ok {
+					t.Fatalf("trial %d power %g: grid row holds radio %d, absent from the reference row or listed twice",
+						trial, powerW, g.to.id)
 				}
+				if g.prW != r.prW || g.delay != r.delay {
+					t.Fatalf("trial %d power %g radio %d: grid {pr=%b delay=%d} != reference {pr=%b delay=%d}",
+						trial, powerW, g.to.id, g.prW, g.delay, r.prW, r.delay)
+				}
+				delete(byIdx, g.to.idx)
 			}
 		}
 		if !GridAssigned(ch) || GridAssigned(ref) {
 			t.Fatalf("trial %d: grid assigned = %v (grid side), %v (reference side); want true, false",
 				trial, GridAssigned(ch), GridAssigned(ref))
 		}
+	}
+}
+
+// orderHandler appends its radio's attach index to a shared log on
+// every lock.
+type orderHandler struct {
+	idx int
+	log *[]int
+}
+
+func (h orderHandler) RadioRxBegin(*Transmission, float64)  { *h.log = append(*h.log, h.idx) }
+func (h orderHandler) RadioRx(*Transmission, float64, bool) {}
+func (h orderHandler) RadioCarrierBusy()                    {}
+func (h orderHandler) RadioCarrierIdle()                    {}
+func (h orderHandler) RadioTxDone(*Transmission)            {}
+
+// TestEqualDelaysArriveInAttachOrder pins the tie-break rule for one
+// frame's arrivals: four receivers at the same distance from the
+// sender get the same propagation delay, and whatever order the link
+// row lists them in, their begin arrivals fire in ascending attach
+// index. The receivers are attached so that the grid's cell-by-cell
+// walk lists them out of attach order; the no-promise channel walks
+// every radio in attach order.
+func TestEqualDelaysArriveInAttachOrder(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		speed float64
+		grid  bool
+	}{
+		{"pinned", 0, true},
+		{"moving", 3, true},
+		{"no-promise", -1, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sched := sim.NewScheduler()
+			par := DefaultParams()
+			ch := NewChannel(sched, NewTwoRayGround(par), par)
+			ch.SetMaxSpeed(tc.speed)
+			var log []int
+			src := ch.AttachRadio(0, func() geom.Point { return geom.Point{} }, orderHandler{0, &log})
+			// Top, bottom, right, left of the sender: the grid walks
+			// the bottom cell row first.
+			for i, p := range []geom.Point{{Y: 100}, {Y: -100}, {X: 100}, {X: -100}} {
+				ch.AttachRadio(i+1, func() geom.Point { return p }, orderHandler{i + 1, &log})
+			}
+			var row linkRow
+			ch.buildRow(&row, src, 0.2818)
+			var rowIdx []int
+			for _, en := range row.entries {
+				rowIdx = append(rowIdx, en.to.idx)
+				if en.delay != row.entries[0].delay {
+					t.Fatalf("delays differ: %d vs %d", en.delay, row.entries[0].delay)
+				}
+			}
+			if len(rowIdx) != 4 || slices.IsSorted(rowIdx) == tc.grid || GridAssigned(ch) != tc.grid {
+				t.Fatalf("row lists receivers %v with grid assigned %v; want all four, out of attach order exactly when the grid serves the row",
+					rowIdx, GridAssigned(ch))
+			}
+			src.Transmit(0.2818, 1024, 100*sim.Microsecond, nil)
+			sched.RunAll()
+			if want := []int{1, 2, 3, 4}; !slices.Equal(log, want) {
+				t.Fatalf("begin arrivals at radios %v, want %v", log, want)
+			}
+		})
 	}
 }
 

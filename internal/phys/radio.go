@@ -63,7 +63,7 @@ type arrival struct {
 type Radio struct {
 	ch  *Channel
 	id  int
-	idx int // position in Channel.radios (attach order; grid sort key)
+	idx int // position in Channel.radios: attach order, the ordinal of its arrivals (sim.Span.O)
 	pos func() geom.Point
 	h   Handler
 

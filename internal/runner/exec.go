@@ -64,7 +64,6 @@ type Result struct {
 	EnergyRxJ       float64 `json:"energy_rx_j"`
 	EnergyIdleJ     float64 `json:"energy_idle_j"`
 	EnergyOverhearJ float64 `json:"energy_overhear_j"`
-	EnergySleepJ    float64 `json:"energy_sleep_j,omitempty"`
 	// ConsumedPerKBJ is full-radio joules per delivered kilobyte;
 	// EnergyFairness is Jain's index over residual (battery) or
 	// consumed (mains) per-node energy.
@@ -138,7 +137,6 @@ func ResultOf(r Run, res scenario.Result) Result {
 	out.EnergyRxJ = res.EnergyByState[energy.Rx]
 	out.EnergyIdleJ = res.EnergyByState[energy.Idle]
 	out.EnergyOverhearJ = res.EnergyByState[energy.Overhear]
-	out.EnergySleepJ = res.EnergyByState[energy.Sleep]
 	out.ConsumedPerKBJ = res.ConsumedPerDeliveredKB()
 	out.EnergyFairness = res.EnergyFairness
 	out.DeadNodes = res.DeadNodes

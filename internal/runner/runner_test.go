@@ -520,7 +520,7 @@ func TestSingleRunRecord(t *testing.T) {
 	if rec.ConsumedEnergyJ <= rec.RadiatedEnergyJ {
 		t.Errorf("consumed %g J <= radiated %g J", rec.ConsumedEnergyJ, rec.RadiatedEnergyJ)
 	}
-	split := rec.EnergyTxJ + rec.EnergyRxJ + rec.EnergyIdleJ + rec.EnergyOverhearJ + rec.EnergySleepJ
+	split := rec.EnergyTxJ + rec.EnergyRxJ + rec.EnergyIdleJ + rec.EnergyOverhearJ
 	if d := rec.ConsumedEnergyJ - split; d > 1e-9 || d < -1e-9 {
 		t.Errorf("state split %g J != consumed %g J", split, rec.ConsumedEnergyJ)
 	}

@@ -6,12 +6,14 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 
 	"repro/internal/energy"
 	"repro/internal/geom"
 	"repro/internal/mac"
 	"repro/internal/packet"
+	"repro/internal/phys"
 	"repro/internal/sim"
 	"repro/internal/traffic"
 )
@@ -134,6 +136,8 @@ func validate(o Options) error {
 		return fmt.Errorf("scenario: negative nodes/flows")
 	case o.Nodes == 1 && len(o.Static) == 0:
 		return fmt.Errorf("scenario: need at least two nodes for a flow")
+	case !(o.FieldW >= 0 && o.FieldH >= 0) || math.IsInf(o.FieldW, 0) || math.IsInf(o.FieldH, 0):
+		return fmt.Errorf("scenario: field %g x %g m must be finite and non-negative", o.FieldW, o.FieldH)
 	case o.OfferedLoadKbps < 0:
 		return fmt.Errorf("scenario: negative offered load")
 	case o.Duration < 0 || o.Warmup < 0:
@@ -160,6 +164,9 @@ func validate(o Options) error {
 	if err := CheckTopology(o.Topology); err != nil {
 		return err
 	}
+	if err := checkLongestLink(o); err != nil {
+		return err
+	}
 	// Reject flow counts that exceed the ordered pairs of the defaulted
 	// node count here, at spec time, rather than letting PickPairs
 	// panic inside a campaign worker mid-run. WithDefaults itself
@@ -184,6 +191,27 @@ func validate(o Options) error {
 		if fp[0] == fp[1] {
 			return fmt.Errorf("scenario: self-flow %v", fp[0])
 		}
+	}
+	return nil
+}
+
+// checkLongestLink rejects layouts whose longest link takes 2^32 ns
+// (about 4.3 s) or more at the speed of light, the most a frame's
+// arrivals can be delayed (sim.ScheduleSpans). That link is the
+// diagonal of the box covering the field and every Static point:
+// generated and waypoint placements stay inside the field.
+func checkLongestLink(o Options) error {
+	d := o.WithDefaults()
+	lo, hi := geom.Point{}, geom.Point{X: d.FieldW, Y: d.FieldH}
+	for _, p := range o.Static {
+		lo = geom.Point{X: min(lo.X, p.X), Y: min(lo.Y, p.Y)}
+		hi = geom.Point{X: max(hi.X, p.X), Y: max(hi.Y, p.Y)}
+	}
+	diag := lo.Dist(hi)
+	// sim.DurationOf's arithmetic, kept in floating point so a huge or
+	// NaN length cannot overflow the integer conversion.
+	if ns := math.Round(diag / phys.SpeedOfLight * float64(sim.Second)); !(ns < 1<<32) {
+		return fmt.Errorf("scenario: the %g m diagonal of the layout takes %g ns to propagate, not under 2^32 ns", diag, ns)
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -144,11 +145,46 @@ func TestConfigValidation(t *testing.T) {
 		{Scheme: "pcmac", ResponseBytes: -1},
 		{Scheme: "pcmac", Nodes: 3, Flows: 12},
 		{Scheme: "pcmac", Flows: 5000}, // default 50 nodes: 2450 pairs
+		{Scheme: "pcmac", FieldW: -500},
+		{Scheme: "pcmac", FieldH: -1e-9},
+		// The longest link must propagate in under 2^32 ns: a
+		// 1.29-million-km field diagonal does not, nor does a Static
+		// point that far out.
+		{Scheme: "pcmac", FieldW: 1e9, FieldH: 1e9},
+		{Scheme: "pcmac", FieldW: 1.2876e9},
+		{Scheme: "pcmac", Static: [][2]float64{{0, 0}, {-1.2876e9, 0}}},
 	}
 	for i, fc := range cases {
 		if _, err := fc.Options(); err == nil {
 			t.Errorf("case %d validated: %+v", i, fc)
 		}
+	}
+
+	// What pcmacsim -field -500 builds, and non-finite fields, which
+	// only Options (not JSON) can carry.
+	pcmacsim := func(w, h float64) Options {
+		return Options{Scheme: mac.PCMAC, Nodes: 50, Flows: 10, OfferedLoadKbps: 400,
+			FieldW: w, FieldH: h, SpeedMin: 3, SpeedMax: 3, Pause: 3 * sim.Second,
+			Duration: 60 * sim.Second, Warmup: 5 * sim.Second, Seed: 1, SafetyFactor: 0.7}
+	}
+	for _, o := range []Options{
+		pcmacsim(-500, -500),
+		pcmacsim(math.NaN(), 1000),
+		pcmacsim(1000, math.Inf(1)),
+		{Scheme: mac.PCMAC, Static: []geom.Point{{}, {X: math.NaN()}}},
+	} {
+		err := Validate(o)
+		if err == nil || !strings.Contains(err.Error(), "field") && !strings.Contains(err.Error(), "diagonal") {
+			t.Errorf("field %g x %g, static %v: err = %v, want a field or diagonal error", o.FieldW, o.FieldH, o.Static, err)
+		}
+	}
+	// Just under the limit: the diagonal of a 1.2875e9 m x 1000 m
+	// field propagates in 4294637726 ns < 2^32.
+	if err := Validate(pcmacsim(1.2875e9, 0)); err != nil {
+		t.Errorf("a field whose diagonal takes under 2^32 ns was rejected: %v", err)
+	}
+	if err := Validate(pcmacsim(1000, 1000)); err != nil {
+		t.Errorf("pcmacsim's default options were rejected: %v", err)
 	}
 }
 

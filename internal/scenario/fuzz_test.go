@@ -15,7 +15,8 @@ import (
 //     input (when the input is valid JSON), yields its "was removed"
 //     error, and a "was removed" error only ever names a removed field;
 //   - a FileConfig that decodes re-encodes and decodes to the same
-//     value.
+//     value, and converts to Options (validated or rejected) without
+//     panicking.
 //
 // Plain go test replays the seeds below.
 //
@@ -30,6 +31,10 @@ func FuzzDecodeStrict(f *testing.F) {
 	}
 	f.Add([]byte(`{"scheme": "basic"} {"scheme": "pcmac"}`))
 	f.Add([]byte(`{"scheme": "basic", "nodez": 5}`))
+	// Field bounds: a negative field, and a layout whose diagonal takes
+	// 2^32 ns or more to propagate.
+	f.Add([]byte(`{"scheme": "pcmac", "field_w_m": -500, "field_h_m": -500}`))
+	f.Add([]byte(`{"scheme": "basic", "field_w_m": 1e9, "static": [[0, 0], [0, -1e9]]}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var fc FileConfig
@@ -71,6 +76,7 @@ func FuzzDecodeStrict(f *testing.F) {
 		if !reflect.DeepEqual(fc, again) {
 			t.Fatalf("round trip changed the config:\n got %+v\nwant %+v", again, fc)
 		}
+		fc.Options()
 	})
 }
 

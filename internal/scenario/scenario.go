@@ -242,7 +242,7 @@ type Result struct {
 	// battery — split by state in EnergyByState.
 	ConsumedEnergyJ float64
 	// EnergyByState splits ConsumedEnergyJ into TX (circuit + radiated),
-	// RX, idle-listening, overhear-then-discard and sleep joules.
+	// RX, idle-listening and overhear-then-discard joules.
 	EnergyByState energy.Breakdown
 	// NodeEnergy is the per-node accounting, indexed by node ID.
 	NodeEnergy []NodeEnergy

@@ -102,9 +102,8 @@ func (l *burstLoad) HandleEvent(kind int32, _ any, _ float64) {
 // workloads' peak pending depths before arrivals were filed as runs
 // (paper-fig8 ~400, scale500-mobile ~1600, scale2000-static ~4000).
 // The file= axis is how the arrivals reach the queue: 2k ScheduleEvent
-// calls, or one ScheduleSpans call (two runs; the heap files those as
-// single events, so it runs only the first). All of it rides the pooled
-// paths, so the loop is allocation-free.
+// calls, or one ScheduleSpans call (two runs, on either queue). All of
+// it rides the pooled paths, so the loop is allocation-free.
 func BenchmarkSchedulerBurst(b *testing.B) {
 	const (
 		k       = 32
@@ -120,9 +119,6 @@ func BenchmarkSchedulerBurst(b *testing.B) {
 	}
 	for _, q := range benchQueues {
 		for _, file := range []string{"events", "spans"} {
-			if file == "spans" && q.name == "heap" {
-				continue
-			}
 			for _, pending := range []int{400, 1600, 4000} {
 				b.Run(fmt.Sprintf("q=%s/file=%s/pending=%d", q.name, file, pending), func(b *testing.B) {
 					s := q.new()
@@ -143,7 +139,7 @@ func BenchmarkSchedulerBurst(b *testing.B) {
 					for i := 0; i < b.N; i++ {
 						if file == "spans" {
 							for j, d := range prop[i%senders] {
-								spans[j] = Span{D: d, H: l}
+								spans[j] = Span{D: d, O: uint32(j), H: l}
 							}
 							s.ScheduleSpans(spans, frame, 1, 1, nil)
 						} else {

@@ -88,7 +88,7 @@ func TestPooledPathsAllocationFree(t *testing.T) {
 
 	// A span call takes a pooled run, two pooled events and the sort
 	// buffer; all are reused once the run drains.
-	spans := []Span{{D: 3, H: rec}, {D: 1, H: rec}, {D: 2, H: rec, X: 1}}
+	spans := []Span{{D: 3, O: 2, H: rec}, {D: 1, O: 0, H: rec}, {D: 2, O: 1, H: rec, X: 1}}
 	s.ScheduleSpans(spans, 5, 0, 1, nil)
 	s.RunAll()
 	if n := testing.AllocsPerRun(100, func() {

@@ -112,16 +112,13 @@ type Scheduler struct {
 	stopped bool
 
 	// free is the event free list every fired or stopped event
-	// returns to; runFree is the same for span runs, and keys is
-	// ScheduleSpans' sort buffer.
+	// returns to; runFree is the same for span runs. keys is
+	// ScheduleSpans' sort buffer and slot its ordinal-to-span table
+	// (all zero between calls).
 	free    []*Event
 	runFree []*spanRun
 	keys    []uint64
-
-	// singleSpans makes ScheduleSpans file plain events (set by the
-	// test-only UseHeap, so the reference heap stays one event per
-	// arrival).
-	singleSpans bool
+	slot    []int32
 
 	// Executed counts events that have fired, for diagnostics and for
 	// runaway detection in tests.
@@ -201,9 +198,13 @@ func (s *Scheduler) ScheduleEvent(d Duration, h EventHandler, kind int32, arg an
 }
 
 // Span is one delivery of a ScheduleSpans call: its handler H, its delay
-// D from now, and the x its begin event carries.
+// D from now, the x its begin event carries, and its ordinal O, which
+// orders deliveries that land at the same instant. A call's ordinals
+// must be distinct; the scheduler keeps a table of max O + 1 slots, so
+// they should also be small (phys passes the receiver's attach index).
 type Span struct {
 	D Duration
+	O uint32
 	H EventHandler
 	X float64
 }
@@ -223,7 +224,7 @@ type spanItem struct {
 }
 
 // spanRun holds a ScheduleSpans call's deliveries sorted by (delay,
-// row order), which is (at, seq) order for both halves. Each half has
+// ordinal), which is (at, seq) order for both halves. Each half has
 // one queue entry, keyed by its next item. The end half's last item has
 // the largest key of all 2k, so the run returns to the pool when the
 // end half is spent.
@@ -245,47 +246,55 @@ func (r *spanRun) key(half int32, i int) (Time, uint64) {
 	return r.base.Add(it.d), it.seq
 }
 
-// ScheduleSpans files a transmission's deliveries: for each span, in
-// row order, a begin event h.HandleEvent(kindBegin, arg, X) at now+D and
-// an end event h.HandleEvent(kindEnd, arg, 0) at now+D+dur. The events
-// draw the seqs 2k ScheduleEvent calls in that order would (begin i
-// gets s+2i, end i s+2i+1), so they fire exactly as those calls' events
-// would. Two or more spans are filed as two runs, the begins and the
-// ends, each sorted by (at, seq) and queued as one entry keyed by its
-// next delivery: the queue holds two entries per call instead of 2k,
-// and dispatching a delivery re-keys its run's entry instead of popping
-// one event and filing another. Every delivery still counts one
-// executed event. A call with fewer than two spans, or with a delay of
-// 2^32 ns (about 4.3 s, a million kilometres of propagation) or more,
-// which the packed sort keys cannot hold, files single events instead.
-// A negative D or dur panics; after warm-up the call performs no heap
-// allocation.
+// ScheduleSpans files a transmission's deliveries: for each span a
+// begin event h.HandleEvent(kindBegin, arg, X) at now+D and an end event
+// h.HandleEvent(kindEnd, arg, 0) at now+D+dur. Span O's begin gets seq
+// s+2·O and its end s+2·O+1, and the call reserves 2·(max O + 1) seqs,
+// so the events fire exactly as ScheduleEvent pairs filed in ascending
+// O would: at equal instants, the lower ordinal first. The deliveries
+// are filed as two runs, the begins and the ends, each sorted by (at,
+// seq) and queued as one entry keyed by its next delivery: the queue
+// holds two entries per call instead of 2k, and dispatching a delivery
+// re-keys its run's entry instead of popping one event and filing
+// another. Every delivery still counts one executed event.
+//
+// A negative D or dur, a D of 2^32 ns (about 4.3 s, a million
+// kilometres of propagation) or more, which the packed (D, O) sort keys
+// cannot hold, a nil handler and a repeated O panic before anything is
+// filed. After warm-up the call performs no heap allocation.
 func (s *Scheduler) ScheduleSpans(spans []Span, dur Duration, kindBegin, kindEnd int32, arg any) {
 	if dur < 0 {
 		panic(fmt.Sprintf("sim: negative duration %d", dur))
 	}
-	far := false
-	for i := range spans {
-		sp := &spans[i]
-		if sp.D < 0 {
-			panic(fmt.Sprintf("sim: negative delay %d", sp.D))
-		}
-		if sp.H == nil {
-			panic("sim: nil event handler")
-		}
-		far = far || sp.D > math.MaxUint32
-	}
-	if len(spans) < 2 || far || s.singleSpans {
-		for i := range spans {
-			sp := &spans[i]
-			s.push(s.now.Add(sp.D), sp.H, kindBegin, arg, sp.X)
-			s.push(s.now.Add(sp.D+dur), sp.H, kindEnd, arg, 0)
-		}
+	if len(spans) == 0 {
 		return
 	}
 	keys := s.keys[:0]
+	maxO := uint32(0)
 	for i := range spans {
-		keys = append(keys, uint64(spans[i].D)<<32|uint64(i))
+		sp := &spans[i]
+		switch {
+		case sp.D < 0:
+			panic(fmt.Sprintf("sim: negative delay %d", sp.D))
+		case sp.D > math.MaxUint32:
+			panic(fmt.Sprintf("sim: delay %d does not fit a span key", sp.D))
+		case sp.H == nil:
+			panic("sim: nil event handler")
+		}
+		keys = append(keys, uint64(sp.D)<<32|uint64(sp.O))
+		maxO = max(maxO, sp.O)
+	}
+	if int(maxO) >= len(s.slot) {
+		s.slot = make([]int32, maxO+1)
+	}
+	slot := s.slot
+	for i := range spans {
+		o := spans[i].O
+		if slot[o] != 0 {
+			clear(slot[:maxO+1])
+			panic(fmt.Sprintf("sim: repeated span ordinal %d", o))
+		}
+		slot[o] = int32(i) + 1
 	}
 	slices.Sort(keys)
 	s.keys = keys
@@ -298,11 +307,12 @@ func (s *Scheduler) ScheduleSpans(spans []Span, dur Duration, kindBegin, kindEnd
 		r = &spanRun{}
 	}
 	for _, k := range keys {
-		i := uint32(k)
-		sp := &spans[i]
-		r.items = append(r.items, spanItem{d: sp.D, seq: s.seq + 2*uint64(i), h: sp.H, x: sp.X})
+		o := uint32(k)
+		sp := &spans[slot[o]-1]
+		slot[o] = 0
+		r.items = append(r.items, spanItem{d: sp.D, seq: s.seq + 2*uint64(o), h: sp.H, x: sp.X})
 	}
-	s.seq += 2 * uint64(len(spans))
+	s.seq += 2 * (uint64(maxO) + 1)
 	r.next = [2]int{}
 	r.base = s.now
 	r.dur = dur
