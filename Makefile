@@ -76,7 +76,8 @@ campaign-smoke:
 	@set -e; tmp=$$(mktemp -d); trap 'rm -rf $$tmp' EXIT; \
 	$(GO) build -o $$tmp/campaign ./cmd/campaign; c=$$tmp/campaign; \
 	lines() { n=$$(wc -l < $$1); test "$$n" -eq $$2 || { echo "campaign-smoke: $$1 has $$n lines, want $$2" >&2; exit 1; }; }; \
-	none() { test -z "$$1" || { echo "campaign-smoke: $$2:" >&2; echo "$$1" >&2; exit 1; }; }; \
+	none() { bad=$$(jq -c "select($$1)" $$2) || { echo "campaign-smoke: jq could not read $$2" >&2; exit 1; }; \
+	  test -z "$$bad" || { echo "campaign-smoke: $$3:" >&2; echo "$$bad" >&2; exit 1; }; }; \
 	$$c -preset bursty -dry-run > $$tmp/dry.txt; test -s $$tmp/dry.txt; \
 	$$c -preset scale -dry-run > $$tmp/scale-dry.txt; \
 	lines $$tmp/scale-dry.txt 384; \
@@ -98,12 +99,12 @@ campaign-smoke:
 	lines $$tmp/scale.jsonl 2; \
 	$$c -preset lifetime -duration 4 -seeds 1 -loads 250 -out $$tmp/life.jsonl -q > /dev/null; \
 	lines $$tmp/life.jsonl 4; \
-	none "$$(jq -c 'select((.consumed_energy_j <= .energy_j) or (((.alive_timeline // []) | length) == 0))' $$tmp/life.jsonl)" \
+	none '(.consumed_energy_j <= .energy_j) or (((.alive_timeline // []) | length) == 0)' $$tmp/life.jsonl \
 	  "lifetime records violating the energy invariants"; \
 	$$c $$bursty -timing -out $$tmp/timing.jsonl -q > /dev/null; \
-	none "$$(jq -c 'select((.wall_ms // 0) <= 0 or (.peak_queue // 0) <= 0)' $$tmp/timing.jsonl)" \
+	none '(.wall_ms // 0) <= 0 or (.peak_queue // 0) <= 0' $$tmp/timing.jsonl \
 	  "-timing records missing timing fields"; \
-	none "$$(jq -c 'select(has("wall_ms") or has("peak_queue"))' $$tmp/smoke.jsonl)" \
+	none 'has("wall_ms") or has("peak_queue")' $$tmp/smoke.jsonl \
 	  "untimed records carrying timing fields"; \
 	echo "campaign-smoke: ok"
 

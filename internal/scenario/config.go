@@ -195,8 +195,8 @@ func validate(o Options) error {
 	return nil
 }
 
-// checkLongestLink rejects layouts whose longest link takes 2^32 ns
-// (about 4.3 s) or more at the speed of light, the most a frame's
+// checkLongestLink rejects layouts whose longest link takes longer
+// than sim.MaxSpanDelay at the speed of light, the most a frame's
 // arrivals can be delayed (sim.ScheduleSpans). That link is the
 // diagonal of the box covering the field and every Static point:
 // generated and waypoint placements stay inside the field.
@@ -210,8 +210,8 @@ func checkLongestLink(o Options) error {
 	diag := lo.Dist(hi)
 	// sim.DurationOf's arithmetic, kept in floating point so a huge or
 	// NaN length cannot overflow the integer conversion.
-	if ns := math.Round(diag / phys.SpeedOfLight * float64(sim.Second)); !(ns < 1<<32) {
-		return fmt.Errorf("scenario: the %g m diagonal of the layout takes %g ns to propagate, not under 2^32 ns", diag, ns)
+	if ns := math.Round(diag / phys.SpeedOfLight * float64(sim.Second)); !(ns <= float64(sim.MaxSpanDelay)) {
+		return fmt.Errorf("scenario: the %g m diagonal of the layout takes %g ns to propagate, more than the %d ns limit", diag, ns, sim.MaxSpanDelay)
 	}
 	return nil
 }

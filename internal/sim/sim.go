@@ -39,6 +39,10 @@ const (
 // MaxTime is the largest representable simulation instant.
 const MaxTime = Time(math.MaxInt64)
 
+// MaxSpanDelay is the longest delay a span may carry (ScheduleSpans):
+// 2^32-1 ns, about 4.3 s, the most the packed (D, O) sort keys hold.
+const MaxSpanDelay Duration = math.MaxUint32
+
 // Seconds converts a duration to floating-point seconds (for reporting).
 func (d Duration) Seconds() float64 { return float64(d) / float64(Second) }
 
@@ -258,9 +262,8 @@ func (r *spanRun) key(half int32, i int) (Time, uint64) {
 // re-keys its run's entry instead of popping one event and filing
 // another. Every delivery still counts one executed event.
 //
-// A negative D or dur, a D of 2^32 ns (about 4.3 s, a million
-// kilometres of propagation) or more, which the packed (D, O) sort keys
-// cannot hold, a nil handler and a repeated O panic before anything is
+// A negative D or dur, a D above MaxSpanDelay (a million kilometres
+// of propagation), a nil handler and a repeated O panic before anything is
 // filed. After warm-up the call performs no heap allocation.
 func (s *Scheduler) ScheduleSpans(spans []Span, dur Duration, kindBegin, kindEnd int32, arg any) {
 	if dur < 0 {
@@ -276,7 +279,7 @@ func (s *Scheduler) ScheduleSpans(spans []Span, dur Duration, kindBegin, kindEnd
 		switch {
 		case sp.D < 0:
 			panic(fmt.Sprintf("sim: negative delay %d", sp.D))
-		case sp.D > math.MaxUint32:
+		case sp.D > MaxSpanDelay:
 			panic(fmt.Sprintf("sim: delay %d does not fit a span key", sp.D))
 		case sp.H == nil:
 			panic("sim: nil event handler")

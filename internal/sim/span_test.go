@@ -3,7 +3,6 @@ package sim
 import (
 	"cmp"
 	"fmt"
-	"math"
 	"slices"
 	"strings"
 	"testing"
@@ -397,23 +396,23 @@ func TestScheduleSpansFarDelays(t *testing.T) {
 	s := NewScheduler()
 	var at []Time
 	rec := &ptrHandler{fn: func() { at = append(at, s.Now()) }}
-	s.ScheduleSpans([]Span{{D: math.MaxUint32, O: 0, H: rec}, {D: 0, O: 1, H: rec}, {D: 5, O: 2, H: rec}}, 1, 1, 2, nil)
+	s.ScheduleSpans([]Span{{D: MaxSpanDelay, O: 0, H: rec}, {D: 0, O: 1, H: rec}, {D: 5, O: 2, H: rec}}, 1, 1, 2, nil)
 	if s.Pending() != 2 {
 		t.Fatalf("Pending = %d, want one entry per run half", s.Pending())
 	}
 	s.RunAll()
-	far := Time(math.MaxUint32)
+	far := Time(MaxSpanDelay)
 	if want := []Time{0, 1, 5, 6, far, far + 1}; fmt.Sprint(at) != fmt.Sprint(want) {
 		t.Fatalf("fired at %v, want %v", at, want)
 	}
 
 	defer func() {
 		if recover() == nil {
-			t.Fatal("a delay of 2^32 ns did not panic")
+			t.Fatal("a delay above MaxSpanDelay did not panic")
 		}
 		if s.Pending() != 0 {
 			t.Fatalf("Pending = %d after a rejected call, want 0", s.Pending())
 		}
 	}()
-	s.ScheduleSpans([]Span{{D: 0, O: 0, H: rec}, {D: math.MaxUint32 + 1, O: 1, H: rec}}, 1, 1, 2, nil)
+	s.ScheduleSpans([]Span{{D: 0, O: 0, H: rec}, {D: MaxSpanDelay + 1, O: 1, H: rec}}, 1, 1, 2, nil)
 }
