@@ -71,8 +71,7 @@ func main() {
 	}
 	var pairs [][2]packet.NodeID
 	for _, src := range nw.Sources {
-		s, d := src.Endpoints()
-		pairs = append(pairs, [2]packet.NodeID{s, d})
+		pairs = append(pairs, [2]packet.NodeID{src.Src, src.Dst})
 	}
 	m.MarkFlows(pairs)
 

@@ -193,10 +193,12 @@ func (o Options) WithDefaults() Options {
 		o.TrafficStart = sim.Time(sim.Second)
 	}
 	if o.BurstFactor == 0 {
-		o.BurstFactor = traffic.DefaultBurstFactor
+		o.BurstFactor = 4
 	}
 	if o.ParetoShape == 0 {
-		o.ParetoShape = traffic.DefaultParetoShape
+		// 1 < alpha <= 2 gives the heavy tails of self-similar
+		// traffic; 1.5 is the ns-2 convention.
+		o.ParetoShape = 1.5
 	}
 	if o.ResponseBytes == 0 {
 		o.ResponseBytes = o.PacketBytes
@@ -320,7 +322,7 @@ type Network struct {
 	DataCh    *phys.Channel
 	CtrlCh    *phys.Channel // nil unless PCMAC with control channel
 	Nodes     []*Node
-	Sources   []traffic.Source
+	Sources   []*traffic.Source
 	Collector *stats.Collector
 	Timeline  *stats.Timeline // nil unless Options.TimelineBucket set
 }
@@ -384,10 +386,6 @@ func Build(o Options) (*Network, error) {
 		nw.Timeline = stats.NewTimeline(o.TimelineBucket)
 	}
 
-	// reqresp maps request flow IDs to their exchange so the delivery
-	// hook can trigger responses; populated when flows are built.
-	reqresp := make(map[uint32]*traffic.ReqResp)
-
 	for i := 0; i < o.Nodes; i++ {
 		var mob mobility.Model
 		if len(o.Static) > 0 {
@@ -413,8 +411,10 @@ func Build(o Options) (*Network, error) {
 				if nw.Timeline != nil {
 					nw.Timeline.PacketDelivered(np, sched.Now())
 				}
-				if rr, ok := reqresp[np.FlowID]; ok {
-					rr.OnDelivered(np, sched.Now())
+				// Flow i+1 is Sources[i]; reqresp responses, flows
+				// n+1..2n, have no source of their own.
+				if i := int(np.FlowID) - 1; i >= 0 && i < len(nw.Sources) {
+					nw.Sources[i].Delivered(np, sched.Now())
 				}
 			}
 		}
@@ -468,6 +468,9 @@ func Build(o Options) (*Network, error) {
 			Interval:    interval,
 			BurstFactor: o.BurstFactor,
 			ParetoShape: o.ParetoShape,
+			RespSender:  nw.Nodes[p[1]].Router,
+			RespFlowID:  uint32(len(pairs) + i + 1),
+			RespBytes:   o.ResponseBytes,
 			NextUID:     nextUID,
 			OnGenerate:  onGenerate,
 		}
@@ -477,17 +480,9 @@ func Build(o Options) (*Network, error) {
 			// the traffic axis existing.
 			params.RNG = rand.New(rand.NewSource(master.Int63()))
 		}
-		if tmodel == traffic.ReqRespModel {
-			params.RespSender = nw.Nodes[p[1]].Router
-			params.RespFlowID = uint32(len(pairs) + i + 1)
-			params.RespBytes = o.ResponseBytes
-		}
 		src, err := traffic.NewSource(tmodel, params)
 		if err != nil {
 			return nil, fmt.Errorf("scenario: %w", err)
-		}
-		if rr, ok := src.(*traffic.ReqResp); ok {
-			reqresp[rr.FlowID] = rr
 		}
 		jitter := sim.Duration(master.Int63n(int64(interval)))
 		src.Start(o.TrafficStart.Add(jitter), sim.Time(o.Duration))

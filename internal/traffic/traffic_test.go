@@ -15,18 +15,25 @@ type captureSender struct {
 
 func (s *captureSender) Send(np *packet.NetPacket) { s.pkts = append(s.pkts, np) }
 
+// newCBR builds a 512-byte CBR source from node 0 to node 5.
+func newCBR(t *testing.T, sched *sim.Scheduler, snd Sender, interval sim.Duration) *Source {
+	t.Helper()
+	c, err := NewSource(CBRModel, Params{Sched: sched, Sender: snd, FlowID: 1, Src: 0, Dst: 5, Bytes: 512, Interval: interval})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
 func TestCBRGeneratesAtRate(t *testing.T) {
 	sched := sim.NewScheduler()
 	snd := &captureSender{}
 	// 512 B every 50 ms for 10 s starting at 1 s -> 180 packets.
-	c := NewCBR(sched, snd, 1, 0, 5, 512, 50*sim.Millisecond)
+	c := newCBR(t, sched, snd, 50*sim.Millisecond)
 	c.Start(sim.Time(sim.Second), sim.Time(10*sim.Second))
 	sched.RunAll()
 	if len(snd.pkts) != 180 {
 		t.Fatalf("generated %d packets, want 180", len(snd.pkts))
-	}
-	if c.Generated != 180 {
-		t.Fatalf("Generated = %d", c.Generated)
 	}
 	// Sequences are 1..n and creation times spaced by the interval.
 	for i, p := range snd.pkts {
@@ -46,7 +53,7 @@ func TestCBRGeneratesAtRate(t *testing.T) {
 func TestCBRStop(t *testing.T) {
 	sched := sim.NewScheduler()
 	snd := &captureSender{}
-	c := NewCBR(sched, snd, 1, 0, 5, 512, 10*sim.Millisecond)
+	c := newCBR(t, sched, snd, 10*sim.Millisecond)
 	c.Start(0, sim.Time(10*sim.Second))
 	sched.Schedule(105*sim.Millisecond, func() { c.Stop() })
 	sched.Run(sim.Time(sim.Second))
@@ -56,8 +63,7 @@ func TestCBRStop(t *testing.T) {
 }
 
 func TestCBRRate(t *testing.T) {
-	sched := sim.NewScheduler()
-	c := NewCBR(sched, &captureSender{}, 1, 0, 1, 512, 50*sim.Millisecond)
+	c := newCBR(t, sim.NewScheduler(), &captureSender{}, 50*sim.Millisecond)
 	want := 512.0 * 8 / 0.05
 	if math.Abs(c.RateBps()-want) > 1e-6 {
 		t.Fatalf("RateBps = %v, want %v", c.RateBps(), want)
@@ -67,11 +73,16 @@ func TestCBRRate(t *testing.T) {
 func TestCBRHook(t *testing.T) {
 	sched := sim.NewScheduler()
 	snd := &captureSender{}
-	c := NewCBR(sched, snd, 1, 0, 5, 512, 100*sim.Millisecond)
 	var hooked int
-	c.OnGenerate = func(np *packet.NetPacket) { hooked++ }
 	uid := uint64(100)
-	c.NextUID = func() uint64 { uid++; return uid }
+	c, err := NewSource(CBRModel, Params{
+		Sched: sched, Sender: snd, FlowID: 1, Src: 0, Dst: 5, Bytes: 512, Interval: 100 * sim.Millisecond,
+		NextUID:    func() uint64 { uid++; return uid },
+		OnGenerate: func(np *packet.NetPacket) { hooked++ },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	c.Start(0, sim.Time(sim.Second))
 	sched.RunAll()
 	if hooked != len(snd.pkts) {
@@ -79,24 +90,6 @@ func TestCBRHook(t *testing.T) {
 	}
 	if snd.pkts[0].UID != 101 {
 		t.Fatalf("UID = %d, want 101", snd.pkts[0].UID)
-	}
-}
-
-func TestCBRInvalid(t *testing.T) {
-	sched := sim.NewScheduler()
-	for _, f := range []func(){
-		func() { NewCBR(sched, &captureSender{}, 1, 0, 1, 512, 0) },
-		func() { NewCBR(sched, &captureSender{}, 1, 0, 1, 0, sim.Second) },
-		func() { IntervalFor(512, 0) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("invalid construction did not panic")
-				}
-			}()
-			f()
-		}()
 	}
 }
 
@@ -112,6 +105,12 @@ func TestIntervalFor(t *testing.T) {
 	if math.Abs(agg-300e3)/300e3 > 1e-6 {
 		t.Fatalf("aggregate = %v, want 300k", agg)
 	}
+	defer func() {
+		if recover() == nil {
+			t.Error("IntervalFor(512, 0) did not panic")
+		}
+	}()
+	IntervalFor(512, 0)
 }
 
 func TestPickPairs(t *testing.T) {
@@ -198,4 +197,275 @@ func TestPickPairsPanicsImpossible(t *testing.T) {
 		}
 	}()
 	PickPairs(2, 3, rand.New(rand.NewSource(1)))
+}
+
+// runSource drives a freshly built source of the given model for
+// horizon seconds and returns the captured packets.
+func runSource(t *testing.T, m Model, seed int64, horizon sim.Duration) []*packet.NetPacket {
+	t.Helper()
+	sched := sim.NewScheduler()
+	snd := &captureSender{}
+	src, err := NewSource(m, Params{
+		Sched:       sched,
+		Sender:      snd,
+		FlowID:      1,
+		Src:         0,
+		Dst:         5,
+		Bytes:       512,
+		Interval:    100 * sim.Millisecond,
+		RNG:         rand.New(rand.NewSource(seed)),
+		BurstFactor: 4,
+		ParetoShape: 1.5,
+		RespSender:  snd,
+		RespFlowID:  2,
+		RespBytes:   512,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	src.Start(0, sim.Time(horizon))
+	sched.RunAll()
+	return snd.pkts
+}
+
+// TestSourceMeanRates checks every model offers its nominal mean rate:
+// 10 pkt/s of 512 B over a long horizon, within a tolerance wide
+// enough for the heavy-tailed models' slow convergence.
+func TestSourceMeanRates(t *testing.T) {
+	const horizon = 2000 * sim.Second
+	want := 10.0 * horizon.Seconds()
+	for _, tc := range []struct {
+		model Model
+		tol   float64
+	}{
+		{CBRModel, 0.01},
+		{PoissonModel, 0.05},
+		{OnOffModel, 0.05},
+		{ParetoModel, 0.25},
+	} {
+		pkts := runSource(t, tc.model, 42, horizon)
+		got := float64(len(pkts))
+		if math.Abs(got-want)/want > tc.tol {
+			t.Errorf("%s: generated %d packets over %v, want %.0f ±%.0f%%",
+				tc.model, len(pkts), horizon, want, tc.tol*100)
+		}
+	}
+}
+
+// cv returns the coefficient of variation of the inter-arrival gaps.
+func cv(pkts []*packet.NetPacket) float64 {
+	var gaps []float64
+	for i := 1; i < len(pkts); i++ {
+		gaps = append(gaps, pkts[i].CreatedAt.Sub(pkts[i-1].CreatedAt).Seconds())
+	}
+	var mean float64
+	for _, g := range gaps {
+		mean += g
+	}
+	mean /= float64(len(gaps))
+	var ss float64
+	for _, g := range gaps {
+		d := g - mean
+		ss += d * d
+	}
+	return math.Sqrt(ss/float64(len(gaps))) / mean
+}
+
+// TestSourceBurstiness orders the models by inter-arrival variability:
+// CBR is deterministic (CV ~0), Poisson memoryless (CV ~1), and the
+// on-off models burstier still.
+func TestSourceBurstiness(t *testing.T) {
+	const horizon = 1000 * sim.Second
+	cvs := make(map[Model]float64)
+	for _, m := range []Model{CBRModel, PoissonModel, OnOffModel, ParetoModel} {
+		pkts := runSource(t, m, 7, horizon)
+		if len(pkts) < 100 {
+			t.Fatalf("%s: only %d packets", m, len(pkts))
+		}
+		cvs[m] = cv(pkts)
+	}
+	if cvs[CBRModel] > 1e-9 {
+		t.Errorf("cbr CV = %g, want 0", cvs[CBRModel])
+	}
+	if math.Abs(cvs[PoissonModel]-1) > 0.15 {
+		t.Errorf("poisson CV = %g, want ~1", cvs[PoissonModel])
+	}
+	if cvs[OnOffModel] < 1.2 {
+		t.Errorf("onoff CV = %g, want > 1.2 (burstier than poisson)", cvs[OnOffModel])
+	}
+	if cvs[ParetoModel] < 1.2 {
+		t.Errorf("pareto CV = %g, want > 1.2 (burstier than poisson)", cvs[ParetoModel])
+	}
+}
+
+// TestSourceSchedulesDeterministic requires byte-identical packet
+// schedules (creation time, seq) across two runs with the same seed —
+// the property the campaign runner's reproducibility contract rests on.
+func TestSourceSchedulesDeterministic(t *testing.T) {
+	for _, m := range Models() {
+		a := runSource(t, m, 99, 200*sim.Second)
+		b := runSource(t, m, 99, 200*sim.Second)
+		if len(a) != len(b) {
+			t.Errorf("%s: %d vs %d packets across identical runs", m, len(a), len(b))
+			continue
+		}
+		for i := range a {
+			if a[i].CreatedAt != b[i].CreatedAt || a[i].Seq != b[i].Seq {
+				t.Errorf("%s: packet %d differs: (%v, %d) vs (%v, %d)",
+					m, i, a[i].CreatedAt, a[i].Seq, b[i].CreatedAt, b[i].Seq)
+				break
+			}
+		}
+		// A different seed must change the stochastic schedules.
+		if m == CBRModel {
+			continue
+		}
+		c := runSource(t, m, 100, 200*sim.Second)
+		same := len(a) == len(c)
+		if same {
+			for i := range a {
+				if a[i].CreatedAt != c[i].CreatedAt {
+					same = false
+					break
+				}
+			}
+		}
+		if same {
+			t.Errorf("%s: schedule identical under a different seed", m)
+		}
+	}
+}
+
+// TestReqResp closes the loop by hand: every "delivered" request must
+// trigger one response from dst back to src on the response flow.
+func TestReqResp(t *testing.T) {
+	sched := sim.NewScheduler()
+	req := &captureSender{}
+	resp := &captureSender{}
+	uid := uint64(0)
+	r, err := NewSource(ReqRespModel, Params{
+		Sched: sched, Sender: req, FlowID: 1, Src: 3, Dst: 8, Bytes: 512, Interval: 100 * sim.Millisecond,
+		RNG:        rand.New(rand.NewSource(1)),
+		RespSender: resp, RespFlowID: 9, RespBytes: 128,
+		NextUID: func() uint64 { uid++; return uid },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Start(0, sim.Time(20*sim.Second))
+	sched.RunAll()
+	if len(req.pkts) == 0 {
+		t.Fatal("no requests generated")
+	}
+	// Deliver every other request.
+	delivered := 0
+	for i, np := range req.pkts {
+		if i%2 == 0 {
+			r.Delivered(np, np.CreatedAt.Add(5*sim.Millisecond))
+			delivered++
+		}
+	}
+	if len(resp.pkts) != delivered {
+		t.Fatalf("responses = %d, want %d", len(resp.pkts), delivered)
+	}
+	for i, np := range resp.pkts {
+		if np.FlowID != 9 || np.Src != 8 || np.Dst != 3 || np.Bytes != 128 {
+			t.Fatalf("response fields wrong: %+v", np)
+		}
+		if np.Seq != uint32(i+1) {
+			t.Fatalf("response %d seq = %d", i, np.Seq)
+		}
+	}
+	// A duplicate delivery of an already-answered request (MAC
+	// retransmission race) must not inject a second response, nor may
+	// a delivery on another flow.
+	r.Delivered(req.pkts[0], req.pkts[0].CreatedAt.Add(50*sim.Millisecond))
+	r.Delivered(resp.pkts[0], resp.pkts[0].CreatedAt.Add(50*sim.Millisecond))
+	if len(resp.pkts) != delivered {
+		t.Fatalf("re-answered: %d responses, want %d", len(resp.pkts), delivered)
+	}
+}
+
+// TestDeliveredIgnoredByOtherModels: only reqresp answers deliveries.
+func TestDeliveredIgnoredByOtherModels(t *testing.T) {
+	for _, m := range []Model{CBRModel, PoissonModel, OnOffModel, ParetoModel} {
+		sched := sim.NewScheduler()
+		snd := &captureSender{}
+		s, err := NewSource(m, Params{
+			Sched: sched, Sender: snd, FlowID: 1, Dst: 1, Bytes: 512, Interval: sim.Second,
+			RNG: rand.New(rand.NewSource(1)), BurstFactor: 4, ParetoShape: 1.5,
+			RespSender: snd, RespFlowID: 2, RespBytes: 512,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Delivered(&packet.NetPacket{FlowID: 1, Seq: 1}, 0)
+		if len(snd.pkts) != 0 {
+			t.Errorf("%s: a delivery injected %d packets", m, len(snd.pkts))
+		}
+	}
+}
+
+// TestNewSourceErrors rejects invalid model/parameter combinations
+// with an error, never a panic.
+func TestNewSourceErrors(t *testing.T) {
+	sched := sim.NewScheduler()
+	snd := &captureSender{}
+	rng := rand.New(rand.NewSource(1))
+	base := Params{
+		Sched: sched, Sender: snd, FlowID: 1, Dst: 1, Bytes: 512, Interval: sim.Second,
+		RNG: rng, BurstFactor: 4, ParetoShape: 1.5,
+	}
+	withResp := func(p *Params) { p.RespSender = snd; p.RespFlowID = 2; p.RespBytes = 128 }
+	cases := []struct {
+		name  string
+		model Model
+		mut   func(p *Params)
+	}{
+		{"unknown model", Model("fractal"), func(p *Params) {}},
+		{"cbr zero interval", CBRModel, func(p *Params) { p.Interval = 0 }},
+		{"cbr zero payload", CBRModel, func(p *Params) { p.Bytes = 0 }},
+		{"zero interval", PoissonModel, func(p *Params) { p.Interval = 0 }},
+		{"missing rng", PoissonModel, func(p *Params) { p.RNG = nil }},
+		{"burst factor <= 1", OnOffModel, func(p *Params) { p.BurstFactor = 1 }},
+		{"burst factor unset", ParetoModel, func(p *Params) { p.BurstFactor = 0 }},
+		{"burst factor NaN", OnOffModel, func(p *Params) { p.BurstFactor = math.NaN() }},
+		{"pareto shape <= 1", ParetoModel, func(p *Params) { p.ParetoShape = 1 }},
+		{"reqresp without responder", ReqRespModel, func(p *Params) { withResp(p); p.RespSender = nil }},
+		{"reqresp flow collision", ReqRespModel, func(p *Params) { withResp(p); p.RespFlowID = p.FlowID }},
+		{"reqresp negative response", ReqRespModel, func(p *Params) { withResp(p); p.RespBytes = -1 }},
+		{"reqresp unset response size", ReqRespModel, func(p *Params) { withResp(p); p.RespBytes = 0 }},
+	}
+	for _, tc := range cases {
+		p := base
+		tc.mut(&p)
+		if _, err := NewSource(tc.model, p); err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
+	}
+	// The happy path still works for every registered model.
+	for _, m := range Models() {
+		p := base
+		withResp(&p)
+		if _, err := NewSource(m, p); err != nil {
+			t.Errorf("%s: %v", m, err)
+		}
+	}
+}
+
+// TestParseModel resolves names, defaults the empty string to CBR, and
+// rejects unknowns.
+func TestParseModel(t *testing.T) {
+	if m, err := ParseModel(""); err != nil || m != CBRModel {
+		t.Errorf("ParseModel(\"\") = %v, %v", m, err)
+	}
+	for _, m := range Models() {
+		got, err := ParseModel(string(m))
+		if err != nil || got != m {
+			t.Errorf("ParseModel(%q) = %v, %v", m, got, err)
+		}
+	}
+	if _, err := ParseModel("fractal"); err == nil {
+		t.Error("unknown model accepted")
+	}
 }
