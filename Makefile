@@ -64,7 +64,8 @@ lint-golangci:
 # job runs this target, then daemon-smoke). Every check fails the
 # target: the bursty preset dry-runs non-empty, runs a tiny grid to 8
 # records and resumes from its own checkpoint leaving the file
-# byte-identical; the clustered preset writes a non-empty file; the
+# byte-identical; the reqresp preset does the same with 4 records,
+# driving the response leg end to end; the clustered preset writes a non-empty file; the
 # scale preset expands to 384 runs and pushes a real 500-node grid
 # (2 records) through the spatial index; the scale and ablation-ctrl
 # presets, emitted as specs and read back, dry-run byte-identically to
@@ -87,12 +88,11 @@ campaign-smoke:
 	  $$c -spec $$tmp/$$p.json -dry-run > $$tmp/$$p.spec 2>&1; \
 	  cmp $$tmp/$$p.preset $$tmp/$$p.spec; \
 	done; \
+	resumes() { $$c $$1 -out $$2 -q > /dev/null; lines $$2 $$3; cp $$2 $$2.orig; \
+	  $$c $$1 -out $$2 -resume -q > /dev/null; cmp $$2.orig $$2; }; \
 	bursty="-preset bursty -duration 4 -seeds 1 -loads 250"; \
-	$$c $$bursty -out $$tmp/smoke.jsonl -q > /dev/null; \
-	lines $$tmp/smoke.jsonl 8; \
-	cp $$tmp/smoke.jsonl $$tmp/smoke.orig; \
-	$$c $$bursty -out $$tmp/smoke.jsonl -resume -q > /dev/null; \
-	cmp $$tmp/smoke.orig $$tmp/smoke.jsonl; \
+	resumes "$$bursty" $$tmp/smoke.jsonl 8; \
+	resumes "-preset reqresp -duration 4 -seeds 1 -loads 250" $$tmp/reqresp.jsonl 4; \
 	$$c -preset clustered -topology clusters,corridor -duration 4 -seeds 1 -loads 250 -out $$tmp/clustered.jsonl -q > /dev/null; \
 	test -s $$tmp/clustered.jsonl; \
 	$$c -preset scale -variants n=500 -topology grid -duration 4 -seeds 1 -loads 250 -out $$tmp/scale.jsonl -q > /dev/null; \

@@ -48,7 +48,7 @@ func main() {
 	case *fig == 6:
 		opts = scenario.Fig6Options(mac.Scheme1)
 	default:
-		opts = scenario.Options{Scheme: mac.Basic, Seed: *seed, Duration: sim.Second}
+		opts = scenario.Options{Scheme: mac.Basic, Seed: *seed}
 	}
 	opts.Seed = *seed
 

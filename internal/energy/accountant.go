@@ -264,9 +264,6 @@ func (a *Accountant) ConsumedJ() float64 { return a.consumedJ.Total() }
 // StateSeconds returns the time spent in a state.
 func (a *Accountant) StateSeconds(s State) float64 { return a.timeS[s] }
 
-// HasBattery reports whether a finite battery is attached.
-func (a *Accountant) HasBattery() bool { return a.bat.CapacityJ() > 0 }
-
 // ResidualJ returns the battery's remaining charge; 0 without one.
 func (a *Accountant) ResidualJ() float64 { return a.bat.ResidualJ() }
 

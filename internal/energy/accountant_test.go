@@ -142,7 +142,7 @@ func TestAccountantSetCapacity(t *testing.T) {
 	s := sim.NewScheduler()
 	a := NewAccountant(s, Config{Profile: testProfile()})
 	advance(t, s, 2*sim.Second) // 1 J consumed, mains-powered
-	if a.HasBattery() || a.Dead() {
+	if a.Battery().CapacityJ() != 0 || a.Dead() {
 		t.Fatal("unexpected battery")
 	}
 	a.SetCapacity(0.25) // half a second of idle draw left

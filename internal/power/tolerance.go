@@ -75,18 +75,6 @@ func (r *Registry) Check(powerW float64, exclude packet.NodeID) (ok bool, wait s
 	return ok, wait
 }
 
-// MaxSafePower returns the largest power that passes Check, or 0 when
-// even the minimum is blocked. It is used by diagnostics and the
-// examples; the MAC itself uses Check against a specific level.
-func (r *Registry) MaxSafePower(levels Levels, exclude packet.NodeID) float64 {
-	for i := len(levels) - 1; i >= 0; i-- {
-		if ok, _ := r.Check(levels[i], exclude); ok {
-			return levels[i]
-		}
-	}
-	return 0
-}
-
 // Active returns the number of fresh entries.
 func (r *Registry) Active() int {
 	now := r.clock()

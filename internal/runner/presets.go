@@ -266,15 +266,3 @@ func ablation(kind string, base scenario.Options, loads []float64) (Campaign, er
 	}
 	return c, nil
 }
-
-// Ablation exposes the PCMAC ablation grids with an explicit base and
-// seed list, for callers that reuse the grids outside the preset
-// defaults (the ablation-* presets wrap the same tables).
-func Ablation(kind string, base scenario.Options, loads []float64, seeds []int64) (Campaign, error) {
-	c, err := ablation(kind, base, loads)
-	if err != nil {
-		return Campaign{}, err
-	}
-	c.SeedList = seeds
-	return c, nil
-}

@@ -492,9 +492,6 @@ func TestPresetsExpand(t *testing.T) {
 	if _, err := Preset("nope", 5, 1, nil); err == nil {
 		t.Error("unknown preset accepted")
 	}
-	if _, err := Ablation("nope", tinyBase(), []float64{40}, []int64{1}); err == nil {
-		t.Error("unknown ablation accepted")
-	}
 }
 
 func TestSingleRunRecord(t *testing.T) {

@@ -131,6 +131,9 @@ func Validate(o Options) error { return validate(o) }
 // validate rejects configurations that would only fail deep inside a
 // run.
 func validate(o Options) error {
+	// Checks on a field with a default read the defaulted value, so a
+	// zero that defaults cannot slip past a bound it then breaks.
+	d := o.WithDefaults()
 	switch {
 	case o.Nodes < 0 || o.Flows < 0:
 		return fmt.Errorf("scenario: negative nodes/flows")
@@ -138,21 +141,35 @@ func validate(o Options) error {
 		return fmt.Errorf("scenario: need at least two nodes for a flow")
 	case !(o.FieldW >= 0 && o.FieldH >= 0) || math.IsInf(o.FieldW, 0) || math.IsInf(o.FieldH, 0):
 		return fmt.Errorf("scenario: field %g x %g m must be finite and non-negative", o.FieldW, o.FieldH)
-	case o.OfferedLoadKbps < 0:
-		return fmt.Errorf("scenario: negative offered load")
+	case !(d.SpeedMin > 0 && d.SpeedMax >= d.SpeedMin) || math.IsInf(d.SpeedMax, 0):
+		return fmt.Errorf("scenario: speed range [%g, %g] m/s must be finite, positive and ordered", d.SpeedMin, d.SpeedMax)
+	case o.Pause < 0:
+		return fmt.Errorf("scenario: negative waypoint pause")
+	case !(o.OfferedLoadKbps >= 0):
+		return fmt.Errorf("scenario: offered load %g kbps must be non-negative", o.OfferedLoadKbps)
+	case o.PacketBytes < 0:
+		return fmt.Errorf("scenario: negative packet bytes")
 	case o.Duration < 0 || o.Warmup < 0:
 		return fmt.Errorf("scenario: negative duration/warmup")
-	case o.Duration > 0 && sim.Time(o.Warmup) >= sim.Time(o.Duration):
-		return fmt.Errorf("scenario: warmup %v >= duration %v", o.Warmup, o.Duration)
-	case o.ShadowingSigmaDB < 0:
-		return fmt.Errorf("scenario: negative shadowing sigma")
-	case o.BurstFactor < 0 || (o.BurstFactor > 0 && o.BurstFactor <= 1):
+	case d.Warmup >= d.Duration:
+		return fmt.Errorf("scenario: warmup %gs >= duration %gs leaves no measurement window", d.Warmup.Seconds(), d.Duration.Seconds())
+	case !(o.FlowRateSpreadPct >= 0 && o.FlowRateSpreadPct < 200):
+		return fmt.Errorf("scenario: flow rate spread %g%% must lie in [0, 200)", o.FlowRateSpreadPct)
+	case !(o.ShadowingSigmaDB >= 0):
+		return fmt.Errorf("scenario: shadowing sigma %g dB must be non-negative", o.ShadowingSigmaDB)
+	case !(o.BurstFactor == 0 || o.BurstFactor > 1):
 		return fmt.Errorf("scenario: burst factor %g must exceed 1", o.BurstFactor)
-	case o.ParetoShape < 0 || (o.ParetoShape > 0 && o.ParetoShape <= 1):
+	case !(o.ParetoShape == 0 || o.ParetoShape > 1):
 		return fmt.Errorf("scenario: pareto shape %g must exceed 1", o.ParetoShape)
 	case o.ResponseBytes < 0:
 		return fmt.Errorf("scenario: negative response bytes")
-	case o.BatteryJ < 0:
+	case !(o.SafetyFactor >= 0) || math.IsInf(o.SafetyFactor, 0):
+		return fmt.Errorf("scenario: safety factor %g must be finite and non-negative", o.SafetyFactor)
+	case o.HistoryExpiry < 0:
+		return fmt.Errorf("scenario: negative history expiry")
+	case !(o.CtrlBandwidthBps >= 0):
+		return fmt.Errorf("scenario: control-channel bandwidth %g bps must be non-negative", o.CtrlBandwidthBps)
+	case !(o.BatteryJ >= 0):
 		return fmt.Errorf("scenario: negative battery capacity %g J", o.BatteryJ)
 	}
 	if _, err := traffic.ParseModel(o.Traffic); err != nil {
@@ -164,7 +181,7 @@ func validate(o Options) error {
 	if err := CheckTopology(o.Topology); err != nil {
 		return err
 	}
-	if err := checkLongestLink(o); err != nil {
+	if err := checkLongestLink(d); err != nil {
 		return err
 	}
 	// Reject flow counts that exceed the ordered pairs of the defaulted
@@ -174,7 +191,6 @@ func validate(o Options) error {
 	// paper's 50-node default) so this check can't drift from them; an
 	// explicit FlowPairs list bypasses pair picking entirely.
 	if len(o.FlowPairs) == 0 && o.Flows > 0 {
-		d := o.WithDefaults()
 		if maxPairs := d.Nodes * (d.Nodes - 1); d.Flows > maxPairs {
 			return fmt.Errorf("scenario: %d flows exceed the %d ordered pairs of %d nodes", d.Flows, maxPairs, d.Nodes)
 		}
@@ -183,7 +199,7 @@ func validate(o Options) error {
 	// reject oversized populations at spec time instead of failing on
 	// node 256 deep inside Build.
 	if o.Scheme == mac.PCMAC && !o.DisableCtrlChannel {
-		if d := o.WithDefaults(); d.Nodes > 256 {
+		if d.Nodes > 256 {
 			return fmt.Errorf("scenario: pcmac control frames address 8-bit node IDs; %d nodes need disable_ctrl_channel or <= 256", d.Nodes)
 		}
 	}
@@ -199,11 +215,11 @@ func validate(o Options) error {
 // than sim.MaxSpanDelay at the speed of light, the most a frame's
 // arrivals can be delayed (sim.ScheduleSpans). That link is the
 // diagonal of the box covering the field and every Static point:
-// generated and waypoint placements stay inside the field.
-func checkLongestLink(o Options) error {
-	d := o.WithDefaults()
+// generated and waypoint placements stay inside the field. It reads
+// defaulted options.
+func checkLongestLink(d Options) error {
 	lo, hi := geom.Point{}, geom.Point{X: d.FieldW, Y: d.FieldH}
-	for _, p := range o.Static {
+	for _, p := range d.Static {
 		lo = geom.Point{X: min(lo.X, p.X), Y: min(lo.Y, p.Y)}
 		hi = geom.Point{X: max(hi.X, p.X), Y: max(hi.Y, p.Y)}
 	}
@@ -330,13 +346,4 @@ func Overlay(base Options, patch FileConfig) (Options, error) {
 		o.MAC = base.MAC
 	}
 	return o, nil
-}
-
-// SaveConfig writes the scenario as indented JSON.
-func SaveConfig(path string, o Options) error {
-	b, err := json.MarshalIndent(ToFileConfig(o), "", "  ")
-	if err != nil {
-		return fmt.Errorf("scenario: %w", err)
-	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
 }

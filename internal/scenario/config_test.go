@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"encoding/json"
 	"math"
 	"os"
 	"path/filepath"
@@ -38,7 +39,11 @@ func TestConfigRoundTrip(t *testing.T) {
 	}
 	dir := t.TempDir()
 	path := filepath.Join(dir, "scenario.json")
-	if err := SaveConfig(path, orig); err != nil {
+	b, err := json.MarshalIndent(ToFileConfig(orig), "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, b, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	got, err := LoadConfig(path)
@@ -153,6 +158,23 @@ func TestConfigValidation(t *testing.T) {
 		{Scheme: "pcmac", FieldW: 1e9, FieldH: 1e9},
 		{Scheme: "pcmac", FieldW: 1.2876e9},
 		{Scheme: "pcmac", Static: [][2]float64{{0, 0}, {-1.2876e9, 0}}},
+		// Speeds: negative, below the defaulted minimum, or out of order.
+		{Scheme: "pcmac", SpeedMin: -3},
+		{Scheme: "pcmac", SpeedMax: -1},
+		{Scheme: "pcmac", SpeedMax: 2}, // SpeedMin defaults to 3
+		{Scheme: "pcmac", SpeedMin: 5, SpeedMax: 4},
+		{Scheme: "pcmac", PauseS: -2},
+		{Scheme: "pcmac", SafetyFactor: -1},
+		{Scheme: "pcmac", PacketBytes: -1},
+		{Scheme: "pcmac", CtrlBandwidthBps: -1},
+		{Scheme: "pcmac", HistoryExpiryS: -1},
+		{Scheme: "pcmac", FlowRateSpreadPct: -1},
+		{Scheme: "pcmac", FlowRateSpreadPct: 200},
+		{Scheme: "pcmac", FlowRateSpreadPct: 300},
+		// Empty measurement windows against a defaulted side: the 5 s
+		// warmup outlasts a 4 s run, a 500 s warmup the 400 s default.
+		{Scheme: "basic", DurationS: 4},
+		{Scheme: "basic", WarmupS: 500},
 	}
 	for i, fc := range cases {
 		if _, err := fc.Options(); err == nil {
@@ -177,6 +199,29 @@ func TestConfigValidation(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "field") && !strings.Contains(err.Error(), "diagonal") {
 			t.Errorf("field %g x %g, static %v: err = %v, want a field or diagonal error", o.FieldW, o.FieldH, o.Static, err)
 		}
+	}
+	// Non-finite values only Options (not JSON) can carry.
+	for i, o := range []Options{
+		{SpeedMin: math.NaN()},
+		{SpeedMax: math.NaN()},
+		{SpeedMin: math.Inf(1)},
+		{SafetyFactor: math.Inf(1)},
+		{SafetyFactor: math.NaN()},
+		{CtrlBandwidthBps: math.NaN()},
+		{FlowRateSpreadPct: math.NaN()},
+		{BurstFactor: math.NaN()},
+		{ParetoShape: math.NaN()},
+		{OfferedLoadKbps: math.NaN()},
+		{ShadowingSigmaDB: math.NaN()},
+		{BatteryJ: math.NaN()},
+	} {
+		if err := Validate(o); err == nil {
+			t.Errorf("non-finite case %d validated: %+v", i, o)
+		}
+	}
+	// The window error speaks in seconds.
+	if err := Validate(Options{Duration: 4 * sim.Second}); err == nil || !strings.Contains(err.Error(), "warmup 5s >= duration 4s") {
+		t.Errorf("4 s run under the default warmup: err = %v, want warmup 5s >= duration 4s", err)
 	}
 	// Just under the limit: the diagonal of a 1.2875e9 m x 1000 m
 	// field propagates in 4294637726 ns < 2^32.

@@ -35,6 +35,13 @@ func FuzzDecodeStrict(f *testing.F) {
 	// 2^32 ns or more to propagate.
 	f.Add([]byte(`{"scheme": "pcmac", "field_w_m": -500, "field_h_m": -500}`))
 	f.Add([]byte(`{"scheme": "basic", "field_w_m": 1e9, "static": [[0, 0], [0, -1e9]]}`))
+	// Speed, pause, PCMAC knob, payload and rate-spread bounds, and an
+	// empty measurement window under the defaulted warmup.
+	f.Add([]byte(`{"scheme": "basic", "speed_min_mps": -3, "pause_s": -2}`))
+	f.Add([]byte(`{"scheme": "basic", "speed_max_mps": 2}`))
+	f.Add([]byte(`{"scheme": "pcmac", "safety_factor": -1, "history_expiry_s": -1, "ctrl_bandwidth_bps": -1}`))
+	f.Add([]byte(`{"scheme": "basic", "packet_bytes": -512, "flow_rate_spread_pct": 300}`))
+	f.Add([]byte(`{"scheme": "basic", "duration_s": 4}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var fc FileConfig

@@ -46,11 +46,10 @@ func TestStaticOverridesNodeCount(t *testing.T) {
 
 func TestBuildNetworkShape(t *testing.T) {
 	nw, err := Build(Options{
-		Scheme:   mac.PCMAC,
-		Nodes:    10,
-		Flows:    3,
-		Duration: sim.Second,
-		Seed:     1,
+		Scheme: mac.PCMAC,
+		Nodes:  10,
+		Flows:  3,
+		Seed:   1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -82,7 +81,6 @@ func TestBuildAblatedNetwork(t *testing.T) {
 		Scheme:             mac.PCMAC,
 		Nodes:              4,
 		Flows:              1,
-		Duration:           sim.Second,
 		DisableCtrlChannel: true,
 		Seed:               1,
 	})
@@ -100,7 +98,7 @@ func TestBuildAblatedNetwork(t *testing.T) {
 }
 
 func TestBasicNetworkHasNoCtrlChannel(t *testing.T) {
-	nw, err := Build(Options{Scheme: mac.Basic, Nodes: 4, Flows: 1, Duration: sim.Second, Seed: 1})
+	nw, err := Build(Options{Scheme: mac.Basic, Nodes: 4, Flows: 1, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +127,6 @@ func TestFlowRateSpread(t *testing.T) {
 		Static:            []geom.Point{{}, {X: 100}, {X: 200}, {X: 300}},
 		FlowPairs:         [][2]packet.NodeID{{0, 1}, {2, 3}},
 		OfferedLoadKbps:   100,
-		Duration:          sim.Second,
 		FlowRateSpreadPct: 10,
 		Seed:              1,
 	})

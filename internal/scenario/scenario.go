@@ -413,8 +413,8 @@ func Build(o Options) (*Network, error) {
 				}
 				// Flow i+1 is Sources[i]; reqresp responses, flows
 				// n+1..2n, have no source of their own.
-				if i := int(np.FlowID) - 1; i >= 0 && i < len(nw.Sources) {
-					nw.Sources[i].Delivered(np, sched.Now())
+				if f := int(np.FlowID) - 1; f >= 0 && f < len(nw.Sources) {
+					nw.Sources[f].Delivered(np, sched.Now())
 				}
 			}
 		}

@@ -138,8 +138,8 @@ func NewSource(m Model, p Params) (*Source, error) {
 	if err != nil {
 		return nil, err
 	}
-	bursty := m == OnOffModel || m == ParetoModel
-	reqresp := m == ReqRespModel
+	s := &Source{Params: p, model: m}
+	bursty, reqresp := s.bursty(), m == ReqRespModel
 	switch {
 	case p.Bytes <= 0:
 		return nil, fmt.Errorf("traffic: non-positive payload %d", p.Bytes)
@@ -158,7 +158,6 @@ func NewSource(m Model, p Params) (*Source, error) {
 	case reqresp && p.RespBytes <= 0:
 		return nil, fmt.Errorf("traffic: non-positive response payload %d", p.RespBytes)
 	}
-	s := &Source{Params: p, model: m}
 	if s.NextUID == nil {
 		s.NextUID = func() uint64 { return 0 }
 	}
@@ -189,7 +188,7 @@ func (s *Source) RateBps() float64 { return float64(s.Bytes*8) / s.Interval.Seco
 // (supplied by the caller via start) decorrelates flows.
 func (s *Source) Start(start, until sim.Time) {
 	s.until = until
-	if s.peakGap > 0 {
+	if s.bursty() {
 		s.onUntil = start.Add(s.draw(s.meanOn))
 	}
 	s.timer.StartAt(start)
@@ -199,14 +198,14 @@ func (s *Source) Start(start, until sim.Time) {
 func (s *Source) Stop() { s.timer.Stop() }
 
 // Delivered reacts to the end-to-end delivery of one of this flow's
-// packets. A reqresp source answers a request with a response injected
-// at the destination, created at delivery time so its measured delay
-// is the return trip alone. Each request answers at most once:
-// MAC-level retransmission races can deliver the same packet twice,
-// and a duplicate must not inflate the response stream. Other models
-// ignore deliveries.
+// packets. A reqresp source answers the request with a response
+// injected at the destination, created at delivery time so its
+// measured delay is the return trip alone. Each request answers at
+// most once: MAC-level retransmission races can deliver the same
+// packet twice, and a duplicate must not inflate the response stream.
+// Other models ignore deliveries.
 func (s *Source) Delivered(np *packet.NetPacket, now sim.Time) {
-	if s.answered == nil || np.FlowID != s.FlowID || s.answered[np.Seq] {
+	if s.model != ReqRespModel || s.answered[np.Seq] {
 		return
 	}
 	s.answered[np.Seq] = true
@@ -219,7 +218,7 @@ func (s *Source) tick() {
 	if now >= s.until {
 		return
 	}
-	if s.peakGap > 0 && now >= s.onUntil {
+	if s.bursty() && now >= s.onUntil {
 		// Burst over: stay silent through an OFF period, then open the
 		// next burst.
 		restart := now.Add(s.draw(s.meanOff))
@@ -229,15 +228,19 @@ func (s *Source) tick() {
 	}
 	s.seq++
 	s.send(s.Sender, s.Src, s.Dst, s.Bytes, s.FlowID, s.seq, now)
-	switch {
-	case s.peakGap > 0:
-		s.timer.Start(s.peakGap)
-	case s.model == CBRModel:
+	switch s.model {
+	case CBRModel:
 		s.timer.Start(s.Interval)
-	default:
+	case OnOffModel, ParetoModel:
+		s.timer.Start(s.peakGap)
+	default: // poisson, reqresp
 		s.timer.Start(s.draw(s.Interval))
 	}
 }
+
+// bursty reports whether the model alternates ON bursts with OFF
+// silences.
+func (s *Source) bursty() bool { return s.model == OnOffModel || s.model == ParetoModel }
 
 // send mints one packet stamped now, shows it to OnGenerate and
 // injects it into via.
