@@ -105,6 +105,28 @@ func TestIntervalFor(t *testing.T) {
 	if math.Abs(agg-300e3)/300e3 > 1e-6 {
 		t.Fatalf("aggregate = %v, want 300k", agg)
 	}
+}
+
+// TestCBRInvalid: a CBR source refuses a zero interval or payload, and
+// IntervalFor refuses a zero rate.
+func TestCBRInvalid(t *testing.T) {
+	base := Params{
+		Sched: sim.NewScheduler(), Sender: &captureSender{}, FlowID: 1, Dst: 1,
+		Bytes: 512, Interval: sim.Second,
+	}
+	if _, err := NewSource(CBRModel, base); err != nil {
+		t.Fatalf("valid CBR source: %v", err)
+	}
+	noInterval := base
+	noInterval.Interval = 0
+	if _, err := NewSource(CBRModel, noInterval); err == nil {
+		t.Error("CBR with zero interval accepted")
+	}
+	noPayload := base
+	noPayload.Bytes = 0
+	if _, err := NewSource(CBRModel, noPayload); err == nil {
+		t.Error("CBR with zero payload accepted")
+	}
 	defer func() {
 		if recover() == nil {
 			t.Error("IntervalFor(512, 0) did not panic")
@@ -421,8 +443,6 @@ func TestNewSourceErrors(t *testing.T) {
 		mut   func(p *Params)
 	}{
 		{"unknown model", Model("fractal"), func(p *Params) {}},
-		{"cbr zero interval", CBRModel, func(p *Params) { p.Interval = 0 }},
-		{"cbr zero payload", CBRModel, func(p *Params) { p.Bytes = 0 }},
 		{"zero interval", PoissonModel, func(p *Params) { p.Interval = 0 }},
 		{"missing rng", PoissonModel, func(p *Params) { p.RNG = nil }},
 		{"burst factor <= 1", OnOffModel, func(p *Params) { p.BurstFactor = 1 }},
