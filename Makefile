@@ -6,7 +6,7 @@ GO ?= go
 # Hot-path microbenchmarks tracked by the perf trajectory (bench-json)
 # and the CI benchstat delta; ci.yml consumes them via the bench-micro
 # and bench-json targets, so this regex is the single source of truth.
-MICRO_BENCH = BenchmarkSchedulerChurn|BenchmarkSchedulerBurst|BenchmarkTimerChurn|BenchmarkSchedulerFanOut|BenchmarkChannelTransmit|BenchmarkLinkRowLookup|BenchmarkRadioArrivals|BenchmarkEnergyAccounting
+MICRO_BENCH = BenchmarkSchedulerChurn|BenchmarkSchedulerBurst|BenchmarkTimerChurn|BenchmarkSchedulerFanOut|BenchmarkChannelTransmit|BenchmarkLinkRowLookup|BenchmarkRadioArrivals|BenchmarkEnergyAccounting|BenchmarkHistoryObserve
 BENCH_DATE ?= $(shell date +%Y-%m-%d)
 
 .PHONY: all build test fuzz-smoke bench bench-micro bench-json lint lint-golangci campaign-smoke daemon-smoke chaos-smoke fmt
@@ -21,12 +21,14 @@ test:
 	$(GO) -C bench test .
 
 # fuzz-smoke is CI's fuzz step: short runs of the calendar-vs-heap
-# queue fuzzer, the span-runs-vs-single-events fuzzer, the strict
-# config/spec decoder fuzzer and the checkpoint resume fuzzer on top of
-# their seed corpora. A fuzzer added here runs in CI too.
+# queue fuzzer, the span-runs-vs-single-events fuzzer, the
+# idtab-vs-map table fuzzer, the strict config/spec decoder fuzzer and
+# the checkpoint resume fuzzer on top of their seed corpora. A fuzzer
+# added here runs in CI too.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzQueueMatchesHeap -fuzztime 15s ./internal/sim
 	$(GO) test -run '^$$' -fuzz FuzzSpansMatchSingleEvents -fuzztime 15s ./internal/sim
+	$(GO) test -run '^$$' -fuzz FuzzTableMatchesMap -fuzztime 15s ./internal/idtab
 	$(GO) test -run '^$$' -fuzz FuzzDecodeStrict -fuzztime 15s ./internal/scenario
 	$(GO) test -run '^$$' -fuzz FuzzResumeCheckpoint -fuzztime 15s ./internal/runner
 
@@ -36,7 +38,7 @@ bench:
 # bench-micro runs the inner-loop benchmarks with allocation tracking at
 # a statistically useful iteration count (unlike the 1x smoke pass).
 bench-micro:
-	$(GO) test -run='^$$' -bench='$(MICRO_BENCH)' -benchmem ./internal/sim/ ./internal/phys/ ./internal/energy/ ./internal/scenario/
+	$(GO) test -run='^$$' -bench='$(MICRO_BENCH)' -benchmem ./internal/sim/ ./internal/phys/ ./internal/energy/ ./internal/power/ ./internal/scenario/
 
 # bench-json snapshots the perf trajectory: micro benchmarks (real
 # iteration counts, -benchmem) plus the figure benchmarks (one full
@@ -45,7 +47,7 @@ bench-micro:
 # files across commits is the regression record.
 bench-json:
 	@tmp=$$(mktemp); \
-	{ $(GO) test -run='^$$' -bench='$(MICRO_BENCH)' -benchmem ./internal/sim/ ./internal/phys/ ./internal/energy/ ./internal/scenario/ && \
+	{ $(GO) test -run='^$$' -bench='$(MICRO_BENCH)' -benchmem ./internal/sim/ ./internal/phys/ ./internal/energy/ ./internal/power/ ./internal/scenario/ && \
 	  $(GO) test -run='^$$' -bench=. -benchtime=1x -timeout 30m . ; } > $$tmp || \
 	  { cat $$tmp; rm -f $$tmp; echo "bench-json: benchmark run failed" >&2; exit 1; }; \
 	$(GO) run ./cmd/benchjson -date $(BENCH_DATE) -out BENCH_$(BENCH_DATE).json < $$tmp; \

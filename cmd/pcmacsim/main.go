@@ -58,6 +58,10 @@ func main() {
 			os.Exit(2)
 		}
 	} else {
+		if err := rejectExplicitZeros(flag.CommandLine); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(2)
+		}
 		scheme, err := mac.ParseScheme(*schemeName)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -181,4 +185,26 @@ func main() {
 		fmt.Printf("  forwarded=%d drops: noroute=%d linkfail=%d ttl=%d buffer=%d qfull=%d\n",
 			r.Forwarded, r.NoRouteDrop, r.LinkFailDrop, r.TTLDrop, r.BufferDrop, r.QueueFullDrop)
 	}
+}
+
+// zeroMeansDefault lists the flags whose zero the scenario reads as
+// unset, with the default it runs instead.
+var zeroMeansDefault = map[string]string{
+	"speed":  "3 m/s",
+	"pause":  "3 s",
+	"warmup": "5 s",
+}
+
+// rejectExplicitZeros fails when one of zeroMeansDefault's flags is
+// set to 0 on the command line: the scenario would silently run its
+// default instead.
+func rejectExplicitZeros(fs *flag.FlagSet) error {
+	var err error
+	fs.Visit(func(f *flag.Flag) {
+		def, ok := zeroMeansDefault[f.Name]
+		if ok && err == nil && f.Value.(flag.Getter).Get() == 0.0 {
+			err = fmt.Errorf("-%s 0 would run the default %s (0 means unset); give a positive value", f.Name, def)
+		}
+	})
+	return err
 }

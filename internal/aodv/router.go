@@ -3,6 +3,7 @@ package aodv
 import (
 	"math/rand"
 
+	"repro/internal/idtab"
 	"repro/internal/packet"
 	"repro/internal/sim"
 )
@@ -95,11 +96,6 @@ func (s *Stats) Add(o Stats) {
 	s.DuplicateRREQIgnored += o.DuplicateRREQIgnored
 }
 
-type seenKey struct {
-	origin packet.NodeID
-	id     uint32
-}
-
 type discovery struct {
 	buf     []*packet.NetPacket
 	retries int
@@ -107,6 +103,12 @@ type discovery struct {
 }
 
 // Router is one node's AODV instance. It implements mac.UpperLayer.
+//
+// Every RREQ of a flood probes the duplicate cache, so it is an
+// open-addressed idtab.Table keyed by seenKey, holding each flood's
+// suppression deadline. An expired deadline reads as absent, so
+// expired entries are left in place until the table would grow, and
+// purged then.
 type Router struct {
 	cfg   Config
 	id    packet.NodeID
@@ -122,7 +124,7 @@ type Router struct {
 	table   *table
 	seq     uint32
 	rreqID  uint32
-	seen    map[seenKey]sim.Time
+	seen    idtab.Table[sim.Time]
 	pending map[packet.NodeID]*discovery
 
 	// Stats counts this node's routing events.
@@ -139,10 +141,16 @@ func NewRouter(cfg Config, id packet.NodeID, sched *sim.Scheduler, link LinkLaye
 		link:    link,
 		NextUID: func() uint64 { return 0 },
 		table:   newTable(sched.Now),
-		seen:    make(map[seenKey]sim.Time),
 		pending: make(map[packet.NodeID]*discovery),
 	}
+	r.seen.Stale = func(until sim.Time) bool { return r.sched.Now() >= until }
 	return r
+}
+
+// seenKey is the duplicate-cache key of a flood: its origin and RREQ
+// ID.
+func seenKey(origin packet.NodeID, id uint32) uint64 {
+	return uint64(origin)<<32 | uint64(id)
 }
 
 // BindLink attaches the link layer when it could not be supplied at
@@ -217,7 +225,7 @@ func (r *Router) sendRREQ(dst packet.NodeID) {
 		TargetSeq: targetSeq,
 	}
 	// Suppress our own flood copy coming back.
-	r.seen[seenKey{r.id, r.rreqID}] = r.sched.Now().Add(r.cfg.SeenLifetime)
+	r.seen.Put(seenKey(r.id, r.rreqID), r.sched.Now().Add(r.cfg.SeenLifetime))
 	r.Stats.RREQSent++
 	r.broadcast(msg)
 }
@@ -337,14 +345,13 @@ func (r *Router) forward(np *packet.NetPacket, from packet.NodeID) {
 
 func (r *Router) handleRREQ(msg *Message, np *packet.NetPacket, from packet.NodeID) {
 	r.Stats.RREQRecv++
-	key := seenKey{msg.Origin, msg.RreqID}
+	key := seenKey(msg.Origin, msg.RreqID)
 	now := r.sched.Now()
-	if until, ok := r.seen[key]; ok && now < until {
+	if until, ok := r.seen.Get(key); ok && now < until {
 		r.Stats.DuplicateRREQIgnored++
 		return
 	}
-	r.seen[key] = now.Add(r.cfg.SeenLifetime)
-	r.sweepSeen()
+	r.seen.Put(key, now.Add(r.cfg.SeenLifetime))
 	// Learn the reverse route to the origin and the neighbour link.
 	r.table.update(msg.Origin, from, int(msg.HopCount)+1, msg.OriginSeq, r.cfg.ActiveRouteTimeout)
 	r.learnNeighbour(from)
@@ -470,17 +477,4 @@ func (r *Router) learnNeighbour(n packet.NodeID) {
 		seq = old.Seq
 	}
 	r.table.update(n, n, 1, seq, r.cfg.ActiveRouteTimeout)
-}
-
-// sweepSeen bounds the duplicate cache.
-func (r *Router) sweepSeen() {
-	if len(r.seen) < 512 {
-		return
-	}
-	now := r.sched.Now()
-	for k, until := range r.seen {
-		if now >= until {
-			delete(r.seen, k)
-		}
-	}
 }

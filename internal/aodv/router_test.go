@@ -388,3 +388,72 @@ func TestBroadcastTxFailureIgnored(t *testing.T) {
 		t.Fatal("broadcast tx failure invalidated routes")
 	}
 }
+
+// sinkLink accepts and counts every enqueue, so a lone router can be
+// fed RREQs directly.
+type sinkLink struct{ sent int }
+
+func (l *sinkLink) Enqueue(*packet.NetPacket, packet.NodeID) bool { l.sent++; return true }
+func (l *sinkLink) ResetPeerState(packet.NodeID)                  {}
+
+// rreqFrom is flood (origin, id) as heard from origin itself.
+func rreqFrom(origin packet.NodeID, id uint32) *packet.NetPacket {
+	msg := &Message{Type: MsgRREQ, RreqID: id, Origin: origin, OriginSeq: 1, Target: 999}
+	return &packet.NetPacket{Proto: packet.ProtoAODV, Src: origin, Dst: packet.Broadcast, TTL: 8, Bytes: msg.Bytes(), Payload: msg}
+}
+
+// TestRREQReprocessedAfterSeenLifetime: a repeated flood is suppressed
+// while its duplicate-cache entry lives and processed again (re-flooded)
+// from the instant SeenLifetime has passed.
+func TestRREQReprocessedAfterSeenLifetime(t *testing.T) {
+	s := sim.NewScheduler()
+	link := &sinkLink{}
+	r := NewRouter(DefaultConfig(), 1, s, link)
+	life := r.cfg.SeenLifetime
+	for _, at := range []sim.Duration{0, sim.Millisecond, life - 1, life} {
+		s.Schedule(at, func() { r.MACDeliver(rreqFrom(5, 1), 5) })
+	}
+	s.Run(sim.Time(2 * life))
+	if r.Stats.RREQRecv != 4 || r.Stats.DuplicateRREQIgnored != 2 {
+		t.Fatalf("recv %d, ignored %d; want 4 received, the 2 inside the lifetime ignored", r.Stats.RREQRecv, r.Stats.DuplicateRREQIgnored)
+	}
+	if r.Stats.RREQSent != 2 || link.sent != 2 {
+		t.Fatalf("re-flooded %d times (%d enqueued), want 2: first copy and the one after the lifetime", r.Stats.RREQSent, link.sent)
+	}
+}
+
+// TestSeenCacheBounded feeds 10k distinct floods, one every 10 ms, so
+// 500 duplicate-cache entries are live at any instant. The cache must
+// purge expired entries rather than grow with the stream, and must
+// never drop a live one.
+func TestSeenCacheBounded(t *testing.T) {
+	const (
+		floods  = 10000
+		spacing = 10 * sim.Millisecond
+	)
+	s := sim.NewScheduler()
+	r := NewRouter(DefaultConfig(), 1, s, &sinkLink{})
+	live := int(r.cfg.SeenLifetime / spacing)
+	flood := func(i int) (packet.NodeID, uint32) { return packet.NodeID(2 + i%100), uint32(1 + i/100) }
+	maxCap := 0
+	for i := 0; i < floods; i++ {
+		s.Schedule(sim.Duration(i)*spacing, func() {
+			r.MACDeliver(rreqFrom(flood(i)), 2)
+			maxCap = max(maxCap, r.seen.Cap())
+		})
+	}
+	s.Run(sim.Time((floods - 1) * spacing))
+	if r.Stats.DuplicateRREQIgnored != 0 {
+		t.Fatalf("%d distinct floods ignored as duplicates", r.Stats.DuplicateRREQIgnored)
+	}
+	if maxCap > 4*live {
+		t.Fatalf("duplicate cache reached %d slots for %d live entries", maxCap, live)
+	}
+	// The newest floods are still live: repeating each is ignored.
+	for i := floods - live; i < floods; i++ {
+		r.MACDeliver(rreqFrom(flood(i)), 2)
+	}
+	if got := r.Stats.DuplicateRREQIgnored; got != uint64(live) {
+		t.Fatalf("%d of the %d live floods suppressed on repeat", got, live)
+	}
+}

@@ -79,6 +79,10 @@ type Accountant struct {
 	prof  Profile
 	sched *sim.Scheduler
 	bat   *Battery
+	// metered caches whether bat has ever held a capacity (it has a
+	// death timer). A mains accountant never calls into its battery:
+	// drain, rearm and txEnded are all no-ops without a capacity.
+	metered bool
 
 	last sim.Time
 
@@ -119,7 +123,7 @@ func NewAccountant(sched *sim.Scheduler, cfg Config) *Accountant {
 		bat = NewBattery(sched, cfg.CapacityJ)
 	}
 	bat.attach(a)
-	bat.rearm()
+	a.rearm()
 	return a
 }
 
@@ -177,7 +181,16 @@ func (a *Accountant) accrue() {
 		a.lockJ += j
 		a.lockS += dt
 	}
-	a.bat.drain(j)
+	if a.metered {
+		a.bat.drain(j)
+	}
+}
+
+// rearm re-predicts the battery's death after a draw change.
+func (a *Accountant) rearm() {
+	if a.metered {
+		a.bat.rearm()
+	}
 }
 
 // abortLock reclassifies the current lock's accrual as overhearing
@@ -201,7 +214,7 @@ func (a *Accountant) TxStart(radiatedW float64) {
 	}
 	a.transmitting = true
 	a.txRadiatedW = radiatedW
-	a.bat.rearm()
+	a.rearm()
 }
 
 // TxEnd records the radio's own frame leaving the air — where a death
@@ -210,7 +223,9 @@ func (a *Accountant) TxEnd() {
 	a.accrue()
 	a.transmitting = false
 	a.txRadiatedW = 0
-	a.bat.txEnded()
+	if a.metered {
+		a.bat.txEnded()
+	}
 }
 
 // LockStart records the receive chain locking onto an arriving frame.
@@ -218,7 +233,7 @@ func (a *Accountant) LockStart() {
 	a.accrue()
 	a.locked = true
 	a.lockJ, a.lockS = 0, 0
-	a.bat.rearm()
+	a.rearm()
 }
 
 // LockEnd records the locked frame's end. received reports whether the
@@ -233,21 +248,21 @@ func (a *Accountant) LockEnd(received bool) {
 		a.locked = false
 		a.lockJ, a.lockS = 0, 0
 	}
-	a.bat.rearm()
+	a.rearm()
 }
 
 // CarrierBusy / CarrierIdle record physical carrier-sense transitions.
 func (a *Accountant) CarrierBusy() {
 	a.accrue()
 	a.carrier = true
-	a.bat.rearm()
+	a.rearm()
 }
 
 // CarrierIdle records the medium going quiet.
 func (a *Accountant) CarrierIdle() {
 	a.accrue()
 	a.carrier = false
-	a.bat.rearm()
+	a.rearm()
 }
 
 // Flush settles consumption up to the current instant; call it before

@@ -82,14 +82,19 @@ func (b *Battery) SetCapacity(j float64) {
 	}
 	if b.timer == nil {
 		b.timer = sim.NewTimer(b.sched, b.onTimer)
+		for _, a := range b.drains {
+			a.metered = true
+		}
 	}
 	b.rearm()
 }
 
-// attach registers a drawing accountant.
+// attach registers a drawing accountant. It is metered when the
+// battery has a death timer, that is once it has held a capacity.
 func (b *Battery) attach(a *Accountant) {
 	b.drains = append(b.drains, a)
 	a.bat = b
+	a.metered = b.timer != nil
 }
 
 // settle accrues every drain up to the current instant.

@@ -1,6 +1,7 @@
 package power
 
 import (
+	"repro/internal/idtab"
 	"repro/internal/packet"
 	"repro/internal/sim"
 )
@@ -20,21 +21,21 @@ type HistoryEntry struct {
 // needed power level to reach it. Entries expire after Expiry (3 s in
 // the paper); expired entries read as absent and the caller falls back
 // to the normal (maximal) power level.
+//
+// Every frame a node hears refreshes one entry, so the entries live in
+// an open-addressed idtab.Table keyed by neighbour ID. A stale entry is
+// deleted when it is read; nothing iterates the table.
 type History struct {
 	// Expiry is the entry lifetime. Zero or negative disables expiry.
 	Expiry sim.Duration
 
 	clock   func() sim.Time
-	entries map[packet.NodeID]HistoryEntry
+	entries idtab.Table[HistoryEntry]
 }
 
 // NewHistory returns an empty table reading time from clock.
 func NewHistory(clock func() sim.Time, expiry sim.Duration) *History {
-	return &History{
-		Expiry:  expiry,
-		clock:   clock,
-		entries: make(map[packet.NodeID]HistoryEntry),
-	}
+	return &History{Expiry: expiry, clock: clock}
 }
 
 // Observe learns from a frame heard from neighbour `from`, transmitted
@@ -44,18 +45,21 @@ func (h *History) Observe(from packet.NodeID, txPowerW, rxPowerW float64) {
 	if txPowerW <= 0 || rxPowerW <= 0 {
 		return
 	}
-	h.entries[from] = HistoryEntry{
+	h.entries.Put(uint64(from), HistoryEntry{
 		Gain:      rxPowerW / txPowerW,
 		UpdatedAt: h.clock(),
-	}
+	})
 }
 
 // Gain returns the propagation gain to neighbour id, if a fresh entry
 // exists.
 func (h *History) Gain(id packet.NodeID) (float64, bool) {
-	e, ok := h.entries[id]
-	if !ok || h.stale(e) {
-		delete(h.entries, id)
+	e, ok := h.entries.Get(uint64(id))
+	if !ok {
+		return 0, false
+	}
+	if h.stale(e) {
+		h.entries.Delete(uint64(id))
 		return 0, false
 	}
 	return e.Gain, true
@@ -74,7 +78,7 @@ func (h *History) NeededPower(id packet.NodeID, rxThreshW float64) (float64, boo
 }
 
 // Len returns the number of stored (possibly stale) entries.
-func (h *History) Len() int { return len(h.entries) }
+func (h *History) Len() int { return h.entries.Len() }
 
 func (h *History) stale(e HistoryEntry) bool {
 	return h.Expiry > 0 && h.clock().Sub(e.UpdatedAt) > h.Expiry

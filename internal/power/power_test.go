@@ -311,3 +311,20 @@ func TestPropertyStepUpStrictlyIncreases(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// BenchmarkHistoryObserve measures the per-frame refresh: a node hears
+// a rotating neighbourhood of 48 terminals (about a grid node's at
+// n=2000) and looks up one of them for every frame. It must stay
+// allocation-free once the table holds the neighbourhood.
+func BenchmarkHistoryObserve(b *testing.B) {
+	c := &fakeClock{}
+	h := NewHistory(c.fn(), 3*sim.Second)
+	const neighbours = 48
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		c.now += sim.Time(sim.Millisecond)
+		id := packet.NodeID(i*7) % neighbours
+		h.Observe(id, 0.2818, 1e-9)
+		h.NeededPower(id+1, 3.652e-10)
+	}
+}

@@ -20,7 +20,9 @@ import (
 
 // FileConfig is the JSON representation of a scenario, with durations in
 // seconds and the scheme by name, so experiment configurations can live
-// in version-controlled files:
+// in version-controlled files. A field that is 0 or omitted takes the
+// scenario default (Options.WithDefaults); where that default is not
+// zero, as for the speeds, pause and warmup, a zero cannot be asked for:
 //
 //	{
 //	  "scheme": "pcmac",
@@ -35,9 +37,9 @@ type FileConfig struct {
 	Nodes              int          `json:"nodes,omitempty"`
 	FieldW             float64      `json:"field_w_m,omitempty"`
 	FieldH             float64      `json:"field_h_m,omitempty"`
-	SpeedMin           float64      `json:"speed_min_mps,omitempty"`
-	SpeedMax           float64      `json:"speed_max_mps,omitempty"`
-	PauseS             float64      `json:"pause_s,omitempty"`
+	SpeedMin           float64      `json:"speed_min_mps,omitempty"` // 0 or omitted: the default 3 m/s
+	SpeedMax           float64      `json:"speed_max_mps,omitempty"` // 0 or omitted: SpeedMin
+	PauseS             float64      `json:"pause_s,omitempty"`       // 0 or omitted: the default 3 s; a zero pause cannot be asked for
 	Flows              int          `json:"flows,omitempty"`
 	Traffic            string       `json:"traffic,omitempty"`
 	BurstFactor        float64      `json:"burst_factor,omitempty"`
@@ -47,7 +49,7 @@ type FileConfig struct {
 	OfferedLoadKbps    float64      `json:"offered_load_kbps,omitempty"`
 	PacketBytes        int          `json:"packet_bytes,omitempty"`
 	DurationS          float64      `json:"duration_s,omitempty"`
-	WarmupS            float64      `json:"warmup_s,omitempty"`
+	WarmupS            float64      `json:"warmup_s,omitempty"` // 0 or omitted: the default 5 s
 	Seed               int64        `json:"seed,omitempty"`
 	SafetyFactor       float64      `json:"safety_factor,omitempty"`
 	HistoryExpiryS     float64      `json:"history_expiry_s,omitempty"`

@@ -118,6 +118,46 @@ func TestEnergyObserverInvariance(t *testing.T) {
 	}
 }
 
+// TestSharedBatteryRetrofit builds a PCMAC terminal on mains, so both
+// of its accountants start unmetered, then hands it a battery through
+// the data accountant. The control-channel accountant shares that
+// battery and must start draining it too: the residual at the horizon
+// is the capacity less both radios' consumption, to 1e-9 J.
+func TestSharedBatteryRetrofit(t *testing.T) {
+	const capacityJ = 100.0
+	opts := Options{
+		Scheme:          mac.PCMAC,
+		Static:          []geom.Point{{X: 0, Y: 0}, {X: 150, Y: 0}},
+		FlowPairs:       [][2]packet.NodeID{{0, 1}},
+		OfferedLoadKbps: 64,
+		Duration:        5 * sim.Second,
+		Warmup:          sim.Second,
+		Seed:            1,
+	}
+	nw, err := Build(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := nw.Nodes[0]
+	if n.CtrlEnergy == nil || n.CtrlEnergy.Battery() != n.Energy.Battery() {
+		t.Fatal("PCMAC node's control-channel accountant does not share the data radio's battery")
+	}
+	n.Energy.SetCapacity(capacityJ)
+	nw.Run()
+
+	data, ctl := n.Energy.ConsumedJ(), n.CtrlEnergy.ConsumedJ()
+	if data <= 0 || ctl <= 0 {
+		t.Fatalf("consumed data %g J, control %g J; want both positive", data, ctl)
+	}
+	want := capacityJ - data - ctl
+	if got := n.Energy.ResidualJ(); math.Abs(got-want) > 1e-9 {
+		t.Fatalf("residual %.12f J, want %g - %.12f (data) - %.12f (control) = %.12f J", got, capacityJ, data, ctl, want)
+	}
+	if got := nw.Nodes[1].Energy.ResidualJ(); got != 0 {
+		t.Fatalf("mains node's residual %g J, want 0", got)
+	}
+}
+
 // TestBatteryDeathReroute is the lifetime feedback test: a diamond
 // topology where the only two relays between source and sink carry
 // batteries. The active relay (transmitting at the maximal level)
