@@ -99,6 +99,56 @@ func TestSpecID(t *testing.T) {
 	}
 }
 
+// TestCampaignFileLayout pins the spec's key names and order with every
+// field set, and the SpecID that hashes them: daemon state directories
+// are named by that ID, so a renamed or reordered key would orphan
+// every persisted campaign. The spec is filled field by field so the
+// test states the wire format, not how CampaignFile is composed.
+func TestCampaignFileLayout(t *testing.T) {
+	var cf runner.CampaignFile
+	cf.Version = runner.SpecVersion
+	cf.Name = "layout"
+	cf.Base = scenario.FileConfig{Scheme: "basic", DurationS: 20}
+	cf.Variants = []runner.Variant{{Name: "no3way", Patch: scenario.FileConfig{DisableThreeWay: true}}}
+	cf.Schemes = []string{"basic", "pcmac"}
+	cf.Traffics = []string{"cbr", "poisson"}
+	cf.Topologies = []string{"grid"}
+	cf.LoadsKbps = []float64{250, 500}
+	cf.Nodes = []int{25, 50}
+	cf.SpeedsMps = []float64{1, 3}
+	cf.ShadowingDB = []float64{2}
+	cf.SafetyFactors = []float64{0.5, 0.7}
+	cf.BatteriesJ = []float64{40}
+	cf.EnergyProfiles = []string{"sensor"}
+	cf.Reps = 2
+	cf.SeedList = []int64{7, 11}
+	cf.BaseSeed = 5
+
+	const want = `{"version":1,"name":"layout","base":{"scheme":"basic","duration_s":20},` +
+		`"variants":[{"name":"no3way","patch":{"scheme":"","disable_three_way":true}}],` +
+		`"schemes":["basic","pcmac"],"traffics":["cbr","poisson"],"topologies":["grid"],` +
+		`"loads_kbps":[250,500],"nodes":[25,50],"speeds_mps":[1,3],"shadowing_db":[2],` +
+		`"safety_factors":[0.5,0.7],"batteries_j":[40],"energy_profiles":["sensor"],` +
+		`"reps":2,"seed_list":[7,11],"base_seed":5}`
+	b, err := json.Marshal(cf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(b) != want {
+		t.Fatalf("spec layout changed:\n got %s\nwant %s", b, want)
+	}
+	if got, want := SpecID(cf), "ef77ac7096c6"; got != want {
+		t.Fatalf("SpecID = %s, want %s", got, want)
+	}
+	back, err := runner.ParseCampaignFile(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again, _ := json.Marshal(back); string(again) != want {
+		t.Fatalf("spec does not round-trip:\n got %s\nwant %s", again, want)
+	}
+}
+
 // TestHTTPSubmitPollFetch walks the client lifecycle over real HTTP:
 // submit a spec, re-submit idempotently, poll status to completion,
 // fetch the JSONL (must match cmd/campaign's output byte-for-byte),
