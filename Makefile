@@ -22,14 +22,15 @@ test:
 
 # fuzz-smoke is CI's fuzz step: short runs of the calendar-vs-heap
 # queue fuzzer, the span-runs-vs-single-events fuzzer, the
-# idtab-vs-map table fuzzer, the strict config/spec decoder fuzzer and
-# the checkpoint resume fuzzer on top of their seed corpora. A fuzzer
-# added here runs in CI too.
+# idtab-vs-map table fuzzer, the strict config decoder fuzzer, the
+# campaign spec decoder fuzzer and the checkpoint resume fuzzer on top
+# of their seed corpora. A fuzzer added here runs in CI too.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzQueueMatchesHeap -fuzztime 15s ./internal/sim
 	$(GO) test -run '^$$' -fuzz FuzzSpansMatchSingleEvents -fuzztime 15s ./internal/sim
 	$(GO) test -run '^$$' -fuzz FuzzTableMatchesMap -fuzztime 15s ./internal/idtab
 	$(GO) test -run '^$$' -fuzz FuzzDecodeStrict -fuzztime 15s ./internal/scenario
+	$(GO) test -run '^$$' -fuzz FuzzParseCampaignFile -fuzztime 15s ./internal/runner
 	$(GO) test -run '^$$' -fuzz FuzzResumeCheckpoint -fuzztime 15s ./internal/runner
 
 bench:

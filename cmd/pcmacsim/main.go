@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"os"
 
-	"repro/internal/energy"
 	"repro/internal/mac"
 	"repro/internal/runner"
 	"repro/internal/scenario"
@@ -141,10 +140,9 @@ func main() {
 	fmt.Printf("Jain fairness             %.3f\n", res.JainFairness)
 	fmt.Printf("radiated energy           %.2f J data + %.2f J control\n", res.RadiatedEnergyJ, res.CtrlRadiatedEnergyJ)
 	fmt.Printf("radiated per delivered KB %.3f mJ\n", res.RadiatedPerDeliveredKB()*1e3)
-	b := res.EnergyByState
 	fmt.Printf("consumed energy           %.1f J (tx %.1f + rx %.1f + idle %.1f + overhear %.1f)\n",
-		res.ConsumedEnergyJ, b[energy.Tx], b[energy.Rx], b[energy.Idle], b[energy.Overhear])
-	fmt.Printf("consumed per delivered KB %.3f mJ\n", res.ConsumedPerDeliveredKB()*1e3)
+		res.ConsumedEnergyJ, res.EnergyTxJ, res.EnergyRxJ, res.EnergyIdleJ, res.EnergyOverhearJ)
+	fmt.Printf("consumed per delivered KB %.3f mJ\n", res.ConsumedPerKBJ*1e3)
 	fmt.Printf("energy fairness           %.3f\n", res.EnergyFairness)
 	if res.Opts.BatteryJ > 0 {
 		if res.DeadNodes > 0 {

@@ -58,11 +58,11 @@ func TestAnnouncementReachesNeighbours(t *testing.T) {
 	// The registry entry must block a transmission that would violate
 	// the tolerance: gain at 100 m is ~5.06e-9, so max power delivers
 	// 1.43e-9 >> 0.7e-10.
-	if ok, _ := n.regs[1].Check(0.2818, packet.Broadcast); ok {
+	if ok, _ := n.regs[1].Check(0.2818); ok {
 		t.Fatal("violating transmission not blocked after announcement")
 	}
 	// A tiny transmission passes.
-	if ok, _ := n.regs[1].Check(1e-6, packet.Broadcast); !ok {
+	if ok, _ := n.regs[1].Check(1e-6); !ok {
 		t.Fatal("harmless transmission blocked")
 	}
 }
@@ -76,10 +76,10 @@ func TestAnnouncementGainLearning(t *testing.T) {
 	wantGain := n.ch.Model().ReceivedPower(par.MaxTxPowerW, 100) / par.MaxTxPowerW
 	// Tolerance budget: p*gain <= 0.7*tol  =>  p <= 0.7*1e-10/gain.
 	limit := 0.7 * 1e-10 / wantGain
-	if ok, _ := n.regs[1].Check(limit*0.99, packet.Broadcast); !ok {
+	if ok, _ := n.regs[1].Check(limit * 0.99); !ok {
 		t.Fatal("power just under the budget blocked")
 	}
-	if ok, _ := n.regs[1].Check(limit*1.01, packet.Broadcast); ok {
+	if ok, _ := n.regs[1].Check(limit * 1.01); ok {
 		t.Fatal("power just over the budget allowed")
 	}
 }

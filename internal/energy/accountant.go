@@ -79,9 +79,10 @@ type Accountant struct {
 	prof  Profile
 	sched *sim.Scheduler
 	bat   *Battery
-	// metered caches whether bat has ever held a capacity (it has a
-	// death timer). A mains accountant never calls into its battery:
-	// drain, rearm and txEnded are all no-ops without a capacity.
+	// metered caches whether bat holds a capacity (Battery.attach and
+	// Battery.SetCapacity keep it current). A mains accountant never
+	// calls into its battery: drain, rearm and txEnded are all no-ops
+	// without a capacity.
 	metered bool
 
 	last sim.Time

@@ -312,3 +312,56 @@ func TestSetCapacityCancelsPendingDeath(t *testing.T) {
 	// 10 J minus the 0.5 J of TX draw after the recharge and 1 s idle.
 	within(t, "recharged residual", a.ResidualJ(), 10-2*0.25-0.5*1)
 }
+
+// TestSetCapacityZeroReturnsToMains: setting a battery's capacity to
+// zero puts the node on mains. A later state edge must not predict a
+// death from the empty pack; consumption keeps accruing.
+func TestSetCapacityZeroReturnsToMains(t *testing.T) {
+	s := sim.NewScheduler()
+	a := NewAccountant(s, Config{Profile: testProfile(), CapacityJ: 100})
+	deaths := 0
+	a.Battery().OnDeath = func() { deaths++ }
+
+	s.Schedule(sim.Second, func() { a.SetCapacity(0) })
+	s.Schedule(2*sim.Second, a.CarrierBusy)
+	s.Run(sim.Time(10 * sim.Second))
+	a.Flush()
+
+	if deaths != 0 || a.Dead() {
+		t.Fatalf("mains node died: deaths=%d dead=%v", deaths, a.Dead())
+	}
+	if _, ok := a.DiedAt(); ok {
+		t.Fatal("DiedAt reports a death")
+	}
+	within(t, "residual", a.ResidualJ(), 0)
+	// 2 s idle at 0.5 W, then 8 s sensed-busy at 1.5 W.
+	within(t, "idle J", a.Consumed()[Idle], 1.0)
+	within(t, "overhear J", a.Consumed()[Overhear], 12.0)
+}
+
+// TestSetCapacityMetersEveryDrain: a capacity set on a shared battery
+// meters every accountant drawing from it, in both directions: back to
+// mains and on again. Death lands at the closed-form instant of the
+// summed draw.
+func TestSetCapacityMetersEveryDrain(t *testing.T) {
+	s := sim.NewScheduler()
+	data := NewAccountant(s, Config{Profile: testProfile()})
+	ctrl := NewAccountant(s, Config{Profile: testProfile(), Battery: data.Battery()})
+	bat := data.Battery()
+	var diedAt sim.Time
+	deaths := 0
+	bat.OnDeath = func() { diedAt = s.Now(); deaths++ }
+
+	s.Schedule(sim.Second, func() { bat.SetCapacity(50) })
+	s.Schedule(2*sim.Second, func() { bat.SetCapacity(0) })
+	s.Schedule(3*sim.Second, data.CarrierBusy)
+	s.Schedule(4*sim.Second, func() { bat.SetCapacity(50) })
+	s.Run(sim.Time(40 * sim.Second))
+
+	if deaths != 1 || !data.Dead() || !ctrl.Dead() {
+		t.Fatalf("deaths=%d dataDead=%v ctrlDead=%v", deaths, data.Dead(), ctrl.Dead())
+	}
+	// From 4 s both radios drain the 50 J pack: 1.5 W sensed-busy plus
+	// 0.5 W idle empties it in 25 s.
+	within(t, "shared death", diedAt.Seconds(), 29.0)
+}

@@ -59,7 +59,8 @@ func (b *Battery) DiedAt() (t sim.Time, ok bool) { return b.diedAt, b.dead }
 
 // SetCapacity replaces the charge at the current instant, retaining
 // everything already consumed. Tests and tools use it to hand
-// individual nodes asymmetric batteries after a network is built.
+// individual nodes asymmetric batteries after a network is built; a
+// capacity of zero returns the pack to mains, where it never dies.
 func (b *Battery) SetCapacity(j float64) {
 	if j < 0 {
 		panic(fmt.Sprintf("energy: negative battery capacity %g J", j))
@@ -74,7 +75,11 @@ func (b *Battery) SetCapacity(j float64) {
 	b.pendingDeath = false
 	b.capacityJ = j
 	b.residualJ = j
+	for _, a := range b.drains {
+		a.metered = j > 0
+	}
 	if j == 0 {
+		// Back on mains: nothing is predicted, so nothing can die.
 		if b.timer != nil {
 			b.timer.Stop()
 		}
@@ -82,19 +87,16 @@ func (b *Battery) SetCapacity(j float64) {
 	}
 	if b.timer == nil {
 		b.timer = sim.NewTimer(b.sched, b.onTimer)
-		for _, a := range b.drains {
-			a.metered = true
-		}
 	}
 	b.rearm()
 }
 
-// attach registers a drawing accountant. It is metered when the
-// battery has a death timer, that is once it has held a capacity.
+// attach registers a drawing accountant. It is metered exactly when
+// the battery holds a capacity.
 func (b *Battery) attach(a *Accountant) {
 	b.drains = append(b.drains, a)
 	a.bat = b
-	a.metered = b.timer != nil
+	a.metered = b.capacityJ > 0
 }
 
 // settle accrues every drain up to the current instant.

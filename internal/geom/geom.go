@@ -15,12 +15,6 @@ type Point struct {
 
 func (p Point) String() string { return fmt.Sprintf("(%.1f,%.1f)", p.X, p.Y) }
 
-// Add returns p translated by the vector v.
-func (p Point) Add(v Vector) Point { return Point{p.X + v.DX, p.Y + v.DY} }
-
-// Sub returns the vector from q to p.
-func (p Point) Sub(q Point) Vector { return Vector{p.X - q.X, p.Y - q.Y} }
-
 // Dist returns the Euclidean distance between p and q in metres.
 func (p Point) Dist(q Point) float64 {
 	return math.Hypot(p.X-q.X, p.Y-q.Y)
@@ -42,27 +36,6 @@ func (p Point) Lerp(q Point, t float64) Point {
 // In reports whether p lies inside the rectangle r (inclusive edges).
 func (p Point) In(r Rect) bool {
 	return p.X >= r.Min.X && p.X <= r.Max.X && p.Y >= r.Min.Y && p.Y <= r.Max.Y
-}
-
-// Vector is a displacement in metres.
-type Vector struct {
-	DX, DY float64
-}
-
-// Len returns the vector's magnitude.
-func (v Vector) Len() float64 { return math.Hypot(v.DX, v.DY) }
-
-// Scale returns v scaled by k.
-func (v Vector) Scale(k float64) Vector { return Vector{v.DX * k, v.DY * k} }
-
-// Unit returns the unit vector in v's direction; the zero vector maps to
-// the zero vector.
-func (v Vector) Unit() Vector {
-	l := v.Len()
-	if l == 0 {
-		return Vector{}
-	}
-	return v.Scale(1 / l)
 }
 
 // Rect is an axis-aligned rectangle (the simulation field).

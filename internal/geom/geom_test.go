@@ -63,32 +63,6 @@ func TestPropertyTriangleInequality(t *testing.T) {
 	}
 }
 
-func TestVector(t *testing.T) {
-	v := Point{3, 4}.Sub(Point{0, 0})
-	if !almost(v.Len(), 5) {
-		t.Errorf("Len = %v, want 5", v.Len())
-	}
-	u := v.Unit()
-	if !almost(u.Len(), 1) {
-		t.Errorf("Unit.Len = %v, want 1", u.Len())
-	}
-	if !almost(u.DX, 0.6) || !almost(u.DY, 0.8) {
-		t.Errorf("Unit = %v, want (0.6,0.8)", u)
-	}
-	z := Vector{}.Unit()
-	if z.DX != 0 || z.DY != 0 {
-		t.Errorf("zero Unit = %v, want zero", z)
-	}
-	s := v.Scale(2)
-	if !almost(s.DX, 6) || !almost(s.DY, 8) {
-		t.Errorf("Scale = %v", s)
-	}
-	p := Point{1, 1}.Add(Vector{2, 3})
-	if !almost(p.X, 3) || !almost(p.Y, 4) {
-		t.Errorf("Add = %v", p)
-	}
-}
-
 func TestLerp(t *testing.T) {
 	p, q := Point{0, 0}, Point{10, 20}
 	if got := p.Lerp(q, 0); got != p {

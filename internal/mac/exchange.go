@@ -56,11 +56,11 @@ func (m *MAC) localNoise() float64 {
 // (or the ablation with no registry) always pass. No peer is excluded:
 // by the time we contend for the next frame, any announcement our own
 // DATA triggered at the peer has expired with that reception.
-func (m *MAC) checkTolerance(powerW float64, peer packet.NodeID) (bool, sim.Duration) {
+func (m *MAC) checkTolerance(powerW float64) (bool, sim.Duration) {
 	if m.scheme != PCMAC || m.registry == nil {
 		return true, 0
 	}
-	return m.registry.Check(powerW, packet.Broadcast)
+	return m.registry.Check(powerW)
 }
 
 // beginTx transmits the job in service: a broadcast data frame, or the
@@ -72,7 +72,7 @@ func (m *MAC) beginTx() {
 		m.st = stIdle
 		return
 	}
-	if ok, wait := m.checkTolerance(j.powerW, j.dst); !ok {
+	if ok, wait := m.checkTolerance(j.powerW); !ok {
 		// Paper Step 2: back off until the blocking reception completes.
 		m.Stats.ToleranceDefer++
 		if m.tr != nil {
@@ -215,7 +215,7 @@ func (m *MAC) onCTS(f *packet.Frame, rxPowerW float64) {
 		m.dataPowerW = m.powerFor(packet.KindData, j.dst)
 	}
 	// Paper Step 4: repeat the collision computation before DATA.
-	if ok, _ := m.checkTolerance(m.dataPowerW, j.dst); !ok {
+	if ok, _ := m.checkTolerance(m.dataPowerW); !ok {
 		m.Stats.ToleranceDefer++
 		m.retryShort++
 		m.Stats.Retries++
@@ -323,7 +323,7 @@ func (m *MAC) onRTS(f *packet.Frame, rxPowerW float64) {
 	}
 	ctsPower, wantData := m.ctsPower(f, rxPowerW)
 	// PCMAC: the CTS itself must not violate other receivers' budgets.
-	if ok, _ := m.checkTolerance(ctsPower, f.Src); !ok {
+	if ok, _ := m.checkTolerance(ctsPower); !ok {
 		m.Stats.ToleranceDefer++
 		return
 	}

@@ -211,19 +211,6 @@ func newHistogram(bounds []float64) *Histogram {
 	return &Histogram{bounds: bounds, counts: make([]atomic.Uint64, len(bounds)+1)}
 }
 
-// CounterVec is a labeled counter family.
-type CounterVec struct{ f *family }
-
-// CounterVec registers (or fetches) a counter family with label keys.
-func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec {
-	return &CounterVec{r.register(name, help, kindCounter, labels, nil)}
-}
-
-// With resolves one label-value tuple to its counter.
-func (v *CounterVec) With(values ...string) *Counter {
-	return v.f.get(encode(v.f, values), func() any { return new(Counter) }).(*Counter)
-}
-
 // GaugeVec is a labeled gauge family.
 type GaugeVec struct{ f *family }
 

@@ -9,8 +9,6 @@ func (r referenceModel) ReceivedPower(txPower, dist float64) float64 {
 	return r.m.ReceivedPower(txPower, dist)
 }
 
-func (r referenceModel) Name() string { return r.m.Name() }
-
 // UseReferenceWalk switches c to the reference delivery path: every
 // frame evaluates the full propagation model against every other radio
 // in attach order and keeps those at or above the delivery floor. No

@@ -9,8 +9,6 @@ type Propagation interface {
 	// ReceivedPower returns the power (W) observed at a receiver dist
 	// metres from a transmitter emitting txPower watts.
 	ReceivedPower(txPower, dist float64) float64
-	// Name identifies the model in traces and docs.
-	Name() string
 }
 
 // FreeSpace is the Friis free-space model:
@@ -21,9 +19,6 @@ type FreeSpace struct {
 
 // NewFreeSpace returns a Friis model with the given constants.
 func NewFreeSpace(p Params) *FreeSpace { return &FreeSpace{p: p} }
-
-// Name implements Propagation.
-func (*FreeSpace) Name() string { return "freespace" }
 
 // RangeForTxPower implements Ranger: the distance at which received
 // power decays to thresh.
@@ -62,9 +57,6 @@ func NewTwoRayGround(p Params) *TwoRayGround {
 	return &TwoRayGround{p: p, friis: NewFreeSpace(p), crossover: p.CrossoverDist()}
 }
 
-// Name implements Propagation.
-func (*TwoRayGround) Name() string { return "tworayground" }
-
 // Crossover returns the Friis/ground-reflection switch distance.
 func (m *TwoRayGround) Crossover() float64 { return m.crossover }
 
@@ -84,15 +76,11 @@ func (m *TwoRayGround) ReceivedPower(txPower, dist float64) float64 {
 // carrier-sense (thresh=CsThresh) zone radius of the paper's Figure 3.
 func (m *TwoRayGround) RangeForTxPower(txPower, thresh float64) float64 {
 	// Try the Friis regime first.
-	lambda := m.p.Wavelength()
-	k := txPower * m.p.TxAntennaGain * m.p.RxAntennaGain * lambda * lambda /
-		(16 * math.Pi * math.Pi * m.p.SystemLoss)
-	d := math.Sqrt(k / thresh)
-	if d < m.crossover {
+	if d := m.friis.RangeForTxPower(txPower, thresh); d < m.crossover {
 		return d
 	}
 	// Ground-reflection regime.
 	h2 := m.p.AntennaHeightM * m.p.AntennaHeightM
-	k = txPower * m.p.TxAntennaGain * m.p.RxAntennaGain * h2 * h2 / m.p.SystemLoss
+	k := txPower * m.p.TxAntennaGain * m.p.RxAntennaGain * h2 * h2 / m.p.SystemLoss
 	return math.Pow(k/thresh, 0.25)
 }

@@ -40,9 +40,6 @@ func NewShadowing(base Propagation, sigmaDB float64, seed int64) *Shadowing {
 	return &Shadowing{Base: base, SigmaDB: sigmaDB, rng: rand.New(rand.NewSource(seed))}
 }
 
-// Name implements Propagation.
-func (*Shadowing) Name() string { return "shadowing" }
-
 // ReceivedPower implements Propagation. It is definitionally
 // MeanReceivedPower * Fade — the channel's link cache relies on that
 // factoring to split the deterministic mean (cached per link) from the

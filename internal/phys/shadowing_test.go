@@ -85,9 +85,3 @@ func TestShadowingValidation(t *testing.T) {
 		}()
 	}
 }
-
-func TestShadowingName(t *testing.T) {
-	if NewShadowing(NewTwoRayGround(DefaultParams()), 0, 1).Name() != "shadowing" {
-		t.Error("name")
-	}
-}

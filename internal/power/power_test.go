@@ -203,7 +203,7 @@ func TestRegistryCheck(t *testing.T) {
 	// Receiver 5, tolerance 1e-10 W, gain from us 1e-9, active 2 ms.
 	r.Note(5, 1e-10, 1e-9, sim.Time(2*sim.Millisecond))
 	// 0.2818 W * 1e-9 = 2.8e-10 > 0.7e-10: blocked.
-	ok, wait := r.Check(0.2818, packet.Broadcast)
+	ok, wait := r.Check(0.2818)
 	if ok {
 		t.Fatal("max power should be blocked")
 	}
@@ -211,20 +211,8 @@ func TestRegistryCheck(t *testing.T) {
 		t.Fatalf("wait = %v, want 2ms", wait)
 	}
 	// 0.01 W * 1e-9 = 1e-11 < 7e-11: allowed.
-	if ok, _ := r.Check(0.01, packet.Broadcast); !ok {
+	if ok, _ := r.Check(0.01); !ok {
 		t.Fatal("low power should pass")
-	}
-}
-
-func TestRegistryExcludesPeer(t *testing.T) {
-	c := &fakeClock{}
-	r := NewRegistry(c.fn(), 0.7)
-	r.Note(5, 1e-12, 1e-9, sim.Time(sim.Second))
-	if ok, _ := r.Check(0.2818, 5); !ok {
-		t.Fatal("transmission to the announcing receiver itself must not self-block")
-	}
-	if ok, _ := r.Check(0.2818, 6); ok {
-		t.Fatal("other destinations must still be checked")
 	}
 }
 
@@ -233,7 +221,7 @@ func TestRegistryExpiry(t *testing.T) {
 	r := NewRegistry(c.fn(), 0.7)
 	r.Note(5, 1e-12, 1e-9, sim.Time(sim.Millisecond))
 	c.now = sim.Time(sim.Millisecond)
-	if ok, _ := r.Check(0.2818, packet.Broadcast); !ok {
+	if ok, _ := r.Check(0.2818); !ok {
 		t.Fatal("expired entry still blocking")
 	}
 	if r.Active() != 0 {
@@ -246,7 +234,7 @@ func TestRegistryMultipleBlockersWaitsForLast(t *testing.T) {
 	r := NewRegistry(c.fn(), 0.7)
 	r.Note(5, 1e-12, 1e-9, sim.Time(2*sim.Millisecond))
 	r.Note(6, 1e-12, 1e-9, sim.Time(5*sim.Millisecond))
-	ok, wait := r.Check(0.2818, packet.Broadcast)
+	ok, wait := r.Check(0.2818)
 	if ok || wait != 5*sim.Millisecond {
 		t.Fatalf("Check = %v,%v; want blocked until 5ms", ok, wait)
 	}
@@ -257,7 +245,7 @@ func TestRegistryDrop(t *testing.T) {
 	r := NewRegistry(c.fn(), 0.7)
 	r.Note(5, 1e-12, 1e-9, sim.Time(sim.Second))
 	r.Drop(5)
-	if ok, _ := r.Check(0.2818, packet.Broadcast); !ok {
+	if ok, _ := r.Check(0.2818); !ok {
 		t.Fatal("dropped entry still blocking")
 	}
 }
@@ -273,8 +261,8 @@ func TestPropertySafetyFactorMonotone(t *testing.T) {
 		hi := NewRegistry(c.fn(), 0.9)
 		lo.Note(1, tol, gain, sim.Time(sim.Second))
 		hi.Note(1, tol, gain, sim.Time(sim.Second))
-		okLo, _ := lo.Check(p, packet.Broadcast)
-		okHi, _ := hi.Check(p, packet.Broadcast)
+		okLo, _ := lo.Check(p)
+		okHi, _ := hi.Check(p)
 		if okLo && !okHi {
 			return false
 		}

@@ -51,18 +51,13 @@ func (r *Registry) Drop(id packet.NodeID) { delete(r.entries, id) }
 // Check reports whether transmitting at powerW now would violate any
 // active receiver's tolerance budget. When blocked, wait is how long
 // until the last blocking reception completes — the paper's "back off
-// until the current reception is completed". The exclude address (the
-// intended peer of the transmission) is skipped: our signal is what that
-// receiver is receiving, not noise.
-func (r *Registry) Check(powerW float64, exclude packet.NodeID) (ok bool, wait sim.Duration) {
+// until the current reception is completed".
+func (r *Registry) Check(powerW float64) (ok bool, wait sim.Duration) {
 	now := r.clock()
 	ok = true
 	for id, e := range r.entries {
 		if now >= e.Until {
 			delete(r.entries, id)
-			continue
-		}
-		if id == exclude {
 			continue
 		}
 		if powerW*e.Gain > r.SafetyFactor*e.ToleranceW {

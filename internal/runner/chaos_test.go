@@ -18,11 +18,10 @@ import (
 // big enough that injected faults hit a meaningful sample of runs.
 func chaosCampaign() Campaign {
 	return Campaign{
-		Name:      "chaos",
-		Base:      tinyBase(),
-		Schemes:   []mac.Scheme{mac.Basic, mac.PCMAC},
-		LoadsKbps: []float64{40, 80},
-		Reps:      30,
+		Name:    "chaos",
+		Base:    tinyBase(),
+		Schemes: []mac.Scheme{mac.Basic, mac.PCMAC},
+		Axes:    Axes{LoadsKbps: []float64{40, 80}, Reps: 30},
 	}
 }
 

@@ -34,10 +34,12 @@ func TestTrafficModelsPinnedDigest(t *testing.T) {
 			Duration: 3 * sim.Second,
 			Warmup:   sim.Duration(sim.Second / 2),
 		},
-		Schemes:   []mac.Scheme{mac.Basic, mac.PCMAC},
-		Traffics:  []string{"cbr", "poisson", "onoff", "pareto", "reqresp"},
-		LoadsKbps: []float64{300},
-		Reps:      1,
+		Schemes: []mac.Scheme{mac.Basic, mac.PCMAC},
+		Axes: Axes{
+			Traffics:  []string{"cbr", "poisson", "onoff", "pareto", "reqresp"},
+			LoadsKbps: []float64{300},
+			Reps:      1,
+		},
 	}
 	var out bytes.Buffer
 	if _, err := Execute(context.Background(), c, ExecOptions{Workers: 2, Out: &out}); err != nil {

@@ -17,14 +17,14 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/energy"
 	"repro/internal/obs"
 	"repro/internal/scenario"
 )
 
 // Result is one run's JSONL record: the grid coordinates, the seed, and
-// the scenario metrics. Field order is fixed by the struct, so encoding
-// is deterministic.
+// the scenario metrics, whose fields encoding/json writes where
+// scenario.Metrics is embedded. Field order is fixed by the structs, so
+// encoding is deterministic.
 type Result struct {
 	Key          string  `json:"key"`
 	Variant      string  `json:"variant,omitempty"`
@@ -44,39 +44,7 @@ type Result struct {
 	Seed          int64   `json:"seed"`
 	DurationS     float64 `json:"duration_s"`
 
-	ThroughputKbps float64 `json:"throughput_kbps"`
-	AvgDelayMs     float64 `json:"avg_delay_ms"`
-	DelayP50Ms     float64 `json:"delay_p50_ms"`
-	DelayP95Ms     float64 `json:"delay_p95_ms"`
-	DelayP99Ms     float64 `json:"delay_p99_ms"`
-	JitterMs       float64 `json:"jitter_ms"`
-	PDR            float64 `json:"pdr"`
-	JainFairness   float64 `json:"jain_fairness"`
-	// RadiatedEnergyJ keeps the historical energy_j JSONL name; the
-	// value has always been radiated-only TX energy on the data channel
-	// (ctrl_energy_j likewise on the control channel). The full-radio
-	// electrical budget is ConsumedEnergyJ and its per-state split.
-	RadiatedEnergyJ     float64 `json:"energy_j"`
-	CtrlRadiatedEnergyJ float64 `json:"ctrl_energy_j"`
-
-	ConsumedEnergyJ float64 `json:"consumed_energy_j"`
-	EnergyTxJ       float64 `json:"energy_tx_j"`
-	EnergyRxJ       float64 `json:"energy_rx_j"`
-	EnergyIdleJ     float64 `json:"energy_idle_j"`
-	EnergyOverhearJ float64 `json:"energy_overhear_j"`
-	// ConsumedPerKBJ is full-radio joules per delivered kilobyte;
-	// EnergyFairness is Jain's index over residual (battery) or
-	// consumed (mains) per-node energy.
-	ConsumedPerKBJ float64 `json:"consumed_per_kb_j"`
-	EnergyFairness float64 `json:"energy_fairness"`
-	// Lifetime metrics: battery deaths, the first-death instant (0 =
-	// everyone survived) and the alive-node step curve as [t_s, alive]
-	// pairs (never empty — it starts with the population at t=0).
-	DeadNodes         int          `json:"dead_nodes,omitempty"`
-	TimeToFirstDeathS float64      `json:"time_to_first_death_s,omitempty"`
-	AliveTimeline     [][2]float64 `json:"alive_timeline"`
-
-	Events uint64 `json:"events"`
+	scenario.Metrics
 
 	// Status marks non-success outcomes (StatusFailed); empty — and
 	// therefore omitted — on success, so fault-free JSONL is byte-stable
@@ -122,30 +90,8 @@ func FailedResult(r Run, err error, attempts int) Result {
 // ResultOf builds the record for one completed run.
 func ResultOf(r Run, res scenario.Result) Result {
 	out := coordinates(r, res.Opts)
-	out.ThroughputKbps = res.ThroughputKbps
-	out.AvgDelayMs = res.AvgDelayMs
-	out.DelayP50Ms = res.DelayP50Ms
-	out.DelayP95Ms = res.DelayP95Ms
-	out.DelayP99Ms = res.DelayP99Ms
-	out.JitterMs = res.JitterMs
-	out.PDR = res.PDR
-	out.JainFairness = res.JainFairness
-	out.RadiatedEnergyJ = res.RadiatedEnergyJ
-	out.CtrlRadiatedEnergyJ = res.CtrlRadiatedEnergyJ
-	out.ConsumedEnergyJ = res.ConsumedEnergyJ
-	out.EnergyTxJ = res.EnergyByState[energy.Tx]
-	out.EnergyRxJ = res.EnergyByState[energy.Rx]
-	out.EnergyIdleJ = res.EnergyByState[energy.Idle]
-	out.EnergyOverhearJ = res.EnergyByState[energy.Overhear]
-	out.ConsumedPerKBJ = res.ConsumedPerDeliveredKB()
-	out.EnergyFairness = res.EnergyFairness
-	out.DeadNodes = res.DeadNodes
-	out.TimeToFirstDeathS = res.TimeToFirstDeathS
-	out.Events = res.Events
+	out.Metrics = res.Metrics
 	out.PeakQueue = res.PeakQueue
-	for _, st := range res.AliveTimeline {
-		out.AliveTimeline = append(out.AliveTimeline, [2]float64{st.T.Seconds(), float64(st.Alive)})
-	}
 	return out
 }
 

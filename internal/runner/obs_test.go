@@ -209,7 +209,7 @@ func TestTimingOptIn(t *testing.T) {
 // TestTimingFieldsOmitted: the JSON keys themselves are absent when
 // timing is off — trailing omitempty fields, not zero-valued ones.
 func TestTimingFieldsOmitted(t *testing.T) {
-	b, err := json.Marshal(Result{Key: "k", Events: 1})
+	b, err := json.Marshal(Result{Key: "k", Metrics: scenario.Metrics{Events: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,74 +32,65 @@ func evalBase(durationS float64) scenario.Options {
 	}
 }
 
-// Preset names a built-in campaign grid.
-type presetFunc func(durationS float64, reps int, loads []float64) Campaign
+// presetFunc builds a built-in campaign grid for a horizon; Preset adds
+// the offered-load axis and the replication count every preset shares.
+type presetFunc func(durationS float64) Campaign
 
 var presets = map[string]presetFunc{
 	// fig8/fig9 share one grid; the figures differ only in which metric
 	// is plotted (throughput vs delay).
-	"fig8": func(d float64, reps int, loads []float64) Campaign {
-		return Campaign{Name: "fig8", Base: evalBase(d), Schemes: mac.Schemes(), LoadsKbps: loads, Reps: reps}
+	"fig8": func(d float64) Campaign {
+		return Campaign{Name: "fig8", Base: evalBase(d), Schemes: mac.Schemes()}
 	},
-	"fig9": func(d float64, reps int, loads []float64) Campaign {
-		return Campaign{Name: "fig9", Base: evalBase(d), Schemes: mac.Schemes(), LoadsKbps: loads, Reps: reps}
+	"fig9": func(d float64) Campaign {
+		return Campaign{Name: "fig9", Base: evalBase(d), Schemes: mac.Schemes()}
 	},
 	// fading overlays log-normal shadowing — the fluctuation the paper's
 	// 0.7 safety coefficient anticipates.
-	"fading": func(d float64, reps int, loads []float64) Campaign {
+	"fading": func(d float64) Campaign {
 		return Campaign{
-			Name:        "fading",
-			Base:        evalBase(d),
-			Schemes:     []mac.Scheme{mac.Basic, mac.PCMAC},
-			LoadsKbps:   loads,
-			ShadowingDB: []float64{0, 2, 4, 6},
-			Reps:        reps,
+			Name:    "fading",
+			Base:    evalBase(d),
+			Schemes: []mac.Scheme{mac.Basic, mac.PCMAC},
+			Axes:    Axes{ShadowingDB: []float64{0, 2, 4, 6}},
 		}
 	},
 	// mobility sweeps node speed from pedestrian to vehicular.
-	"mobility": func(d float64, reps int, loads []float64) Campaign {
+	"mobility": func(d float64) Campaign {
 		return Campaign{
-			Name:      "mobility",
-			Base:      evalBase(d),
-			Schemes:   mac.Schemes(),
-			LoadsKbps: loads,
-			SpeedsMps: []float64{1, 3, 10, 20},
-			Reps:      reps,
+			Name:    "mobility",
+			Base:    evalBase(d),
+			Schemes: mac.Schemes(),
+			Axes:    Axes{SpeedsMps: []float64{1, 3, 10, 20}},
 		}
 	},
 	// density sweeps terminal count at fixed field size.
-	"density": func(d float64, reps int, loads []float64) Campaign {
+	"density": func(d float64) Campaign {
 		return Campaign{
-			Name:      "density",
-			Base:      evalBase(d),
-			Schemes:   mac.Schemes(),
-			LoadsKbps: loads,
-			Nodes:     []int{25, 50, 75, 100},
-			Reps:      reps,
+			Name:    "density",
+			Base:    evalBase(d),
+			Schemes: mac.Schemes(),
+			Axes:    Axes{Nodes: []int{25, 50, 75, 100}},
 		}
 	},
 	// bursty sweeps the workload-model axis: the same mean load shaped
 	// as constant-rate, memoryless, bursty and heavy-tailed streams.
-	"bursty": func(d float64, reps int, loads []float64) Campaign {
+	"bursty": func(d float64) Campaign {
 		return Campaign{
-			Name:      "bursty",
-			Base:      evalBase(d),
-			Schemes:   []mac.Scheme{mac.Basic, mac.PCMAC},
-			Traffics:  []string{"cbr", "poisson", "onoff", "pareto"},
-			LoadsKbps: loads,
-			Reps:      reps,
+			Name:    "bursty",
+			Base:    evalBase(d),
+			Schemes: []mac.Scheme{mac.Basic, mac.PCMAC},
+			Axes:    Axes{Traffics: []string{"cbr", "poisson", "onoff", "pareto"}},
 		}
 	},
 	// clustered sweeps the placement axis: the paper's uniform layout
 	// against lattices, hotspot clusters and a multihop corridor.
-	"clustered": func(d float64, reps int, loads []float64) Campaign {
+	"clustered": func(d float64) Campaign {
 		return Campaign{
-			Name:       "clustered",
-			Base:       evalBase(d),
-			Schemes:    []mac.Scheme{mac.Basic, mac.PCMAC},
-			Topologies: scenario.Topologies(),
-			LoadsKbps:  loads,
-			Reps:       reps,
+			Name:    "clustered",
+			Base:    evalBase(d),
+			Schemes: []mac.Scheme{mac.Basic, mac.PCMAC},
+			Axes:    Axes{Topologies: scenario.Topologies()},
 		}
 	},
 	// scale pushes the substrate into the 200-2000 node regime the
@@ -112,16 +103,16 @@ var presets = map[string]presetFunc{
 	// traffic. Schemes: 802.11 against scheme 2 (all-frames minimum
 	// power) — PCMAC's Figure 7 control frame addresses 8-bit node IDs,
 	// so the paper's headline protocol tops out at 256 terminals.
-	"scale": func(d float64, reps int, loads []float64) Campaign {
+	"scale": func(d float64) Campaign {
 		return Campaign{
-			Name:       "scale",
-			Base:       evalBase(d),
-			Schemes:    []mac.Scheme{mac.Basic, mac.Scheme2},
-			Variants:   scaleVariants(),
-			Topologies: []string{scenario.TopologyGrid, scenario.TopologyClusters},
-			Traffics:   []string{"poisson"},
-			LoadsKbps:  loads,
-			Reps:       reps,
+			Name:     "scale",
+			Base:     evalBase(d),
+			Schemes:  []mac.Scheme{mac.Basic, mac.Scheme2},
+			Variants: scaleVariants(),
+			Axes: Axes{
+				Topologies: []string{scenario.TopologyGrid, scenario.TopologyClusters},
+				Traffics:   []string{"poisson"},
+			},
 		}
 	},
 	// lifetime gives every node a battery and compares how long the
@@ -130,26 +121,22 @@ var presets = map[string]presetFunc{
 	// split. Capacities are sized against the WaveLAN-class draw
 	// (~0.74 W idle) so deaths start mid-run at the default 100 s
 	// horizon; scale them with -duration for longer studies.
-	"lifetime": func(d float64, reps int, loads []float64) Campaign {
+	"lifetime": func(d float64) Campaign {
 		return Campaign{
-			Name:       "lifetime",
-			Base:       evalBase(d),
-			Schemes:    []mac.Scheme{mac.Basic, mac.PCMAC},
-			LoadsKbps:  loads,
-			BatteriesJ: []float64{40, 80},
-			Reps:       reps,
+			Name:    "lifetime",
+			Base:    evalBase(d),
+			Schemes: []mac.Scheme{mac.Basic, mac.PCMAC},
+			Axes:    Axes{BatteriesJ: []float64{40, 80}},
 		}
 	},
 	// reqresp exercises bidirectional request-response exchange, where
 	// both directions' delays (and the percentile tails) matter.
-	"reqresp": func(d float64, reps int, loads []float64) Campaign {
+	"reqresp": func(d float64) Campaign {
 		return Campaign{
-			Name:      "reqresp",
-			Base:      evalBase(d),
-			Schemes:   mac.Schemes(),
-			Traffics:  []string{"reqresp"},
-			LoadsKbps: loads,
-			Reps:      reps,
+			Name:    "reqresp",
+			Base:    evalBase(d),
+			Schemes: mac.Schemes(),
+			Axes:    Axes{Traffics: []string{"reqresp"}},
 		}
 	},
 	"ablation-safety":   ablationPreset("safety"),
@@ -188,12 +175,11 @@ func scaleVariants() []Variant {
 // panics at package init via TestPresetsExpand rather than running an
 // empty grid.
 func ablationPreset(kind string) presetFunc {
-	return func(d float64, reps int, loads []float64) Campaign {
-		c, err := ablation(kind, evalBase(d), loads)
+	return func(d float64) Campaign {
+		c, err := ablation(kind, evalBase(d))
 		if err != nil {
 			panic(err)
 		}
-		c.Reps = reps
 		return c
 	}
 }
@@ -222,18 +208,20 @@ func Preset(name string, durationS float64, reps int, loads []float64) (Campaign
 	if reps <= 0 {
 		reps = 1
 	}
-	return f(durationS, reps, loads), nil
+	c := f(durationS)
+	c.LoadsKbps = loads
+	c.Reps = reps
+	return c, nil
 }
 
 // ablation builds one PCMAC design-knob grid — safety factor, control
 // channel, three-way handshake, history expiry or control bandwidth —
-// as a declarative campaign.
-func ablation(kind string, base scenario.Options, loads []float64) (Campaign, error) {
+// as a declarative campaign, before Preset adds its loads and reps.
+func ablation(kind string, base scenario.Options) (Campaign, error) {
 	c := Campaign{
-		Name:      "ablation-" + kind,
-		Base:      base,
-		Schemes:   []mac.Scheme{mac.PCMAC},
-		LoadsKbps: loads,
+		Name:    "ablation-" + kind,
+		Base:    base,
+		Schemes: []mac.Scheme{mac.PCMAC},
 	}
 	switch kind {
 	case "safety":

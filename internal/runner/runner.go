@@ -77,36 +77,44 @@ type Campaign struct {
 	Variants []Variant
 	// Schemes is the protocol axis.
 	Schemes []mac.Scheme
+	// Axes holds the other sweep axes and the replication settings.
+	Axes
+}
+
+// Axes are the campaign's sweep axes after variants and schemes, and
+// its replication settings. Campaign and its file form CampaignFile
+// both embed them, so each field and its spec key is declared once.
+type Axes struct {
 	// Traffics is the workload-model axis (traffic.Models names:
 	// cbr|poisson|onoff|pareto|reqresp).
-	Traffics []string
+	Traffics []string `json:"traffics,omitempty"`
 	// Topologies is the placement axis (scenario.Topologies names:
 	// uniform|grid|clusters|corridor).
-	Topologies []string
+	Topologies []string `json:"topologies,omitempty"`
 	// LoadsKbps is the offered-load axis.
-	LoadsKbps []float64
+	LoadsKbps []float64 `json:"loads_kbps,omitempty"`
 	// Nodes is the terminal-count axis.
-	Nodes []int
+	Nodes []int `json:"nodes,omitempty"`
 	// SpeedsMps is the mobility axis (sets SpeedMin = SpeedMax).
-	SpeedsMps []float64
+	SpeedsMps []float64 `json:"speeds_mps,omitempty"`
 	// ShadowingDB is the fading axis (log-normal sigma).
-	ShadowingDB []float64
+	ShadowingDB []float64 `json:"shadowing_db,omitempty"`
 	// SafetyFactors is the PCMAC tolerance-coefficient axis.
-	SafetyFactors []float64
+	SafetyFactors []float64 `json:"safety_factors,omitempty"`
 	// BatteriesJ is the battery-capacity axis in joules per node
 	// (0 = mains-powered).
-	BatteriesJ []float64
+	BatteriesJ []float64 `json:"batteries_j,omitempty"`
 	// EnergyProfiles is the radio draw-table axis (energy.Profiles
 	// names: wavelan|sensor).
-	EnergyProfiles []string
+	EnergyProfiles []string `json:"energy_profiles,omitempty"`
 
 	// Reps replicates each grid point with derived seeds (default 1).
-	Reps int
+	Reps int `json:"reps,omitempty"`
 	// SeedList, when non-empty, fixes the per-replication seeds
 	// explicitly (overrides Reps and seed derivation).
-	SeedList []int64
+	SeedList []int64 `json:"seed_list,omitempty"`
 	// BaseSeed feeds seed derivation (default 1).
-	BaseSeed int64
+	BaseSeed int64 `json:"base_seed,omitempty"`
 }
 
 // Run is one fully parameterized simulation of a campaign.

@@ -29,11 +29,10 @@ func tinyBase() scenario.Options {
 
 func tinyCampaign() Campaign {
 	return Campaign{
-		Name:      "tiny",
-		Base:      tinyBase(),
-		Schemes:   []mac.Scheme{mac.Basic, mac.PCMAC},
-		LoadsKbps: []float64{40, 80},
-		Reps:      2,
+		Name:    "tiny",
+		Base:    tinyBase(),
+		Schemes: []mac.Scheme{mac.Basic, mac.PCMAC},
+		Axes:    Axes{LoadsKbps: []float64{40, 80}, Reps: 2},
 	}
 }
 
@@ -128,11 +127,13 @@ func TestRunsSeedList(t *testing.T) {
 
 func TestRunsAxes(t *testing.T) {
 	c := Campaign{
-		Base:        tinyBase(),
-		Schemes:     []mac.Scheme{mac.PCMAC},
-		LoadsKbps:   []float64{40},
-		SpeedsMps:   []float64{1, 10},
-		ShadowingDB: []float64{0, 4},
+		Base:    tinyBase(),
+		Schemes: []mac.Scheme{mac.PCMAC},
+		Axes: Axes{
+			LoadsKbps:   []float64{40},
+			SpeedsMps:   []float64{1, 10},
+			ShadowingDB: []float64{0, 4},
+		},
 	}
 	runs, err := c.Runs()
 	if err != nil {
@@ -155,9 +156,9 @@ func TestRunsAxes(t *testing.T) {
 
 func TestVariantPatch(t *testing.T) {
 	c := Campaign{
-		Base:      tinyBase(),
-		Schemes:   []mac.Scheme{mac.PCMAC},
-		LoadsKbps: []float64{40},
+		Base:    tinyBase(),
+		Schemes: []mac.Scheme{mac.PCMAC},
+		Axes:    Axes{LoadsKbps: []float64{40}},
 		Variants: []Variant{
 			{Name: "stock"},
 			{Name: "no-ctrl", Patch: scenario.FileConfig{DisableCtrlChannel: true}},
@@ -406,13 +407,15 @@ func TestCampaignFileRoundTrip(t *testing.T) {
 			Duration: 5 * sim.Second,
 			Warmup:   sim.Duration(sim.Second),
 		},
-		Schemes:       []mac.Scheme{mac.Basic, mac.PCMAC},
-		LoadsKbps:     []float64{100, 200},
-		SpeedsMps:     []float64{1, 3},
-		SafetyFactors: []float64{0.5, 0.9},
-		Variants:      []Variant{{Name: "x", Patch: scenario.FileConfig{DisableThreeWay: true}}},
-		Reps:          3,
-		BaseSeed:      42,
+		Schemes: []mac.Scheme{mac.Basic, mac.PCMAC},
+		Axes: Axes{
+			LoadsKbps:     []float64{100, 200},
+			SpeedsMps:     []float64{1, 3},
+			SafetyFactors: []float64{0.5, 0.9},
+			Reps:          3,
+			BaseSeed:      42,
+		},
+		Variants: []Variant{{Name: "x", Patch: scenario.FileConfig{DisableThreeWay: true}}},
 	}
 	b, err := json.Marshal(c.File())
 	if err != nil {
@@ -548,23 +551,24 @@ func TestExecuteRepeatDeterministic(t *testing.T) {
 		{
 			name: "cbr-mobile",
 			c: Campaign{
-				Name:      "repeat50",
-				Base:      withNodes(base, 50),
-				Schemes:   []mac.Scheme{mac.PCMAC},
-				LoadsKbps: []float64{400},
-				Reps:      1,
+				Name:    "repeat50",
+				Base:    withNodes(base, 50),
+				Schemes: []mac.Scheme{mac.PCMAC},
+				Axes:    Axes{LoadsKbps: []float64{400}, Reps: 1},
 			},
 		},
 		{
 			name: "bursty-clustered",
 			c: Campaign{
-				Name:       "repeat-bursty",
-				Base:       withNodes(base, 30),
-				Schemes:    []mac.Scheme{mac.PCMAC},
-				Traffics:   []string{"poisson", "onoff", "pareto", "reqresp"},
-				Topologies: []string{"clusters"},
-				LoadsKbps:  []float64{300},
-				Reps:       1,
+				Name:    "repeat-bursty",
+				Base:    withNodes(base, 30),
+				Schemes: []mac.Scheme{mac.PCMAC},
+				Axes: Axes{
+					Traffics:   []string{"poisson", "onoff", "pareto", "reqresp"},
+					Topologies: []string{"clusters"},
+					LoadsKbps:  []float64{300},
+					Reps:       1,
+				},
 			},
 		},
 		{
@@ -577,13 +581,15 @@ func TestExecuteRepeatDeterministic(t *testing.T) {
 			// the no-deaths branch of the same axes.
 			name: "lifetime-battery",
 			c: Campaign{
-				Name:           "repeat-lifetime",
-				Base:           withNodes(base, 30),
-				Schemes:        []mac.Scheme{mac.PCMAC},
-				LoadsKbps:      []float64{300},
-				BatteriesJ:     []float64{1},
-				EnergyProfiles: []string{"wavelan", "sensor"},
-				Reps:           1,
+				Name:    "repeat-lifetime",
+				Base:    withNodes(base, 30),
+				Schemes: []mac.Scheme{mac.PCMAC},
+				Axes: Axes{
+					LoadsKbps:      []float64{300},
+					BatteriesJ:     []float64{1},
+					EnergyProfiles: []string{"wavelan", "sensor"},
+					Reps:           1,
+				},
 			},
 		},
 	}
@@ -653,11 +659,13 @@ func TestScalePresetShape(t *testing.T) {
 // the expanded options.
 func TestEnergyAxes(t *testing.T) {
 	c := Campaign{
-		Base:           tinyBase(),
-		Schemes:        []mac.Scheme{mac.PCMAC},
-		LoadsKbps:      []float64{40},
-		BatteriesJ:     []float64{0, 5},
-		EnergyProfiles: []string{"wavelan", "sensor"},
+		Base:    tinyBase(),
+		Schemes: []mac.Scheme{mac.PCMAC},
+		Axes: Axes{
+			LoadsKbps:      []float64{40},
+			BatteriesJ:     []float64{0, 5},
+			EnergyProfiles: []string{"wavelan", "sensor"},
+		},
 	}
 	runs, err := c.Runs()
 	if err != nil {
@@ -682,7 +690,7 @@ func TestEnergyAxes(t *testing.T) {
 	base := tinyBase()
 	base.BatteryJ = 3
 	base.EnergyProfile = "sensor"
-	plain := Campaign{Base: base, Schemes: []mac.Scheme{mac.PCMAC}, LoadsKbps: []float64{40}}
+	plain := Campaign{Base: base, Schemes: []mac.Scheme{mac.PCMAC}, Axes: Axes{LoadsKbps: []float64{40}}}
 	runs, err = plain.Runs()
 	if err != nil {
 		t.Fatal(err)
@@ -695,7 +703,7 @@ func TestEnergyAxes(t *testing.T) {
 	}
 
 	// A bad profile on the axis is a spec error at expansion time.
-	bad := Campaign{Base: tinyBase(), Schemes: []mac.Scheme{mac.PCMAC}, LoadsKbps: []float64{40}, EnergyProfiles: []string{"nuclear"}}
+	bad := Campaign{Base: tinyBase(), Schemes: []mac.Scheme{mac.PCMAC}, Axes: Axes{LoadsKbps: []float64{40}, EnergyProfiles: []string{"nuclear"}}}
 	if _, err := bad.Runs(); err == nil {
 		t.Fatal("unknown energy profile accepted")
 	}
@@ -705,12 +713,14 @@ func TestEnergyAxes(t *testing.T) {
 // spec form.
 func TestEnergyAxesSpecRoundTrip(t *testing.T) {
 	c := Campaign{
-		Name:           "rt",
-		Base:           tinyBase(),
-		Schemes:        []mac.Scheme{mac.Basic},
-		LoadsKbps:      []float64{40},
-		BatteriesJ:     []float64{10, 20},
-		EnergyProfiles: []string{"sensor"},
+		Name:    "rt",
+		Base:    tinyBase(),
+		Schemes: []mac.Scheme{mac.Basic},
+		Axes: Axes{
+			LoadsKbps:      []float64{40},
+			BatteriesJ:     []float64{10, 20},
+			EnergyProfiles: []string{"sensor"},
+		},
 	}
 	back, err := c.File().Campaign()
 	if err != nil {

@@ -27,23 +27,12 @@ const SpecVersion = 1
 //	  "reps": 3
 //	}
 type CampaignFile struct {
-	Version        int                 `json:"version,omitempty"`
-	Name           string              `json:"name"`
-	Base           scenario.FileConfig `json:"base"`
-	Variants       []Variant           `json:"variants,omitempty"`
-	Schemes        []string            `json:"schemes,omitempty"`
-	Traffics       []string            `json:"traffics,omitempty"`
-	Topologies     []string            `json:"topologies,omitempty"`
-	LoadsKbps      []float64           `json:"loads_kbps,omitempty"`
-	Nodes          []int               `json:"nodes,omitempty"`
-	SpeedsMps      []float64           `json:"speeds_mps,omitempty"`
-	ShadowingDB    []float64           `json:"shadowing_db,omitempty"`
-	SafetyFactors  []float64           `json:"safety_factors,omitempty"`
-	BatteriesJ     []float64           `json:"batteries_j,omitempty"`
-	EnergyProfiles []string            `json:"energy_profiles,omitempty"`
-	Reps           int                 `json:"reps,omitempty"`
-	SeedList       []int64             `json:"seed_list,omitempty"`
-	BaseSeed       int64               `json:"base_seed,omitempty"`
+	Version  int                 `json:"version,omitempty"`
+	Name     string              `json:"name"`
+	Base     scenario.FileConfig `json:"base"`
+	Variants []Variant           `json:"variants,omitempty"`
+	Schemes  []string            `json:"schemes,omitempty"`
+	Axes
 }
 
 // Campaign converts the file form to a runnable Campaign.
@@ -61,23 +50,7 @@ func (cf CampaignFile) Campaign() (Campaign, error) {
 	if err != nil {
 		return Campaign{}, fmt.Errorf("runner: spec %q: %w", cf.Name, err)
 	}
-	c := Campaign{
-		Name:           cf.Name,
-		Base:           opts,
-		Variants:       cf.Variants,
-		Traffics:       cf.Traffics,
-		Topologies:     cf.Topologies,
-		LoadsKbps:      cf.LoadsKbps,
-		Nodes:          cf.Nodes,
-		SpeedsMps:      cf.SpeedsMps,
-		ShadowingDB:    cf.ShadowingDB,
-		SafetyFactors:  cf.SafetyFactors,
-		BatteriesJ:     cf.BatteriesJ,
-		EnergyProfiles: cf.EnergyProfiles,
-		Reps:           cf.Reps,
-		SeedList:       cf.SeedList,
-		BaseSeed:       cf.BaseSeed,
-	}
+	c := Campaign{Name: cf.Name, Base: opts, Variants: cf.Variants, Axes: cf.Axes}
 	for _, name := range cf.Schemes {
 		s, err := mac.ParseScheme(name)
 		if err != nil {
@@ -92,22 +65,11 @@ func (cf CampaignFile) Campaign() (Campaign, error) {
 // CampaignFile.Campaign for the representable fields).
 func (c Campaign) File() CampaignFile {
 	cf := CampaignFile{
-		Version:        SpecVersion,
-		Name:           c.Name,
-		Base:           scenario.ToFileConfig(c.Base),
-		Variants:       c.Variants,
-		Traffics:       c.Traffics,
-		Topologies:     c.Topologies,
-		LoadsKbps:      c.LoadsKbps,
-		Nodes:          c.Nodes,
-		SpeedsMps:      c.SpeedsMps,
-		ShadowingDB:    c.ShadowingDB,
-		SafetyFactors:  c.SafetyFactors,
-		BatteriesJ:     c.BatteriesJ,
-		EnergyProfiles: c.EnergyProfiles,
-		Reps:           c.Reps,
-		SeedList:       c.SeedList,
-		BaseSeed:       c.BaseSeed,
+		Version:  SpecVersion,
+		Name:     c.Name,
+		Base:     scenario.ToFileConfig(c.Base),
+		Variants: c.Variants,
+		Axes:     c.Axes,
 	}
 	for _, s := range c.Schemes {
 		cf.Schemes = append(cf.Schemes, s.String())

@@ -34,7 +34,7 @@ func TestVariantValidatedWithBase(t *testing.T) {
 			Variants: []Variant{{Name: "f=3000", Patch: scenario.FileConfig{Flows: 3000}}},
 		}},
 		{"flows-against-nodes-axis", Campaign{
-			Nodes:    []int{2000},
+			Axes:     Axes{Nodes: []int{2000}},
 			Variants: []Variant{{Name: "f=3000", Patch: scenario.FileConfig{Flows: 3000}}},
 		}},
 	} {
@@ -210,7 +210,7 @@ func TestOverlayEmptyPatchKeepsBase(t *testing.T) {
 			t.Fatalf("base field %s is zero; populate it", bv.Type().Field(i).Name)
 		}
 	}
-	c := Campaign{Base: base, Variants: []Variant{{Name: "empty"}}, SeedList: []int64{base.Seed}}
+	c := Campaign{Base: base, Variants: []Variant{{Name: "empty"}}, Axes: Axes{SeedList: []int64{base.Seed}}}
 	runs, err := c.Runs()
 	if err != nil {
 		t.Fatal(err)

@@ -66,13 +66,13 @@ func TestEnergyClosedFormTwoNodeFlow(t *testing.T) {
 			t.Fatalf("node %d rx bucket empty: %+v", i, ne.ByState)
 		}
 	}
-	if res.EnergyByState[energy.Idle] <= res.EnergyByState[energy.Tx] {
-		t.Fatalf("idle %.3f J should dominate tx %.3f J at 64 kbps", res.EnergyByState[energy.Idle], res.EnergyByState[energy.Tx])
+	if res.EnergyIdleJ <= res.EnergyTxJ {
+		t.Fatalf("idle %.3f J should dominate tx %.3f J at 64 kbps", res.EnergyIdleJ, res.EnergyTxJ)
 	}
 	if res.EnergyFairness <= 0 || res.EnergyFairness > 1 {
 		t.Fatalf("energy fairness = %g", res.EnergyFairness)
 	}
-	if len(res.AliveTimeline) != 1 || res.AliveTimeline[0].Alive != 2 {
+	if len(res.AliveTimeline) != 1 || res.AliveTimeline[0][1] != 2 {
 		t.Fatalf("alive timeline = %+v", res.AliveTimeline)
 	}
 	if res.DeadNodes != 0 || res.TimeToFirstDeathS != 0 {

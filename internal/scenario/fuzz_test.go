@@ -7,8 +7,8 @@ import (
 	"testing"
 )
 
-// FuzzDecodeStrict feeds arbitrary bytes to the strict decoder behind
-// LoadConfig and runner.ParseCampaignFile and requires that:
+// FuzzDecodeStrict feeds arbitrary bytes to the strict decoder,
+// decoding into a FileConfig as LoadConfig does, and requires that:
 //
 //   - no input panics;
 //   - a removed field, keyed first in an object whose value is the

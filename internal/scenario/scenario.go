@@ -206,22 +206,65 @@ func (o Options) WithDefaults() Options {
 	return o
 }
 
-// Result is one run's outcome.
+// Metrics is a run's metric block, declared once for every consumer:
+// Network.Run fills it, and the campaign JSONL record (runner.Result)
+// embeds it, so the field order and JSON names below are the record's.
+type Metrics struct {
+	// The paper's two metrics.
+	ThroughputKbps float64 `json:"throughput_kbps"`
+	AvgDelayMs     float64 `json:"avg_delay_ms"`
+	// Delay-distribution metrics: streaming P² percentile estimates
+	// over every in-window delivery and per-flow jitter, in ms.
+	DelayP50Ms float64 `json:"delay_p50_ms"`
+	DelayP95Ms float64 `json:"delay_p95_ms"`
+	DelayP99Ms float64 `json:"delay_p99_ms"`
+	JitterMs   float64 `json:"jitter_ms"`
+	// Secondary metrics.
+	PDR          float64 `json:"pdr"`
+	JainFairness float64 `json:"jain_fairness"`
+	// RadiatedEnergyJ is total *radiated* TX energy on the data channel
+	// and CtrlRadiatedEnergyJ on the control channel — the quantity the
+	// paper's evaluation integrates (kept under the historical energy_j
+	// name for checkpoint compatibility). It excludes circuit overhead,
+	// receive, idle-listening and overhearing draw; see ConsumedEnergyJ
+	// for the full-radio budget.
+	RadiatedEnergyJ     float64 `json:"energy_j"`
+	CtrlRadiatedEnergyJ float64 `json:"ctrl_energy_j"`
+	// ConsumedEnergyJ is the full-radio electrical consumption summed
+	// over all nodes' radios — for PCMAC, the always-on control-channel
+	// receiver is metered alongside the data radio and drains the same
+	// battery. The four Energy*J fields split it into TX (circuit +
+	// radiated), RX, idle-listening and overhear-then-discard joules.
+	ConsumedEnergyJ float64 `json:"consumed_energy_j"`
+	EnergyTxJ       float64 `json:"energy_tx_j"`
+	EnergyRxJ       float64 `json:"energy_rx_j"`
+	EnergyIdleJ     float64 `json:"energy_idle_j"`
+	EnergyOverhearJ float64 `json:"energy_overhear_j"`
+	// ConsumedPerKBJ is full-radio consumed joules per delivered
+	// kilobyte of payload (0 when nothing was delivered) — what a
+	// battery actually pays per byte of useful work.
+	ConsumedPerKBJ float64 `json:"consumed_per_kb_j"`
+	// EnergyFairness is Jain's index over per-node residual energy when
+	// batteries are enabled, or over per-node consumed energy otherwise
+	// (consumption fairness).
+	EnergyFairness float64 `json:"energy_fairness"`
+	// DeadNodes counts battery deaths; TimeToFirstDeathS is the
+	// network-lifetime metric (0 when every node survived).
+	DeadNodes         int     `json:"dead_nodes,omitempty"`
+	TimeToFirstDeathS float64 `json:"time_to_first_death_s,omitempty"`
+	// AliveTimeline is the alive-node step curve as [t_s, alive] pairs:
+	// the population at time zero plus one step per death. Never empty.
+	AliveTimeline [][2]float64 `json:"alive_timeline"`
+	// Events is the number of simulator events executed.
+	Events uint64 `json:"events"`
+}
+
+// Result is one run's outcome: the metrics plus the per-flow,
+// per-node and per-layer detail behind them.
 type Result struct {
 	// Opts echoes the (defaulted) options.
 	Opts Options
-	// The paper's two metrics.
-	ThroughputKbps float64
-	AvgDelayMs     float64
-	// Delay-distribution metrics: streaming P² percentile estimates
-	// over every in-window delivery and per-flow jitter, in ms.
-	DelayP50Ms float64
-	DelayP95Ms float64
-	DelayP99Ms float64
-	JitterMs   float64
-	// Secondary metrics.
-	PDR          float64
-	JainFairness float64
+	Metrics
 	// Flows carries per-flow breakdowns.
 	Flows []stats.FlowStats
 	// MAC, Ctrl and Routing aggregate per-node counters across the
@@ -229,42 +272,11 @@ type Result struct {
 	MAC     mac.Stats
 	Ctrl    ctrl.Stats
 	Routing aodv.Stats
-	// RadiatedEnergyJ is total *radiated* TX energy on the data channel
-	// and CtrlRadiatedEnergyJ on the control channel — the quantity the
-	// paper's evaluation integrates (JSONL field energy_j, kept under
-	// that name for checkpoint compatibility). It excludes circuit
-	// overhead, receive, idle-listening and overhearing draw; see
-	// ConsumedEnergyJ for the full-radio budget.
-	RadiatedEnergyJ     float64
-	CtrlRadiatedEnergyJ float64
-
-	// ConsumedEnergyJ is the full-radio electrical consumption summed
-	// over all nodes' radios — for PCMAC, the always-on control-channel
-	// receiver is metered alongside the data radio and drains the same
-	// battery — split by state in EnergyByState.
-	ConsumedEnergyJ float64
-	// EnergyByState splits ConsumedEnergyJ into TX (circuit + radiated),
-	// RX, idle-listening and overhear-then-discard joules.
-	EnergyByState energy.Breakdown
 	// NodeEnergy is the per-node accounting, indexed by node ID.
 	NodeEnergy []NodeEnergy
-	// EnergyFairness is Jain's index over per-node residual energy when
-	// batteries are enabled, or over per-node consumed energy otherwise
-	// (consumption fairness).
-	EnergyFairness float64
-	// DeadNodes counts battery deaths; TimeToFirstDeathS is the
-	// network-lifetime metric (0 when every node survived).
-	DeadNodes         int
-	TimeToFirstDeathS float64
-	// AliveTimeline is the alive-node step curve: the population at
-	// time zero plus one step per death. Never empty.
-	AliveTimeline []stats.AliveStep
-
-	// Events is the number of simulator events executed. PeakQueue is
-	// the deepest the pending-event set got (0 unless
+	// PeakQueue is the deepest the pending-event set got (0 unless
 	// Options.CollectSimStats was set) — the number event-queue sizing
 	// is judged against.
-	Events    uint64
 	PeakQueue int
 	// Timeline is the per-bucket evolution (nil unless
 	// Options.TimelineBucket was set).
@@ -283,35 +295,24 @@ type NodeEnergy struct {
 	DiedAt sim.Time
 }
 
-// deliveredKB returns total delivered payload in kilobytes.
-func (r Result) deliveredKB() float64 {
+// perDeliveredKB divides joules by the delivered payload in kilobytes,
+// or returns 0 when nothing was delivered.
+func (r Result) perDeliveredKB(j float64) float64 {
 	var bytes float64
 	for _, f := range r.Flows {
 		bytes += float64(f.Bytes)
 	}
-	return bytes / 1024
+	if bytes == 0 {
+		return 0
+	}
+	return j / (bytes / 1024)
 }
 
 // RadiatedPerDeliveredKB returns *radiated* joules (data + control
 // channel) per delivered kilobyte of payload — the paper's
 // power-efficiency view.
 func (r Result) RadiatedPerDeliveredKB() float64 {
-	kb := r.deliveredKB()
-	if kb == 0 {
-		return 0
-	}
-	return (r.RadiatedEnergyJ + r.CtrlRadiatedEnergyJ) / kb
-}
-
-// ConsumedPerDeliveredKB returns full-radio consumed joules per
-// delivered kilobyte — what a battery actually pays per byte of useful
-// work, including idle listening and overhearing.
-func (r Result) ConsumedPerDeliveredKB() float64 {
-	kb := r.deliveredKB()
-	if kb == 0 {
-		return 0
-	}
-	return r.ConsumedEnergyJ / kb
+	return r.perDeliveredKB(r.RadiatedEnergyJ + r.CtrlRadiatedEnergyJ)
 }
 
 // Network is a fully built scenario, exposed so examples and tests can
@@ -499,20 +500,23 @@ func (nw *Network) Run() Result {
 	nw.Collector.End = sim.Time(o.Duration)
 
 	res := Result{
-		Opts:           o,
-		ThroughputKbps: nw.Collector.ThroughputKbps(),
-		AvgDelayMs:     nw.Collector.MeanDelayMs(),
-		DelayP50Ms:     nw.Collector.DelayP50Ms(),
-		DelayP95Ms:     nw.Collector.DelayP95Ms(),
-		DelayP99Ms:     nw.Collector.DelayP99Ms(),
-		JitterMs:       nw.Collector.JitterMs(),
-		PDR:            nw.Collector.PDR(),
-		JainFairness:   nw.Collector.JainFairness(),
-		Flows:          nw.Collector.Flows(),
-		Events:         nw.Sched.Executed(),
-		PeakQueue:      nw.Sched.PeakPending(),
-		Timeline:       nw.Timeline,
+		Opts: o,
+		Metrics: Metrics{
+			ThroughputKbps: nw.Collector.ThroughputKbps(),
+			AvgDelayMs:     nw.Collector.MeanDelayMs(),
+			DelayP50Ms:     nw.Collector.DelayP50Ms(),
+			DelayP95Ms:     nw.Collector.DelayP95Ms(),
+			DelayP99Ms:     nw.Collector.DelayP99Ms(),
+			JitterMs:       nw.Collector.JitterMs(),
+			PDR:            nw.Collector.PDR(),
+			JainFairness:   nw.Collector.JainFairness(),
+			Events:         nw.Sched.Executed(),
+		},
+		Flows:     nw.Collector.Flows(),
+		PeakQueue: nw.Sched.PeakPending(),
+		Timeline:  nw.Timeline,
 	}
+	var byState energy.Breakdown
 	var residuals, consumed []float64
 	for _, n := range nw.Nodes {
 		res.MAC.Add(n.MAC.Stats)
@@ -535,12 +539,17 @@ func (nw *Network) Run() Result {
 			}
 			ne.DiedAt, ne.Dead = a.DiedAt()
 			res.NodeEnergy = append(res.NodeEnergy, ne)
-			res.EnergyByState.AddFrom(ne.ByState)
+			byState.AddFrom(ne.ByState)
 			consumed = append(consumed, ne.ByState.Total())
 			residuals = append(residuals, ne.ResidualJ)
 		}
 	}
-	res.ConsumedEnergyJ = res.EnergyByState.Total()
+	res.ConsumedEnergyJ = byState.Total()
+	res.EnergyTxJ = byState[energy.Tx]
+	res.EnergyRxJ = byState[energy.Rx]
+	res.EnergyIdleJ = byState[energy.Idle]
+	res.EnergyOverhearJ = byState[energy.Overhear]
+	res.ConsumedPerKBJ = res.perDeliveredKB(res.ConsumedEnergyJ)
 	if o.BatteryJ > 0 {
 		res.EnergyFairness = stats.Jain(residuals)
 	} else {
@@ -548,7 +557,9 @@ func (nw *Network) Run() Result {
 	}
 	res.DeadNodes = nw.Collector.DeadNodes()
 	res.TimeToFirstDeathS = nw.Collector.FirstDeathS()
-	res.AliveTimeline = nw.Collector.AliveTimeline()
+	for _, st := range nw.Collector.AliveTimeline() {
+		res.AliveTimeline = append(res.AliveTimeline, [2]float64{st.T.Seconds(), float64(st.Alive)})
+	}
 	if nw.CtrlCh != nil {
 		for _, r := range nw.CtrlCh.Radios() {
 			res.CtrlRadiatedEnergyJ += r.EnergyTxJ

@@ -60,7 +60,7 @@ func IdentityWorkloads(t testing.TB) []Workload {
 			Duration: 2 * sim.Second, Warmup: sim.Duration(sim.Second / 2),
 		}
 		return runner.Campaign{Name: name, Base: base, Schemes: schemes,
-			LoadsKbps: []float64{300}, ShadowingDB: shadowDB, Reps: 1}
+			Axes: runner.Axes{LoadsKbps: []float64{300}, ShadowingDB: shadowDB, Reps: 1}}
 	}
 	both := []mac.Scheme{mac.Basic, mac.PCMAC}
 	tiny := runner.Campaign{
@@ -70,7 +70,7 @@ func IdentityWorkloads(t testing.TB) []Workload {
 			FlowPairs: [][2]packet.NodeID{{0, 1}},
 			Duration:  5 * sim.Second, Warmup: sim.Duration(sim.Second),
 		},
-		Schemes: both, LoadsKbps: []float64{40, 80}, Reps: 2,
+		Schemes: both, Axes: runner.Axes{LoadsKbps: []float64{40, 80}, Reps: 2},
 	}
 	// The preset run of `campaign -preset bursty -duration 4 -seeds 1
 	// -loads 250`.

@@ -33,9 +33,8 @@ func tinyCampaign() runner.Campaign {
 			Duration:  5 * sim.Second,
 			Warmup:    sim.Duration(sim.Second),
 		},
-		Schemes:   []mac.Scheme{mac.Basic, mac.PCMAC},
-		LoadsKbps: []float64{40, 80},
-		Reps:      2,
+		Schemes: []mac.Scheme{mac.Basic, mac.PCMAC},
+		Axes:    runner.Axes{LoadsKbps: []float64{40, 80}, Reps: 2},
 	}
 }
 
