@@ -72,7 +72,9 @@ lint-golangci:
 # scale preset expands to 384 runs and pushes a real 500-node grid
 # (2 records) through the spatial index; the scale and ablation-ctrl
 # presets, emitted as specs and read back, dry-run byte-identically to
-# the presets themselves; the lifetime preset writes 4 records, each
+# the presets themselves; a spec whose base sets rts_threshold_bytes
+# 256 and whose variant patch sets 512 emits both values and, read
+# back, dry-runs byte-identically to the given spec; the lifetime preset writes 4 records, each
 # with consumed energy above radiated energy and a non-empty alive
 # timeline; and -timing records carry wall_ms and peak_queue above
 # zero, while untimed records carry neither field. Needs jq.
@@ -91,6 +93,14 @@ campaign-smoke:
 	  $$c -spec $$tmp/$$p.json -dry-run > $$tmp/$$p.spec 2>&1; \
 	  cmp $$tmp/$$p.preset $$tmp/$$p.spec; \
 	done; \
+	printf '%s\n' '{"version": 1, "name": "rts", "base": {"scheme": "basic802.11", "duration_s": 20, "rts_threshold_bytes": 256},' \
+	  '"variants": [{"name": "rts256", "patch": {}}, {"name": "rts512", "patch": {"rts_threshold_bytes": 512}}], "loads_kbps": [250], "reps": 1}' > $$tmp/rts.json; \
+	$$c -spec $$tmp/rts.json -emit-spec > $$tmp/rts-emit.json; \
+	jq -e '.base.rts_threshold_bytes == 256 and [.variants[].patch.rts_threshold_bytes] == [null, 512]' $$tmp/rts-emit.json > /dev/null || \
+	  { echo "campaign-smoke: -emit-spec lost an rts_threshold_bytes:" >&2; cat $$tmp/rts-emit.json >&2; exit 1; }; \
+	$$c -spec $$tmp/rts.json -dry-run > $$tmp/rts.given; \
+	$$c -spec $$tmp/rts-emit.json -dry-run > $$tmp/rts.emitted; \
+	cmp $$tmp/rts.given $$tmp/rts.emitted; \
 	resumes() { $$c $$1 -out $$2 -q > /dev/null; lines $$2 $$3; cp $$2 $$2.orig; \
 	  $$c $$1 -out $$2 -resume -q > /dev/null; cmp $$2.orig $$2; }; \
 	bursty="-preset bursty -duration 4 -seeds 1 -loads 250"; \

@@ -245,13 +245,11 @@ func BenchmarkAblationRTSThreshold(b *testing.B) {
 			name = fmt.Sprintf("thresh=%dB", thr)
 		}
 		b.Run(name, func(b *testing.B) {
-			cfg := mac.DefaultConfig()
-			cfg.RTSThresholdBytes = thr
 			runPoint(b, scenario.Options{
-				Scheme:          mac.PCMAC,
-				OfferedLoadKbps: 400,
-				Duration:        benchDuration,
-				MAC:             cfg,
+				Scheme:            mac.PCMAC,
+				OfferedLoadKbps:   400,
+				Duration:          benchDuration,
+				RTSThresholdBytes: thr,
 			}, "both")
 		})
 	}

@@ -21,43 +21,30 @@ type LinkLayer interface {
 	ResetPeerState(peer packet.NodeID)
 }
 
-// Config carries the AODV constants.
-type Config struct {
+// The ns-2-era AODV constants.
+const (
 	// ActiveRouteTimeout is the route lifetime, refreshed by use (ns-2
 	// AODV uses 10 s).
-	ActiveRouteTimeout sim.Duration
+	ActiveRouteTimeout = 10 * sim.Second
 	// DiscoveryTimeout is how long to wait for a RREP before retrying
 	// the flood.
-	DiscoveryTimeout sim.Duration
+	DiscoveryTimeout = 500 * sim.Millisecond
 	// MaxDiscoveryRetries bounds RREQ re-floods per discovery.
-	MaxDiscoveryRetries int
+	MaxDiscoveryRetries = 2
 	// BufferCap bounds packets buffered per destination during
 	// discovery.
-	BufferCap int
+	BufferCap = 32
 	// SeenLifetime is the RREQ duplicate-cache lifetime.
-	SeenLifetime sim.Duration
+	SeenLifetime = 5 * sim.Second
 	// MaxTTL bounds flood and forwarding hop counts.
-	MaxTTL uint8
+	MaxTTL uint8 = 32
 	// BroadcastJitter desynchronizes flood re-broadcasts: every
 	// broadcast is delayed uniformly in [0, BroadcastJitter). Without
 	// it all neighbours of a RREQ sender contend in the same slot
 	// window and the flood self-destructs (ns-2's AODV jitters its
 	// broadcasts the same way).
-	BroadcastJitter sim.Duration
-}
-
-// DefaultConfig returns the ns-2-era AODV constants.
-func DefaultConfig() Config {
-	return Config{
-		ActiveRouteTimeout:  10 * sim.Second,
-		DiscoveryTimeout:    500 * sim.Millisecond,
-		MaxDiscoveryRetries: 2,
-		BufferCap:           32,
-		SeenLifetime:        5 * sim.Second,
-		MaxTTL:              32,
-		BroadcastJitter:     10 * sim.Millisecond,
-	}
-}
+	BroadcastJitter = 10 * sim.Millisecond
+)
 
 // Stats counts routing events at one node.
 type Stats struct {
@@ -110,7 +97,6 @@ type discovery struct {
 // expired entries are left in place until the table would grow, and
 // purged then.
 type Router struct {
-	cfg   Config
 	id    packet.NodeID
 	sched *sim.Scheduler
 	link  LinkLayer
@@ -133,9 +119,8 @@ type Router struct {
 
 // NewRouter creates an AODV router for node id over the given link
 // layer.
-func NewRouter(cfg Config, id packet.NodeID, sched *sim.Scheduler, link LinkLayer) *Router {
+func NewRouter(id packet.NodeID, sched *sim.Scheduler, link LinkLayer) *Router {
 	r := &Router{
-		cfg:     cfg,
 		id:      id,
 		sched:   sched,
 		link:    link,
@@ -182,7 +167,7 @@ func (r *Router) Send(np *packet.NetPacket) {
 		return
 	}
 	if rt, ok := r.table.get(np.Dst); ok {
-		r.table.refresh(np.Dst, r.cfg.ActiveRouteTimeout)
+		r.table.refresh(np.Dst, ActiveRouteTimeout)
 		if !r.link.Enqueue(np, rt.NextHop) {
 			r.Stats.QueueFullDrop++
 		}
@@ -200,9 +185,9 @@ func (r *Router) bufferAndDiscover(np *packet.NetPacket) {
 		r.pending[np.Dst] = d
 		r.Stats.DiscoveryStarted++
 		r.sendRREQ(np.Dst)
-		d.timer.Start(r.cfg.DiscoveryTimeout)
+		d.timer.Start(DiscoveryTimeout)
 	}
-	if len(d.buf) >= r.cfg.BufferCap {
+	if len(d.buf) >= BufferCap {
 		r.Stats.BufferDrop++
 		return
 	}
@@ -225,7 +210,7 @@ func (r *Router) sendRREQ(dst packet.NodeID) {
 		TargetSeq: targetSeq,
 	}
 	// Suppress our own flood copy coming back.
-	r.seen.Put(seenKey(r.id, r.rreqID), r.sched.Now().Add(r.cfg.SeenLifetime))
+	r.seen.Put(seenKey(r.id, r.rreqID), r.sched.Now().Add(SeenLifetime))
 	r.Stats.RREQSent++
 	r.broadcast(msg)
 }
@@ -235,7 +220,7 @@ func (r *Router) onDiscoveryTimeout(dst packet.NodeID) {
 	if !ok {
 		return
 	}
-	if d.retries >= r.cfg.MaxDiscoveryRetries {
+	if d.retries >= MaxDiscoveryRetries {
 		r.Stats.DiscoveryFailed++
 		r.Stats.NoRouteDrop += uint64(len(d.buf))
 		delete(r.pending, dst)
@@ -244,7 +229,7 @@ func (r *Router) onDiscoveryTimeout(dst packet.NodeID) {
 	d.retries++
 	r.Stats.DiscoveryStarted++
 	r.sendRREQ(dst)
-	d.timer.Start(r.cfg.DiscoveryTimeout << uint(d.retries)) // binary backoff
+	d.timer.Start(DiscoveryTimeout << uint(d.retries)) // binary backoff
 }
 
 // envelope wraps an AODV message in a network packet.
@@ -262,7 +247,7 @@ func (r *Router) envelope(msg *Message, dst packet.NodeID, ttl uint8) *packet.Ne
 }
 
 func (r *Router) broadcast(msg *Message) {
-	r.broadcastTTL(msg, r.cfg.MaxTTL)
+	r.broadcastTTL(msg, MaxTTL)
 }
 
 func (r *Router) broadcastTTL(msg *Message, ttl uint8) {
@@ -272,15 +257,15 @@ func (r *Router) broadcastTTL(msg *Message, ttl uint8) {
 			r.Stats.QueueFullDrop++
 		}
 	}
-	if r.Jitter != nil && r.cfg.BroadcastJitter > 0 {
-		r.sched.Schedule(sim.Duration(r.Jitter.Int63n(int64(r.cfg.BroadcastJitter))), send)
+	if r.Jitter != nil {
+		r.sched.Schedule(sim.Duration(r.Jitter.Int63n(int64(BroadcastJitter))), send)
 		return
 	}
 	send()
 }
 
 func (r *Router) unicast(msg *Message, dst, next packet.NodeID) {
-	np := r.envelope(msg, dst, r.cfg.MaxTTL)
+	np := r.envelope(msg, dst, MaxTTL)
 	if !r.link.Enqueue(np, next) {
 		r.Stats.QueueFullDrop++
 	}
@@ -308,7 +293,7 @@ func (r *Router) MACDeliver(np *packet.NetPacket, from packet.NodeID) {
 	// Data plane.
 	if np.Dst == r.id {
 		r.Stats.DeliveredLocal++
-		r.table.refresh(np.Src, r.cfg.ActiveRouteTimeout)
+		r.table.refresh(np.Src, ActiveRouteTimeout)
 		if r.Deliver != nil {
 			r.Deliver(np, from)
 		}
@@ -334,8 +319,8 @@ func (r *Router) forward(np *packet.NetPacket, from packet.NodeID) {
 		r.sendRERR([]Unreachable{{Dst: np.Dst, Seq: seq}})
 		return
 	}
-	r.table.refresh(np.Dst, r.cfg.ActiveRouteTimeout)
-	r.table.refresh(np.Src, r.cfg.ActiveRouteTimeout)
+	r.table.refresh(np.Dst, ActiveRouteTimeout)
+	r.table.refresh(np.Src, ActiveRouteTimeout)
 	r.Stats.Forwarded++
 	if !r.link.Enqueue(np, rt.NextHop) {
 		r.Stats.QueueFullDrop++
@@ -351,9 +336,9 @@ func (r *Router) handleRREQ(msg *Message, np *packet.NetPacket, from packet.Node
 		r.Stats.DuplicateRREQIgnored++
 		return
 	}
-	r.seen.Put(key, now.Add(r.cfg.SeenLifetime))
+	r.seen.Put(key, now.Add(SeenLifetime))
 	// Learn the reverse route to the origin and the neighbour link.
-	r.table.update(msg.Origin, from, int(msg.HopCount)+1, msg.OriginSeq, r.cfg.ActiveRouteTimeout)
+	r.table.update(msg.Origin, from, int(msg.HopCount)+1, msg.OriginSeq, ActiveRouteTimeout)
 	r.learnNeighbour(from)
 	if msg.Target == r.id {
 		// We are the destination: answer with a RREP (paper: RREP
@@ -403,7 +388,7 @@ func (r *Router) handleRREQ(msg *Message, np *packet.NetPacket, from packet.Node
 func (r *Router) handleRREP(msg *Message, from packet.NodeID) {
 	r.Stats.RREPRecv++
 	r.learnNeighbour(from)
-	r.table.update(msg.Target, from, int(msg.HopCount)+1, msg.TargetSeq, r.cfg.ActiveRouteTimeout)
+	r.table.update(msg.Target, from, int(msg.HopCount)+1, msg.TargetSeq, ActiveRouteTimeout)
 	if msg.Origin == r.id {
 		// Our discovery completed: flush the buffered packets.
 		if d, ok := r.pending[msg.Target]; ok {
@@ -476,5 +461,5 @@ func (r *Router) learnNeighbour(n packet.NodeID) {
 	if old, ok := r.table.peek(n); ok {
 		seq = old.Seq
 	}
-	r.table.update(n, n, 1, seq, r.cfg.ActiveRouteTimeout)
+	r.table.update(n, n, 1, seq, ActiveRouteTimeout)
 }

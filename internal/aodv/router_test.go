@@ -65,7 +65,7 @@ func newFakeNet(n int, edges [][2]packet.NodeID) *fakeNet {
 	uid := uint64(0)
 	for i := 0; i < n; i++ {
 		id := packet.NodeID(i)
-		r := NewRouter(DefaultConfig(), id, fn.sched, &fakeLink{net: fn, id: id})
+		r := NewRouter(id, fn.sched, &fakeLink{net: fn, id: id})
 		r.NextUID = func() uint64 { uid++; return uid }
 		r.Deliver = func(np *packet.NetPacket, from packet.NodeID) {
 			fn.delivered[id] = append(fn.delivered[id], np)
@@ -209,7 +209,7 @@ func TestDiscoveryFailureDropsBuffered(t *testing.T) {
 		t.Fatalf("NoRouteDrop = %d, want 5", st.NoRouteDrop)
 	}
 	// Discovery retried with the configured cap.
-	want := uint64(1 + DefaultConfig().MaxDiscoveryRetries)
+	want := uint64(1 + MaxDiscoveryRetries)
 	if st.DiscoveryStarted != want {
 		t.Fatalf("DiscoveryStarted = %d, want %d", st.DiscoveryStarted, want)
 	}
@@ -217,7 +217,7 @@ func TestDiscoveryFailureDropsBuffered(t *testing.T) {
 
 func TestBufferCap(t *testing.T) {
 	fn := newFakeNet(2, nil)
-	cap := DefaultConfig().BufferCap
+	cap := BufferCap
 	for i := 0; i < cap+7; i++ {
 		fn.routers[0].Send(data(0, 1, uint32(i+1)))
 	}
@@ -408,8 +408,8 @@ func rreqFrom(origin packet.NodeID, id uint32) *packet.NetPacket {
 func TestRREQReprocessedAfterSeenLifetime(t *testing.T) {
 	s := sim.NewScheduler()
 	link := &sinkLink{}
-	r := NewRouter(DefaultConfig(), 1, s, link)
-	life := r.cfg.SeenLifetime
+	r := NewRouter(1, s, link)
+	life := SeenLifetime
 	for _, at := range []sim.Duration{0, sim.Millisecond, life - 1, life} {
 		s.Schedule(at, func() { r.MACDeliver(rreqFrom(5, 1), 5) })
 	}
@@ -432,8 +432,8 @@ func TestSeenCacheBounded(t *testing.T) {
 		spacing = 10 * sim.Millisecond
 	)
 	s := sim.NewScheduler()
-	r := NewRouter(DefaultConfig(), 1, s, &sinkLink{})
-	live := int(r.cfg.SeenLifetime / spacing)
+	r := NewRouter(1, s, &sinkLink{})
+	live := int(SeenLifetime / spacing)
 	flood := func(i int) (packet.NodeID, uint32) { return packet.NodeID(2 + i%100), uint32(1 + i/100) }
 	maxCap := 0
 	for i := 0; i < floods; i++ {

@@ -11,43 +11,33 @@ import (
 	"fmt"
 	"math/rand"
 
+	"repro/internal/mac"
 	"repro/internal/packet"
 	"repro/internal/phys"
 	"repro/internal/power"
 	"repro/internal/sim"
 )
 
-// Config parameterizes a control-channel agent.
-type Config struct {
-	// BitRateBps is the control channel bandwidth (500 kbps in the
-	// paper).
-	BitRateBps float64
-	// TxPowerW is the announcement power — always the maximal level.
-	TxPowerW float64
-	// DataAirTime is the airtime of one fixed-length DATA frame;
+// The control channel's fixed parameters.
+const (
+	// maxDefer bounds the random deferral when the control channel is
+	// busy at announce time.
+	maxDefer = 200 * sim.Microsecond
+	// maxRetries is how many times a deferred announcement is retried
+	// before being abandoned (it protects a reception of a few
+	// milliseconds; retrying beyond that is useless).
+	maxRetries = 2
+)
+
+var (
+	// txPowerW is the announcement power — always the maximal level.
+	txPowerW = power.DefaultLevels().Max()
+	// dataAirTime is the airtime of one fixed-length DATA frame;
 	// listeners use it to bound how long an announced reception can
 	// last (paper assumption 4: fixed 512-byte packets make the
 	// remaining reception time computable).
-	DataAirTime sim.Duration
-	// MaxDefer bounds the random deferral when the control channel is
-	// busy at announce time.
-	MaxDefer sim.Duration
-	// Retries is how many times a deferred announcement is retried
-	// before being abandoned (it protects a reception of a few
-	// milliseconds; retrying beyond that is useless).
-	Retries int
-}
-
-// DefaultConfig returns the paper's control channel parameters.
-func DefaultConfig(maxPowerW float64, dataAir sim.Duration) Config {
-	return Config{
-		BitRateBps:  500e3,
-		TxPowerW:    maxPowerW,
-		DataAirTime: dataAir,
-		MaxDefer:    200 * sim.Microsecond,
-		Retries:     2,
-	}
-}
+	dataAirTime = mac.MaxDataAirTime()
+)
 
 // Stats counts control-channel events for one node.
 type Stats struct {
@@ -67,28 +57,30 @@ type Stats struct {
 // implements mac.Announcer on the transmit side and feeds the node's
 // tolerance registry on the receive side.
 type Agent struct {
-	cfg      Config
-	id       packet.NodeID
-	sched    *sim.Scheduler
-	radio    *phys.Radio
-	registry *power.Registry
-	rng      *rand.Rand
+	// bitRateBps is the control channel bandwidth (500 kbps in the
+	// paper).
+	bitRateBps float64
+	id         packet.NodeID
+	sched      *sim.Scheduler
+	radio      *phys.Radio
+	registry   *power.Registry
+	rng        *rand.Rand
 
 	// Stats counts this agent's control-channel events.
 	Stats Stats
 }
 
-// NewAgent creates a control-channel agent for node id, feeding received
-// announcements into registry. The node ID must fit the 8-bit Figure 7
-// field.
-func NewAgent(cfg Config, id packet.NodeID, sched *sim.Scheduler, registry *power.Registry, rng *rand.Rand) (*Agent, error) {
+// NewAgent creates a control-channel agent for node id on a channel of
+// bitRateBps, feeding received announcements into registry. The node ID
+// must fit the 8-bit Figure 7 field.
+func NewAgent(bitRateBps float64, id packet.NodeID, sched *sim.Scheduler, registry *power.Registry, rng *rand.Rand) (*Agent, error) {
 	if id > 0xFF {
 		return nil, fmt.Errorf("ctrl: node ID %d exceeds the 8-bit control frame field", id)
 	}
-	if cfg.BitRateBps <= 0 || cfg.TxPowerW <= 0 {
-		return nil, fmt.Errorf("ctrl: invalid config: rate=%g power=%g", cfg.BitRateBps, cfg.TxPowerW)
+	if bitRateBps <= 0 {
+		return nil, fmt.Errorf("ctrl: invalid bit rate %g", bitRateBps)
 	}
-	return &Agent{cfg: cfg, id: id, sched: sched, registry: registry, rng: rng}, nil
+	return &Agent{bitRateBps: bitRateBps, id: id, sched: sched, registry: registry, rng: rng}, nil
 }
 
 // BindRadio attaches the agent's radio on the control channel. Must be
@@ -107,7 +99,7 @@ func (a *Agent) Radio() *phys.Radio { return a.radio }
 // airTime returns a control frame's airtime: its 48 bits at the channel
 // rate (the 16-bit preamble is part of the Figure 7 frame itself).
 func (a *Agent) airTime() sim.Duration {
-	return sim.DurationOf(float64(packet.CtrlFrameBytes*8) / a.cfg.BitRateBps)
+	return sim.DurationOf(float64(packet.CtrlFrameBytes*8) / a.bitRateBps)
 }
 
 // Announce implements mac.Announcer: broadcast the node's residual noise
@@ -116,7 +108,7 @@ func (a *Agent) airTime() sim.Duration {
 // 3), so an agent that cannot get through quickly gives up rather than
 // announce a reception that is already over.
 func (a *Agent) Announce(tolW float64, until sim.Time) {
-	a.try(tolW, until, a.cfg.Retries)
+	a.try(tolW, until, maxRetries)
 }
 
 func (a *Agent) try(tolW float64, until sim.Time, retries int) {
@@ -137,7 +129,7 @@ func (a *Agent) try(tolW float64, until sim.Time, retries int) {
 			a.Stats.Skipped++
 			return
 		}
-		defer_ := sim.Duration(1 + a.rng.Int63n(int64(a.cfg.MaxDefer)))
+		defer_ := sim.Duration(1 + a.rng.Int63n(int64(maxDefer)))
 		a.sched.Schedule(defer_, func() { a.try(tolW, until, retries-1) })
 		return
 	}
@@ -148,7 +140,7 @@ func (a *Agent) try(tolW float64, until sim.Time, retries int) {
 		panic(err)
 	}
 	a.Stats.Sent++
-	a.radio.Transmit(a.cfg.TxPowerW, len(wire)*8, a.airTime(), wire)
+	a.radio.Transmit(txPowerW, len(wire)*8, a.airTime(), wire)
 }
 
 // RadioRxBegin implements phys.Handler (nothing to do at lock time).
@@ -177,8 +169,8 @@ func (a *Agent) RadioRx(tx *phys.Transmission, rxPowerW float64, rxErr bool) {
 	if a.registry == nil {
 		return
 	}
-	gain := rxPowerW / a.cfg.TxPowerW
-	until := a.sched.Now().Add(a.cfg.DataAirTime)
+	gain := rxPowerW / txPowerW
+	until := a.sched.Now().Add(dataAirTime)
 	a.registry.Note(f.Node, f.ToleranceW, gain, until)
 }
 

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/geom"
-	"repro/internal/mac"
 	"repro/internal/packet"
 	"repro/internal/phys"
 	"repro/internal/power"
@@ -24,11 +23,9 @@ func newCtrlNet(t *testing.T, xs ...float64) *ctrlNet {
 	n := &ctrlNet{sched: sim.NewScheduler()}
 	par := phys.DefaultParams()
 	n.ch = phys.NewChannel(n.sched, phys.NewTwoRayGround(par), par)
-	macCfg := mac.DefaultConfig()
-	dataAir := macCfg.AirTime(packet.DataHeaderBytes+packet.PCMACHeaderExtra+512, macCfg.DataRateBps)
 	for i, x := range xs {
 		reg := power.NewRegistry(n.sched.Now, 0.7)
-		a, err := NewAgent(DefaultConfig(par.MaxTxPowerW, dataAir), packet.NodeID(i), n.sched, reg, rand.New(rand.NewSource(int64(i+1))))
+		a, err := NewAgent(500e3, packet.NodeID(i), n.sched, reg, rand.New(rand.NewSource(int64(i+1))))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -139,13 +136,13 @@ func TestAnnounceSkippedWhenTooLate(t *testing.T) {
 
 func TestAgentIDRange(t *testing.T) {
 	sched := sim.NewScheduler()
-	_, err := NewAgent(DefaultConfig(0.2818, sim.Millisecond), 300, sched, nil, rand.New(rand.NewSource(1)))
+	_, err := NewAgent(500e3, 300, sched, nil, rand.New(rand.NewSource(1)))
 	if err == nil {
 		t.Fatal("node ID 300 accepted for an 8-bit field")
 	}
-	_, err = NewAgent(Config{}, 1, sched, nil, rand.New(rand.NewSource(1)))
+	_, err = NewAgent(0, 1, sched, nil, rand.New(rand.NewSource(1)))
 	if err == nil {
-		t.Fatal("zero config accepted")
+		t.Fatal("zero bit rate accepted")
 	}
 }
 

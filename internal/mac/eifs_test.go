@@ -28,8 +28,7 @@ func TestEIFSDeferAfterSensedFrame(t *testing.T) {
 	})
 	n.run(300 * sim.Millisecond)
 
-	cfg := DefaultConfig()
-	rtsEnd := sim.Time(50*sim.Microsecond) + sim.Time(cfg.AirTime(packet.RTSBytes, cfg.BasicRateBps))
+	rtsEnd := sim.Time(50*sim.Microsecond) + sim.Time(AirTime(packet.RTSBytes, BasicRateBps))
 	var cRTS sim.Time
 	for i, k := range midSniff.kinds {
 		if k == packet.KindRTS && midSniff.srcs[i] == 2 && cRTS == 0 {
@@ -41,7 +40,7 @@ func TestEIFSDeferAfterSensedFrame(t *testing.T) {
 	}
 	// C heard an errored frame ending at rtsEnd, so its transmission
 	// cannot begin before rtsEnd + EIFS (backoff can only push later).
-	if cRTS < rtsEnd.Add(cfg.EIFS()) {
+	if cRTS < rtsEnd.Add(EIFS()) {
 		t.Fatalf("C transmitted at %v, inside EIFS after the sensed frame ending %v", cRTS, rtsEnd)
 	}
 	if n.macs[2].Stats.RxError == 0 {

@@ -22,7 +22,7 @@ func (m *MAC) threeWay(np *packet.NetPacket) bool {
 // Broadcasts always use the maximum (all schemes, per the paper).
 func (m *MAC) initialPower(j *txJob) float64 {
 	if j.dst == packet.Broadcast {
-		return m.levels.Max()
+		return levels.Max()
 	}
 	return m.powerFor(packet.KindRTS, j.dst)
 }
@@ -33,13 +33,13 @@ func (m *MAC) initialPower(j *txJob) float64 {
 // or when the table has no fresh entry.
 func (m *MAC) powerFor(kind packet.FrameKind, dst packet.NodeID) float64 {
 	if !m.scheme.controlled(kind) {
-		return m.levels.Max()
+		return levels.Max()
 	}
 	need, ok := m.history.NeededPower(dst, m.rxThresh())
 	if !ok {
-		return m.levels.Max()
+		return levels.Max()
 	}
-	return m.levels.Quantize(need * m.cfg.PowerMargin)
+	return levels.Quantize(need * PowerMargin)
 }
 
 func (m *MAC) phyParams() phys.Params { return m.radio.Channel().Params() }
@@ -82,7 +82,7 @@ func (m *MAC) beginTx() {
 			})
 		}
 		m.st = stBlocked
-		m.blockTimer.Start(wait + sim.Duration(m.rng.Intn(m.cw+1))*m.cfg.SlotTime)
+		m.blockTimer.Start(wait + sim.Duration(m.rng.Intn(m.cw+1))*SlotTime)
 		return
 	}
 	if j.dst == packet.Broadcast {
@@ -102,14 +102,14 @@ func (m *MAC) beginTx() {
 // access below the RTS threshold). Three-way data always uses RTS/CTS:
 // its acknowledgment is carried by the CTS.
 func (m *MAC) basicAccess(j *txJob) bool {
-	if m.cfg.RTSThresholdBytes <= 0 || m.threeWay(j.np) {
+	if m.rtsThreshold <= 0 || m.threeWay(j.np) {
 		return false
 	}
 	size := packet.DataHeaderBytes + j.np.Bytes
 	if m.extended() {
 		size += packet.PCMACHeaderExtra
 	}
-	return size <= m.cfg.RTSThresholdBytes
+	return size <= m.rtsThreshold
 }
 
 // extended reports whether frames carry the power-control header fields.
@@ -122,7 +122,7 @@ func (m *MAC) airCtl(base int) sim.Duration {
 	if m.extended() {
 		n += packet.PCMACHeaderExtra
 	}
-	return m.cfg.AirTime(n, m.cfg.BasicRateBps)
+	return AirTime(n, BasicRateBps)
 }
 
 func (m *MAC) airData(np *packet.NetPacket) sim.Duration {
@@ -130,7 +130,7 @@ func (m *MAC) airData(np *packet.NetPacket) sim.Duration {
 	if m.extended() {
 		n += packet.PCMACHeaderExtra
 	}
-	return m.cfg.AirTime(n, m.cfg.DataRateBps)
+	return AirTime(n, DataRateBps)
 }
 
 // transmit puts a frame on the air at powerW.
@@ -141,7 +141,7 @@ func (m *MAC) transmit(f *packet.Frame, powerW float64) {
 			Detail: fmt.Sprintf("dst=%v pw=%.4gmW", f.Dst, powerW*1e3),
 		})
 	}
-	air := m.cfg.FrameAirTime(f)
+	air := FrameAirTime(f)
 	m.radio.Transmit(powerW, f.Bytes()*8, air, f)
 }
 
@@ -152,17 +152,17 @@ func (m *MAC) sendBroadcast(j *txJob) {
 		Kind:     packet.KindData,
 		Src:      m.id,
 		Dst:      packet.Broadcast,
-		TxPowerW: m.levels.Max(),
+		TxPowerW: levels.Max(),
 		Extended: m.extended(),
 		Payload:  j.np,
 	}
 	m.Stats.TxBroadcast++
-	m.transmit(f, m.levels.Max())
+	m.transmit(f, levels.Max())
 }
 
 // sendRTS opens a unicast exchange.
 func (m *MAC) sendRTS(j *txJob) {
-	sifs := m.cfg.SIFS
+	sifs := SIFS
 	var nav sim.Duration
 	if m.threeWay(j.np) {
 		nav = 2*sifs + m.airCtl(packet.CTSBytes) + m.airData(j.np)
@@ -210,7 +210,7 @@ func (m *MAC) onCTS(f *packet.Frame, rxPowerW float64) {
 	// DATA power: the receiver's explicit requirement under PCMAC,
 	// otherwise the scheme's choice.
 	if m.scheme == PCMAC && f.WantDataPowerW > 0 {
-		m.dataPowerW = m.levels.Quantize(f.WantDataPowerW)
+		m.dataPowerW = levels.Quantize(f.WantDataPowerW)
 	} else {
 		m.dataPowerW = m.powerFor(packet.KindData, j.dst)
 	}
@@ -219,7 +219,7 @@ func (m *MAC) onCTS(f *packet.Frame, rxPowerW float64) {
 		m.Stats.ToleranceDefer++
 		m.retryShort++
 		m.Stats.Retries++
-		if m.retryShort > m.cfg.ShortRetryLimit {
+		if m.retryShort > ShortRetryLimit {
 			m.dropCur()
 			return
 		}
@@ -227,7 +227,7 @@ func (m *MAC) onCTS(f *packet.Frame, rxPowerW float64) {
 		return
 	}
 	m.st = stSendData
-	m.after(m.cfg.SIFS, func() { m.sendData(j) })
+	m.after(SIFS, func() { m.sendData(j) })
 }
 
 // sendData transmits the DATA frame of the current exchange.
@@ -237,7 +237,7 @@ func (m *MAC) sendData(j *txJob) {
 	}
 	var nav sim.Duration
 	if !m.threeWay(j.np) {
-		nav = m.cfg.SIFS + m.airCtl(packet.AckBytes)
+		nav = SIFS + m.airCtl(packet.AckBytes)
 	}
 	f := &packet.Frame{
 		Kind:     packet.KindData,
@@ -272,13 +272,13 @@ func (m *MAC) onWaitTimeout() {
 		// Paper Step 2: on CTS timeout, raise the power one class (until
 		// maximal) and try again.
 		if m.scheme.usesPowerControl() && m.cur != nil {
-			if next, ok := m.levels.StepUp(m.cur.powerW); ok {
+			if next, ok := levels.StepUp(m.cur.powerW); ok {
 				m.cur.powerW = next
 			}
 		}
 		m.retryShort++
 		m.Stats.Retries++
-		if m.retryShort > m.cfg.ShortRetryLimit {
+		if m.retryShort > ShortRetryLimit {
 			m.dropCur()
 			return
 		}
@@ -287,7 +287,7 @@ func (m *MAC) onWaitTimeout() {
 		m.Stats.ACKTimeout++
 		m.retryLong++
 		m.Stats.Retries++
-		if m.retryLong > m.cfg.LongRetryLimit {
+		if m.retryLong > LongRetryLimit {
 			m.dropCur()
 			return
 		}
@@ -340,7 +340,7 @@ func (m *MAC) onRTS(f *packet.Frame, rxPowerW float64) {
 		TxPowerW: ctsPower,
 		Extended: m.extended(),
 	}
-	if d := f.Duration - m.cfg.SIFS - m.airCtl(packet.CTSBytes); d > 0 {
+	if d := f.Duration - SIFS - m.airCtl(packet.CTSBytes); d > 0 {
 		cts.Duration = d
 	}
 	if m.scheme == PCMAC {
@@ -351,7 +351,7 @@ func (m *MAC) onRTS(f *packet.Frame, rxPowerW float64) {
 			cts.LastSeq = prev.seq
 		}
 	}
-	m.after(m.cfg.SIFS, func() {
+	m.after(SIFS, func() {
 		if m.st != stRespond {
 			return
 		}
@@ -368,7 +368,7 @@ func (m *MAC) onRTS(f *packet.Frame, rxPowerW float64) {
 func (m *MAC) ctsPower(f *packet.Frame, rxPowerW float64) (ctsW, wantDataW float64) {
 	par := m.phyParams()
 	if !m.scheme.controlled(packet.KindCTS) || f.TxPowerW <= 0 {
-		ctsW = m.levels.Max()
+		ctsW = levels.Max()
 	}
 	gain := 0.0
 	if f.TxPowerW > 0 {
@@ -377,18 +377,18 @@ func (m *MAC) ctsPower(f *packet.Frame, rxPowerW float64) (ctsW, wantDataW float
 	if ctsW == 0 {
 		// Power-controlled CTS.
 		if gain <= 0 {
-			ctsW = m.levels.Max()
+			ctsW = levels.Max()
 		} else {
 			needAtSender := par.RxThreshW
 			if m.scheme == PCMAC {
 				needAtSender = math.Max(needAtSender, par.CaptureRatio*f.SenderNoiseW)
 			}
-			ctsW = m.levels.Quantize(needAtSender / gain * m.cfg.PowerMargin)
+			ctsW = levels.Quantize(needAtSender / gain * PowerMargin)
 		}
 	}
 	if m.scheme == PCMAC && gain > 0 {
 		needHere := math.Max(par.RxThreshW, par.CaptureRatio*m.localNoise())
-		wantDataW = m.levels.Quantize(needHere / gain * m.cfg.PowerMargin)
+		wantDataW = levels.Quantize(needHere / gain * PowerMargin)
 	}
 	return ctsW, wantDataW
 }
@@ -440,7 +440,7 @@ func (m *MAC) onDataFrame(f *packet.Frame, rxPowerW float64) {
 		TxPowerW: m.powerFor(packet.KindAck, f.Src),
 		Extended: m.extended(),
 	}
-	m.after(m.cfg.SIFS, func() {
+	m.after(SIFS, func() {
 		if m.st != stRespond {
 			return
 		}
@@ -525,7 +525,7 @@ func (m *MAC) RadioRx(tx *phys.Transmission, rxPowerW float64, rxErr bool) {
 		if m.tr != nil {
 			m.tr.Trace(trace.Record{At: m.sched.Now(), Op: trace.OpRecvErr, Node: m.id})
 		}
-		m.setEIFS(m.sched.Now().Add(m.cfg.EIFS()))
+		m.setEIFS(m.sched.Now().Add(EIFS()))
 		return
 	}
 	f, ok := tx.Payload.(*packet.Frame)
@@ -584,12 +584,12 @@ func (m *MAC) RadioTxDone(tx *phys.Transmission) {
 	switch f.Kind {
 	case packet.KindRTS:
 		if m.st == stWaitCTS {
-			m.waitTimer.Start(m.cfg.ctsTimeout())
+			m.waitTimer.Start(ctsTimeout())
 		}
 	case packet.KindCTS:
 		if m.st == stRespond {
 			m.st = stRxWaitData
-			m.rxTimer.Start(m.cfg.dataTimeout())
+			m.rxTimer.Start(dataTimeout())
 		}
 	case packet.KindData:
 		switch {
@@ -608,7 +608,7 @@ func (m *MAC) RadioTxDone(tx *phys.Transmission) {
 			m.finishExchange()
 		case m.st == stSendData:
 			m.st = stWaitAck
-			m.waitTimer.Start(m.cfg.ackTimeout())
+			m.waitTimer.Start(ackTimeout())
 		}
 	case packet.KindAck:
 		if m.st == stRespond {

@@ -26,11 +26,10 @@ func TestCTSNAVProtectsExchange(t *testing.T) {
 		n.macs[2].Enqueue(dataPacket(2, 3, 2), 3)
 	})
 	n.run(300 * sim.Millisecond)
-	cfg := DefaultConfig()
 	var ackEnd, cRTS sim.Time
 	for i, k := range n.sniff.kinds {
 		if k == packet.KindAck && n.sniff.srcs[i] == 1 {
-			ackEnd = n.sniff.times[i].Add(cfg.AirTime(packet.AckBytes, cfg.BasicRateBps))
+			ackEnd = n.sniff.times[i].Add(AirTime(packet.AckBytes, BasicRateBps))
 		}
 		if k == packet.KindRTS && n.sniff.srcs[i] == 2 && cRTS == 0 {
 			cRTS = n.sniff.times[i]
@@ -131,9 +130,8 @@ func TestPowerBumpOnCTSTimeout(t *testing.T) {
 			rtsPowers = append(rtsPowers, n.sniff.powers[i])
 		}
 	}
-	cfg := DefaultConfig()
-	if len(rtsPowers) != cfg.ShortRetryLimit+1 {
-		t.Fatalf("RTS count = %d, want %d", len(rtsPowers), cfg.ShortRetryLimit+1)
+	if len(rtsPowers) != ShortRetryLimit+1 {
+		t.Fatalf("RTS count = %d, want %d", len(rtsPowers), ShortRetryLimit+1)
 	}
 	for i := 1; i < len(rtsPowers); i++ {
 		if rtsPowers[i] < rtsPowers[i-1] {

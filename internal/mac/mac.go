@@ -77,7 +77,6 @@ type tableEntry struct {
 // by the simulation scheduler; none of its methods are safe for
 // concurrent use.
 type MAC struct {
-	cfg    Config
 	scheme Scheme
 	id     packet.NodeID
 	sched  *sim.Scheduler
@@ -86,7 +85,6 @@ type MAC struct {
 	ann    Announcer
 	rng    *rand.Rand
 
-	levels   power.Levels
 	history  *power.History
 	registry *power.Registry
 	tr       trace.Sink // nil: tracing off
@@ -135,6 +133,8 @@ type MAC struct {
 	sent map[packet.NodeID]tableEntry
 	recv map[packet.NodeID]tableEntry
 
+	rtsThreshold int // Options.RTSThresholdBytes
+
 	// disableThreeWay keeps the four-way handshake under PCMAC (an
 	// ablation knob).
 	disableThreeWay bool
@@ -157,10 +157,15 @@ type Options struct {
 	// History is the power-history table; required for Scheme1, Scheme2
 	// and PCMAC.
 	History *power.History
-	// Levels is the discrete power dial; defaults to the paper's ten.
-	Levels power.Levels
 	// Rand drives backoff; required.
 	Rand *rand.Rand
+	// RTSThresholdBytes enables 802.11 basic access: unicast frames
+	// whose on-air size is at or below the threshold skip the RTS/CTS
+	// exchange and go straight to DATA-ACK. Zero (the ns-2 default the
+	// paper inherits) means every unicast uses RTS/CTS. PCMAC's
+	// three-way data packets always use RTS/CTS regardless — the
+	// implicit acknowledgment rides in the CTS.
+	RTSThresholdBytes int
 	// DisableThreeWay forces PCMAC to keep the four-way handshake (an
 	// ablation of the paper's handshake modification).
 	DisableThreeWay bool
@@ -168,33 +173,25 @@ type Options struct {
 	Tracer trace.Sink
 }
 
-// New creates a MAC for the given scheme, attaching it to radio. The MAC
-// registers itself as the radio's handler via the returned value;
-// callers must pass the MAC to the radio at attach time (see node
-// package) since phys radios take their handler at creation.
-func New(cfg Config, scheme Scheme, id packet.NodeID, sched *sim.Scheduler, upper UpperLayer, opts Options) *MAC {
-	if err := cfg.Validate(); err != nil {
-		panic(err)
-	}
+// New creates a MAC for the given scheme. Phys radios take their
+// handler at creation, so the caller attaches a radio with the returned
+// MAC as its handler and hands it back through BindRadio (as
+// scenario.newNode does).
+func New(scheme Scheme, id packet.NodeID, sched *sim.Scheduler, upper UpperLayer, opts Options) *MAC {
 	if opts.Rand == nil {
 		panic("mac: Options.Rand is required")
 	}
-	lv := opts.Levels
-	if lv == nil {
-		lv = power.DefaultLevels()
-	}
 	m := &MAC{
-		cfg:             cfg,
 		scheme:          scheme,
 		id:              id,
 		sched:           sched,
 		upper:           upper,
 		ann:             opts.Announcer,
 		rng:             opts.Rand,
-		levels:          lv,
 		history:         opts.History,
 		registry:        opts.Registry,
-		cw:              cfg.CWMin,
+		cw:              CWMin,
+		rtsThreshold:    opts.RTSThresholdBytes,
 		sent:            make(map[packet.NodeID]tableEntry),
 		recv:            make(map[packet.NodeID]tableEntry),
 		disableThreeWay: opts.DisableThreeWay,
@@ -251,7 +248,7 @@ func (m *MAC) Enqueue(np *packet.NetPacket, dst packet.NodeID) bool {
 		m.Stats.DropQueue++
 		return false
 	}
-	if m.QueueLen() >= m.cfg.QueueCap {
+	if m.QueueLen() >= QueueCap {
 		m.Stats.DropQueue++
 		return false
 	}
@@ -364,7 +361,7 @@ func (m *MAC) syncChannelState() {
 func (m *MAC) freezeBackoff() {
 	m.deferTimer.Stop()
 	if m.backoffTimer.Pending() {
-		consumed := int(m.sched.Now().Sub(m.countdownStart) / m.cfg.SlotTime)
+		consumed := int(m.sched.Now().Sub(m.countdownStart) / SlotTime)
 		if consumed > m.slotsLeft {
 			consumed = m.slotsLeft
 		}
@@ -377,7 +374,7 @@ func (m *MAC) freezeBackoff() {
 // correct here: the post-error EIFS is tracked as part of the virtual
 // carrier (eifsUntil), so by the time the medium reads idle the EIFS
 // has already elapsed or been cancelled by a clean reception.
-func (m *MAC) deferDur() sim.Duration { return m.cfg.DIFS }
+func (m *MAC) deferDur() sim.Duration { return DIFS }
 
 // resumeAccess (re)starts the DIFS defer and backoff countdown. Caller
 // guarantees st == stAccess and the medium is idle.
@@ -401,7 +398,7 @@ func (m *MAC) onDeferDone() {
 		return
 	}
 	m.countdownStart = m.sched.Now()
-	m.backoffTimer.Start(sim.Duration(m.slotsLeft) * m.cfg.SlotTime)
+	m.backoffTimer.Start(sim.Duration(m.slotsLeft) * SlotTime)
 }
 
 // onBackoffDone fires when the backoff countdown reaches zero with the
@@ -428,8 +425,8 @@ func (m *MAC) onUnblocked() {
 // bumpCW doubles the contention window, saturating at CWMax.
 func (m *MAC) bumpCW() {
 	m.cw = (m.cw+1)*2 - 1
-	if m.cw > m.cfg.CWMax {
-		m.cw = m.cfg.CWMax
+	if m.cw > CWMax {
+		m.cw = CWMax
 	}
 }
 
@@ -450,7 +447,7 @@ func (m *MAC) finishExchange() {
 	m.waitTimer.Stop()
 	m.cur = nil
 	m.retryShort, m.retryLong = 0, 0
-	m.cw = m.cfg.CWMin
+	m.cw = CWMin
 	m.slotsLeft = m.rng.Intn(m.cw + 1)
 	m.st = stIdle
 	m.next()

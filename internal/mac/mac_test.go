@@ -82,7 +82,7 @@ func newNet(t *testing.T, scheme Scheme, xs ...float64) *net {
 		if scheme == PCMAC {
 			opts.Registry = power.NewRegistry(n.sched.Now, 0.7)
 		}
-		m := New(DefaultConfig(), scheme, packet.NodeID(i), n.sched, up, opts)
+		m := New(scheme, packet.NodeID(i), n.sched, up, opts)
 		p := geom.Point{X: x}
 		m.BindRadio(n.ch.AttachRadio(i, func() geom.Point { return p }, m))
 		n.macs = append(n.macs, m)
@@ -135,17 +135,16 @@ func TestFourWayHandshakeSequence(t *testing.T) {
 
 func TestSIFSSpacing(t *testing.T) {
 	n := newNet(t, Basic, 0, 100)
-	cfg := DefaultConfig()
 	n.macs[0].Enqueue(dataPacket(0, 1, 1), 1)
 	n.run(100 * sim.Millisecond)
 	if len(n.sniff.times) != 4 {
 		t.Fatalf("want 4 frames, got %d", len(n.sniff.times))
 	}
 	// CTS starts one SIFS (plus propagation, < 1 us) after RTS ends.
-	rtsEnd := n.sniff.times[0].Add(cfg.AirTime(packet.RTSBytes, cfg.BasicRateBps))
+	rtsEnd := n.sniff.times[0].Add(AirTime(packet.RTSBytes, BasicRateBps))
 	gap := n.sniff.times[1].Sub(rtsEnd)
-	if gap < cfg.SIFS || gap > cfg.SIFS+2*sim.Microsecond {
-		t.Fatalf("RTS->CTS gap = %v, want ~SIFS (%v)", gap, cfg.SIFS)
+	if gap < SIFS || gap > SIFS+2*sim.Microsecond {
+		t.Fatalf("RTS->CTS gap = %v, want ~SIFS (%v)", gap, SIFS)
 	}
 }
 
@@ -175,9 +174,8 @@ func TestRetryLimitThenFail(t *testing.T) {
 	np := dataPacket(0, 77, 1) // node 77 does not exist
 	n.macs[0].Enqueue(np, 77)
 	n.run(2 * sim.Second)
-	cfg := DefaultConfig()
-	if got := n.macs[0].Stats.TxRTS; got != uint64(cfg.ShortRetryLimit)+1 {
-		t.Fatalf("RTS attempts = %d, want %d", got, cfg.ShortRetryLimit+1)
+	if got := n.macs[0].Stats.TxRTS; got != uint64(ShortRetryLimit)+1 {
+		t.Fatalf("RTS attempts = %d, want %d", got, ShortRetryLimit+1)
 	}
 	if len(n.uppers[0].failed) != 1 || n.uppers[0].failed[0] != np {
 		t.Fatalf("MACTxFailed not reported: %v", n.uppers[0].failed)
@@ -205,10 +203,9 @@ func TestNAVDefersThirdParty(t *testing.T) {
 	n.run(200 * sim.Millisecond)
 	// Find when the A-B ACK ended and when C's RTS started.
 	var ackEnd, cRTS sim.Time
-	cfg := DefaultConfig()
 	for i, k := range n.sniff.kinds {
 		if k == packet.KindAck && n.sniff.srcs[i] == 1 {
-			ackEnd = n.sniff.times[i].Add(cfg.AirTime(packet.AckBytes, cfg.BasicRateBps))
+			ackEnd = n.sniff.times[i].Add(AirTime(packet.AckBytes, BasicRateBps))
 		}
 		if k == packet.KindRTS && n.sniff.srcs[i] == 2 && cRTS == 0 {
 			cRTS = n.sniff.times[i]
@@ -430,15 +427,14 @@ func TestBasicAlwaysMaxPower(t *testing.T) {
 
 func TestQueueCapacity(t *testing.T) {
 	n := newNet(t, Basic, 0, 100)
-	cfg := DefaultConfig()
 	accepted := 0
-	for s := uint32(0); s < uint32(cfg.QueueCap)+5; s++ {
+	for s := uint32(0); s < uint32(QueueCap)+5; s++ {
 		if n.macs[0].Enqueue(dataPacket(0, 1, s+1), 1) {
 			accepted++
 		}
 	}
-	if accepted != cfg.QueueCap {
-		t.Fatalf("accepted %d, want %d", accepted, cfg.QueueCap)
+	if accepted != QueueCap {
+		t.Fatalf("accepted %d, want %d", accepted, QueueCap)
 	}
 	if n.macs[0].Stats.DropQueue != 5 {
 		t.Fatalf("DropQueue = %d, want 5", n.macs[0].Stats.DropQueue)
@@ -507,8 +503,7 @@ func TestEIFSClearedByCleanReception(t *testing.T) {
 func TestContentionWindowDoubling(t *testing.T) {
 	n := newNet(t, Basic, 0, 100)
 	m := n.macs[0]
-	cfg := DefaultConfig()
-	if m.cw != cfg.CWMin {
+	if m.cw != CWMin {
 		t.Fatalf("initial cw = %d", m.cw)
 	}
 	m.bumpCW()
@@ -518,7 +513,7 @@ func TestContentionWindowDoubling(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		m.bumpCW()
 	}
-	if m.cw != cfg.CWMax {
+	if m.cw != CWMax {
 		t.Fatalf("cw not capped: %d", m.cw)
 	}
 }
@@ -564,40 +559,17 @@ func TestSchemeParsing(t *testing.T) {
 	}
 }
 
-func TestConfigValidation(t *testing.T) {
-	good := DefaultConfig()
-	if err := good.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	bad := []func(*Config){
-		func(c *Config) { c.SlotTime = 0 },
-		func(c *Config) { c.BasicRateBps = 0 },
-		func(c *Config) { c.CWMax = c.CWMin - 1 },
-		func(c *Config) { c.QueueCap = 0 },
-		func(c *Config) { c.MaxPayloadBytes = 0 },
-		func(c *Config) { c.PowerMargin = 0.5 },
-	}
-	for i, mut := range bad {
-		c := DefaultConfig()
-		mut(&c)
-		if err := c.Validate(); err == nil {
-			t.Errorf("mutation %d validated", i)
-		}
-	}
-}
-
 func TestAirTimeMath(t *testing.T) {
-	cfg := DefaultConfig()
 	// RTS: 192 us PLCP + 160 bits at 1 Mbps = 352 us.
-	if got := cfg.AirTime(packet.RTSBytes, cfg.BasicRateBps); got != 352*sim.Microsecond {
+	if got := AirTime(packet.RTSBytes, BasicRateBps); got != 352*sim.Microsecond {
 		t.Errorf("RTS airtime = %v, want 352us", got)
 	}
 	// 512+28 byte DATA at 2 Mbps: 192 + 2160 = 2352 us.
-	if got := cfg.AirTime(540, cfg.DataRateBps); got != 2352*sim.Microsecond {
+	if got := AirTime(540, DataRateBps); got != 2352*sim.Microsecond {
 		t.Errorf("DATA airtime = %v, want 2352us", got)
 	}
 	// EIFS = SIFS + DIFS + ACK at basic rate = 10+50+304 = 364 us.
-	if got := cfg.EIFS(); got != 364*sim.Microsecond {
+	if got := EIFS(); got != 364*sim.Microsecond {
 		t.Errorf("EIFS = %v, want 364us", got)
 	}
 }
@@ -608,7 +580,7 @@ func TestMissingRandPanics(t *testing.T) {
 			t.Fatal("nil Rand did not panic")
 		}
 	}()
-	New(DefaultConfig(), Basic, 0, sim.NewScheduler(), &testUpper{}, Options{})
+	New(Basic, 0, sim.NewScheduler(), &testUpper{}, Options{})
 }
 
 func TestPowerSchemeRequiresHistory(t *testing.T) {
@@ -617,7 +589,7 @@ func TestPowerSchemeRequiresHistory(t *testing.T) {
 			t.Fatal("scheme2 without history did not panic")
 		}
 	}()
-	New(DefaultConfig(), Scheme2, 0, sim.NewScheduler(), &testUpper{}, Options{
+	New(Scheme2, 0, sim.NewScheduler(), &testUpper{}, Options{
 		Rand: rand.New(rand.NewSource(1)),
 	})
 }
@@ -628,7 +600,7 @@ func TestDisableThreeWayAblation(t *testing.T) {
 	n.ch = phys.NewChannel(n.sched, phys.NewTwoRayGround(par), par)
 	for i, x := range []float64{0, 100} {
 		up := &testUpper{}
-		m := New(DefaultConfig(), PCMAC, packet.NodeID(i), n.sched, up, Options{
+		m := New(PCMAC, packet.NodeID(i), n.sched, up, Options{
 			Rand:            rand.New(rand.NewSource(int64(i + 1))),
 			History:         power.NewHistory(n.sched.Now, 3*sim.Second),
 			Registry:        power.NewRegistry(n.sched.Now, 0.7),
@@ -688,12 +660,11 @@ func TestRTSThresholdBasicAccess(t *testing.T) {
 	n := &net{sched: sim.NewScheduler(), sniff: &sniffer{}}
 	par := phys.DefaultParams()
 	n.ch = phys.NewChannel(n.sched, phys.NewTwoRayGround(par), par)
-	cfg := DefaultConfig()
-	cfg.RTSThresholdBytes = 256
 	for i, x := range []float64{0, 100} {
 		up := &testUpper{}
-		m := New(cfg, Basic, packet.NodeID(i), n.sched, up, Options{
-			Rand: rand.New(rand.NewSource(int64(i + 1))),
+		m := New(Basic, packet.NodeID(i), n.sched, up, Options{
+			Rand:              rand.New(rand.NewSource(int64(i + 1))),
+			RTSThresholdBytes: 256,
 		})
 		p := geom.Point{X: x}
 		m.BindRadio(n.ch.AttachRadio(i, func() geom.Point { return p }, m))
@@ -728,16 +699,14 @@ func TestRTSThresholdRetryOnAckLoss(t *testing.T) {
 	n := &net{sched: sim.NewScheduler(), sniff: &sniffer{}}
 	par := phys.DefaultParams()
 	n.ch = phys.NewChannel(n.sched, phys.NewTwoRayGround(par), par)
-	cfg := DefaultConfig()
-	cfg.RTSThresholdBytes = 256
 	up := &testUpper{}
-	m := New(cfg, Basic, 0, n.sched, up, Options{Rand: rand.New(rand.NewSource(1))})
+	m := New(Basic, 0, n.sched, up, Options{Rand: rand.New(rand.NewSource(1)), RTSThresholdBytes: 256})
 	p := geom.Point{}
 	m.BindRadio(n.ch.AttachRadio(0, func() geom.Point { return p }, m))
 	m.Enqueue(routingPacket(0, 9), 9)
 	n.sched.Run(sim.Time(5 * sim.Second))
-	if got := m.Stats.TxData; got != uint64(cfg.LongRetryLimit)+1 {
-		t.Fatalf("DATA attempts = %d, want %d", got, cfg.LongRetryLimit+1)
+	if got := m.Stats.TxData; got != uint64(LongRetryLimit)+1 {
+		t.Fatalf("DATA attempts = %d, want %d", got, LongRetryLimit+1)
 	}
 	if len(up.failed) != 1 {
 		t.Fatal("basic-access retry exhaustion not reported")
@@ -750,14 +719,13 @@ func TestThreeWayIgnoresRTSThreshold(t *testing.T) {
 	n := &net{sched: sim.NewScheduler(), sniff: &sniffer{}}
 	par := phys.DefaultParams()
 	n.ch = phys.NewChannel(n.sched, phys.NewTwoRayGround(par), par)
-	cfg := DefaultConfig()
-	cfg.RTSThresholdBytes = 4096
 	for i, x := range []float64{0, 100} {
 		up := &testUpper{}
-		m := New(cfg, PCMAC, packet.NodeID(i), n.sched, up, Options{
-			Rand:     rand.New(rand.NewSource(int64(i + 1))),
-			History:  power.NewHistory(n.sched.Now, 3*sim.Second),
-			Registry: power.NewRegistry(n.sched.Now, 0.7),
+		m := New(PCMAC, packet.NodeID(i), n.sched, up, Options{
+			Rand:              rand.New(rand.NewSource(int64(i + 1))),
+			History:           power.NewHistory(n.sched.Now, 3*sim.Second),
+			Registry:          power.NewRegistry(n.sched.Now, 0.7),
+			RTSThresholdBytes: 4096,
 		})
 		p := geom.Point{X: x}
 		m.BindRadio(n.ch.AttachRadio(i, func() geom.Point { return p }, m))

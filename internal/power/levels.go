@@ -5,10 +5,7 @@
 // power-control channel broadcasts.
 package power
 
-import (
-	"fmt"
-	"sort"
-)
+import "sort"
 
 // Levels is an ascending set of selectable transmit powers in watts.
 type Levels []float64
@@ -18,22 +15,6 @@ type Levels []float64
 // ranges of 40…250 m under the two-ray ground model.
 func DefaultLevels() Levels {
 	return Levels{0.001, 0.002, 0.00345, 0.0048, 0.00725, 0.0106, 0.015, 0.0366, 0.0758, 0.2818}
-}
-
-// Validate checks that the level set is non-empty, positive, and
-// strictly ascending.
-func (l Levels) Validate() error {
-	if len(l) == 0 {
-		return fmt.Errorf("power: empty level set")
-	}
-	prev := 0.0
-	for i, v := range l {
-		if v <= prev {
-			return fmt.Errorf("power: level %d (%g W) not strictly ascending", i, v)
-		}
-		prev = v
-	}
-	return nil
 }
 
 // Max returns the highest level — the paper's "normal (maximal)" power.

@@ -43,6 +43,8 @@ func FuzzParseCampaignFile(f *testing.F) {
 	f.Add([]byte(`{"name":"x","base":{"scheme":""},"variants":[{"name":"a","patch":{"scheme":"","nodes":5}}],"nodes":[5,5]}`))
 	f.Add([]byte(`{"version":2,"name":"x","base":{"scheme":"basic"}}`))
 	f.Add([]byte(`{"name":"x","base":{"scheme":"basic"},"loads_kbps":[-1]}`))
+	f.Add([]byte(`{"name":"x","base":{"scheme":"basic802.11","duration_s":20,"rts_threshold_bytes":256},` +
+		`"variants":[{"name":"rts256","patch":{}},{"name":"rts512","patch":{"rts_threshold_bytes":512}}],"loads_kbps":[250]}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		cf, err := ParseCampaignFile(data)

@@ -6,11 +6,9 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/aodv"
 	"repro/internal/geom"
 	"repro/internal/mac"
 	"repro/internal/packet"
-	"repro/internal/power"
 	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -193,17 +191,11 @@ func TestOverlayEmptyPatchKeepsBase(t *testing.T) {
 		SpeedMin:          2,
 		SpeedMax:          4,
 		SafetyFactor:      0.6,
+		RTSThresholdBytes: 300,
 		Duration:          30 * sim.Second,
 	}.WithDefaults()
 	base.DisableCtrlChannel, base.DisableThreeWay = true, true
-	base.MAC.QueueCap = 17
-	base.MAC.RTSThresholdBytes = 300
-	base.AODV.BufferCap = 7
-	base.Levels = power.Levels{0.01, 0.1}
 	base.TrafficStart = sim.Time(2 * sim.Second)
-	if base.AODV == aodv.DefaultConfig() {
-		t.Fatal("AODV tweak had no effect")
-	}
 	bv := reflect.ValueOf(base)
 	for i := 0; i < bv.NumField(); i++ {
 		if bv.Field(i).IsZero() {

@@ -111,10 +111,7 @@ func (fc FileConfig) options() (Options, error) {
 		EnergyProfile:      fc.EnergyProfile,
 		BatteryJ:           fc.BatteryJ,
 		FlowRateSpreadPct:  fc.FlowRateSpreadPct,
-	}
-	if fc.RTSThresholdBytes > 0 {
-		o.MAC = mac.DefaultConfig()
-		o.MAC.RTSThresholdBytes = fc.RTSThresholdBytes
+		RTSThresholdBytes:  fc.RTSThresholdBytes,
 	}
 	for _, p := range fc.Static {
 		o.Static = append(o.Static, geom.Point{X: p[0], Y: p[1]})
@@ -173,6 +170,8 @@ func validate(o Options) error {
 		return fmt.Errorf("scenario: control-channel bandwidth %g bps must be non-negative", o.CtrlBandwidthBps)
 	case !(o.BatteryJ >= 0):
 		return fmt.Errorf("scenario: negative battery capacity %g J", o.BatteryJ)
+	case o.RTSThresholdBytes < 0:
+		return fmt.Errorf("scenario: negative RTS threshold %d bytes", o.RTSThresholdBytes)
 	}
 	if _, err := traffic.ParseModel(o.Traffic); err != nil {
 		return err
@@ -308,7 +307,7 @@ func ToFileConfig(o Options) FileConfig {
 		EnergyProfile:      o.EnergyProfile,
 		BatteryJ:           o.BatteryJ,
 		FlowRateSpreadPct:  o.FlowRateSpreadPct,
-		RTSThresholdBytes:  o.MAC.RTSThresholdBytes,
+		RTSThresholdBytes:  o.RTSThresholdBytes,
 	}
 	for _, p := range o.Static {
 		fc.Static = append(fc.Static, [2]float64{p.X, p.Y})
@@ -321,9 +320,9 @@ func ToFileConfig(o Options) FileConfig {
 
 // Overlay returns base with patch's set fields overriding it: a field
 // is set when FileConfig's omitempty tags would encode it, and an empty
-// scheme keeps the base's. The options FileConfig cannot carry (AODV,
-// Levels, TrafficStart, Trace, TimelineBucket, CollectSimStats, and MAC
-// unless the patch sets rts_threshold_bytes) keep the base's values.
+// scheme keeps the base's. The options FileConfig cannot carry
+// (TrafficStart, Trace, TimelineBucket, CollectSimStats) keep the base's
+// values.
 // The result is not validated: a campaign validates each run only after
 // its explicit axes have been applied on top.
 func Overlay(base Options, patch FileConfig) (Options, error) {
@@ -342,10 +341,7 @@ func Overlay(base Options, patch FileConfig) (Options, error) {
 	if err != nil {
 		return Options{}, err
 	}
-	o.AODV, o.Levels, o.TrafficStart, o.Trace = base.AODV, base.Levels, base.TrafficStart, base.Trace
+	o.TrafficStart, o.Trace = base.TrafficStart, base.Trace
 	o.TimelineBucket, o.CollectSimStats = base.TimelineBucket, base.CollectSimStats
-	if patch.RTSThresholdBytes == 0 {
-		o.MAC = base.MAC
-	}
 	return o, nil
 }

@@ -171,6 +171,7 @@ func TestConfigValidation(t *testing.T) {
 		{Scheme: "pcmac", FlowRateSpreadPct: -1},
 		{Scheme: "pcmac", FlowRateSpreadPct: 200},
 		{Scheme: "pcmac", FlowRateSpreadPct: 300},
+		{Scheme: "pcmac", DurationS: 8, RTSThresholdBytes: -5},
 		// Empty measurement windows against a defaulted side: the 5 s
 		// warmup outlasts a 4 s run, a 500 s warmup the 400 s default.
 		{Scheme: "basic", DurationS: 4},

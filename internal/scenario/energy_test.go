@@ -61,9 +61,9 @@ func TestEnergyClosedFormTwoNodeFlow(t *testing.T) {
 	// Both peers decode frames addressed to them (data one way, ACKs
 	// and routing the other), so both have a non-empty Rx bucket; the
 	// idle bucket dominates a 64 kbps trickle.
-	for i, ne := range res.NodeEnergy {
-		if ne.ByState[energy.Rx] <= 0 {
-			t.Fatalf("node %d rx bucket empty: %+v", i, ne.ByState)
+	for i, n := range nw.Nodes {
+		if by := n.Energy.Consumed(); by[energy.Rx] <= 0 {
+			t.Fatalf("node %d rx bucket empty: %+v", i, by)
 		}
 	}
 	if res.EnergyIdleJ <= res.EnergyTxJ {
@@ -189,7 +189,7 @@ func TestBatteryDeathReroute(t *testing.T) {
 	res := nw.Run()
 
 	if res.DeadNodes < 1 {
-		t.Fatalf("no relay died: %+v", res.NodeEnergy)
+		t.Fatalf("no relay died: residuals %g J and %g J", nw.Nodes[1].Energy.ResidualJ(), nw.Nodes[2].Energy.ResidualJ())
 	}
 	ttfd := res.TimeToFirstDeathS
 	if ttfd <= 2 || ttfd >= duration.Seconds()-4 {
@@ -197,7 +197,7 @@ func TestBatteryDeathReroute(t *testing.T) {
 	}
 	// The endpoints must survive.
 	for _, i := range []int{0, 3} {
-		if res.NodeEnergy[i].Dead {
+		if nw.Nodes[i].Energy.Dead() {
 			t.Fatalf("endpoint %d died", i)
 		}
 	}

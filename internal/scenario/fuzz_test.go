@@ -42,6 +42,8 @@ func FuzzDecodeStrict(f *testing.F) {
 	f.Add([]byte(`{"scheme": "pcmac", "safety_factor": -1, "history_expiry_s": -1, "ctrl_bandwidth_bps": -1}`))
 	f.Add([]byte(`{"scheme": "basic", "packet_bytes": -512, "flow_rate_spread_pct": 300}`))
 	f.Add([]byte(`{"scheme": "basic", "duration_s": 4}`))
+	// A negative RTS threshold.
+	f.Add([]byte(`{"scheme": "pcmac", "duration_s": 8, "rts_threshold_bytes": -5}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var fc FileConfig

@@ -49,9 +49,9 @@ func (n *Node) Die() {
 }
 
 // newNode assembles terminal id from the defaulted options o and
-// attaches its radios to the data channel and, for PCMAC with a
-// positive control bandwidth, the control channel (nil when the scheme
-// is not PCMAC or the control channel is disabled).
+// attaches its radios to the data channel and, for PCMAC, the control
+// channel (nil when the scheme is not PCMAC or the control channel is
+// disabled).
 //
 // One energy accountant per radio drains one shared battery of
 // o.BatteryJ joules: a PCMAC terminal's always-on control receiver
@@ -60,7 +60,7 @@ func (n *Node) Die() {
 func newNode(id packet.NodeID, o *Options, sched *sim.Scheduler, dataCh, ctrlCh *phys.Channel, mob mobility.Model, eprof energy.Profile, rng *rand.Rand) (*Node, error) {
 	n := &Node{ID: id, Mob: mob}
 	n.Energy = energy.NewAccountant(sched, energy.Config{Profile: eprof, CapacityJ: o.BatteryJ})
-	useCtrl := o.Scheme == mac.PCMAC && ctrlCh != nil && o.CtrlBandwidthBps > 0
+	useCtrl := o.Scheme == mac.PCMAC && ctrlCh != nil
 	if useCtrl {
 		n.CtrlEnergy = energy.NewAccountant(sched, energy.Config{Profile: eprof, Battery: n.Energy.Battery()})
 	}
@@ -73,23 +73,20 @@ func newNode(id packet.NodeID, o *Options, sched *sim.Scheduler, dataCh, ctrlCh 
 		n.Registry = power.NewRegistry(sched.Now, o.SafetyFactor)
 	}
 
-	n.Router = aodv.NewRouter(o.AODV, id, sched, nil)
+	n.Router = aodv.NewRouter(id, sched, nil)
 	n.Router.Jitter = rng
 
 	opts := mac.Options{
-		History:         n.History,
-		Registry:        n.Registry,
-		Levels:          o.Levels,
-		Rand:            rng,
-		DisableThreeWay: o.DisableThreeWay,
-		Tracer:          o.Trace,
+		History:           n.History,
+		Registry:          n.Registry,
+		Rand:              rng,
+		RTSThresholdBytes: o.RTSThresholdBytes,
+		DisableThreeWay:   o.DisableThreeWay,
+		Tracer:            o.Trace,
 	}
 
 	if useCtrl {
-		dataAir := o.MAC.AirTime(packet.DataHeaderBytes+packet.PCMACHeaderExtra+o.MAC.MaxPayloadBytes, o.MAC.DataRateBps)
-		cc := ctrl.DefaultConfig(o.Levels.Max(), dataAir)
-		cc.BitRateBps = o.CtrlBandwidthBps
-		agent, err := ctrl.NewAgent(cc, id, sched, n.Registry, rng)
+		agent, err := ctrl.NewAgent(o.CtrlBandwidthBps, id, sched, n.Registry, rng)
 		if err != nil {
 			return nil, fmt.Errorf("node %v: %w", id, err)
 		}
@@ -103,7 +100,7 @@ func newNode(id packet.NodeID, o *Options, sched *sim.Scheduler, dataCh, ctrlCh 
 		opts.Announcer = agent
 	}
 
-	n.MAC = mac.New(o.MAC, o.Scheme, id, sched, n.Router, opts)
+	n.MAC = mac.New(o.Scheme, id, sched, n.Router, opts)
 	radio := dataCh.AttachRadio(int(id), pos, n.MAC)
 	radio.SetAccountant(n.Energy, func(payload any) bool {
 		f, ok := payload.(*packet.Frame)

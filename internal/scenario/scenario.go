@@ -16,7 +16,6 @@ import (
 	"repro/internal/mobility"
 	"repro/internal/packet"
 	"repro/internal/phys"
-	"repro/internal/power"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/trace"
@@ -68,11 +67,10 @@ type Options struct {
 	// Seed drives all randomness; same seed, same run.
 	Seed int64
 
-	// MAC/AODV override protocol constants when non-zero.
-	MAC  mac.Config
-	AODV aodv.Config
-	// Levels overrides the power dial.
-	Levels power.Levels
+	// RTSThresholdBytes enables 802.11 basic access for unicast frames
+	// at or below this on-air size (mac.Options.RTSThresholdBytes); 0,
+	// the paper's setting, sends every unicast with RTS/CTS.
+	RTSThresholdBytes int
 	// HistoryExpiry (3 s), SafetyFactor (0.7) and CtrlBandwidthBps
 	// (500 kbps) are the PCMAC knobs, exposed for the ablation benches.
 	HistoryExpiry    sim.Duration
@@ -171,15 +169,6 @@ func (o Options) WithDefaults() Options {
 	if o.Warmup == 0 {
 		o.Warmup = 5 * sim.Second
 	}
-	if o.MAC.SlotTime == 0 {
-		o.MAC = mac.DefaultConfig()
-	}
-	if o.AODV.ActiveRouteTimeout == 0 {
-		o.AODV = aodv.DefaultConfig()
-	}
-	if o.Levels == nil {
-		o.Levels = power.DefaultLevels()
-	}
 	if o.HistoryExpiry == 0 {
 		o.HistoryExpiry = 3 * sim.Second
 	}
@@ -272,8 +261,6 @@ type Result struct {
 	MAC     mac.Stats
 	Ctrl    ctrl.Stats
 	Routing aodv.Stats
-	// NodeEnergy is the per-node accounting, indexed by node ID.
-	NodeEnergy []NodeEnergy
 	// PeakQueue is the deepest the pending-event set got (0 unless
 	// Options.CollectSimStats was set) — the number event-queue sizing
 	// is judged against.
@@ -281,18 +268,6 @@ type Result struct {
 	// Timeline is the per-bucket evolution (nil unless
 	// Options.TimelineBucket was set).
 	Timeline *stats.Timeline
-}
-
-// NodeEnergy is one terminal's energy accounting at end of run.
-type NodeEnergy struct {
-	Node packet.NodeID
-	// ByState is the consumed joules per radio state.
-	ByState energy.Breakdown
-	// ResidualJ is the remaining battery charge (0 without a battery).
-	ResidualJ float64
-	// DiedAt is the depletion instant; Dead is false for survivors.
-	Dead   bool
-	DiedAt sim.Time
 }
 
 // perDeliveredKB divides joules by the delivered payload in kilobytes,
@@ -532,16 +507,14 @@ func (nw *Network) Run() Result {
 		}
 		if a := n.Energy; a != nil {
 			a.Flush() // settle idle draw up to the horizon
-			ne := NodeEnergy{Node: n.ID, ByState: a.Consumed(), ResidualJ: a.ResidualJ()}
+			node := a.Consumed()
+			residuals = append(residuals, a.ResidualJ())
 			if ca := n.CtrlEnergy; ca != nil {
 				ca.Flush()
-				ne.ByState.AddFrom(ca.Consumed()) // control receiver: same node, same battery
+				node.AddFrom(ca.Consumed()) // control receiver: same node, same battery
 			}
-			ne.DiedAt, ne.Dead = a.DiedAt()
-			res.NodeEnergy = append(res.NodeEnergy, ne)
-			byState.AddFrom(ne.ByState)
-			consumed = append(consumed, ne.ByState.Total())
-			residuals = append(residuals, ne.ResidualJ)
+			byState.AddFrom(node)
+			consumed = append(consumed, node.Total())
 		}
 	}
 	res.ConsumedEnergyJ = byState.Total()

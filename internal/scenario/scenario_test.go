@@ -44,6 +44,26 @@ func TestTwoNodeDelivery(t *testing.T) {
 	}
 }
 
+// TestRTSThresholdReachesMAC: Options.RTSThresholdBytes switches the
+// MAC to basic access. Above the frame size no unicast sends an RTS;
+// at zero, every one does.
+func TestRTSThresholdReachesMAC(t *testing.T) {
+	for _, c := range []struct {
+		thr     int
+		wantRTS bool
+	}{{4096, false}, {0, true}} {
+		o := twoNodeOpts(mac.Basic)
+		o.RTSThresholdBytes = c.thr
+		res, err := Run(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.MAC.TxData == 0 || (res.MAC.TxRTS > 0) != c.wantRTS {
+			t.Errorf("threshold %d B: %d RTS, %d DATA; want DATA, and RTS %v", c.thr, res.MAC.TxRTS, res.MAC.TxData, c.wantRTS)
+		}
+	}
+}
+
 func TestMultiHopChain(t *testing.T) {
 	// 0 -> 3 over a 3-hop chain (200 m spacing, decode range 250 m).
 	opts := Options{

@@ -21,12 +21,10 @@ type FlowStats struct {
 	DelaySum  sim.Duration
 
 	// Streaming latency-distribution snapshots, filled by
-	// Collector.Flows: delay percentiles (P² estimates) and jitter (the
-	// mean absolute difference between consecutive packets' delays), in
-	// milliseconds.
-	DelayP50Ms float64
+	// Collector.Flows: the 95th-percentile delay (a P² estimate) and
+	// jitter (the mean absolute difference between consecutive packets'
+	// delays), in milliseconds.
 	DelayP95Ms float64
-	DelayP99Ms float64
 	JitterMs   float64
 }
 
@@ -93,10 +91,10 @@ type flowSeq struct {
 // snapshot fields.
 type flowAcc struct {
 	FlowStats
-	p50, p95, p99 Quantile
-	lastDelay     sim.Duration
-	jitterSum     sim.Duration
-	jitterN       uint64
+	p95       Quantile
+	lastDelay sim.Duration
+	jitterSum sim.Duration
+	jitterN   uint64
 }
 
 // jitterMs returns the flow's mean absolute consecutive-delay
@@ -112,9 +110,7 @@ func (f *flowAcc) jitterMs() float64 {
 // fields.
 func (f *flowAcc) snapshot() FlowStats {
 	s := f.FlowStats
-	s.DelayP50Ms = f.p50.Value()
 	s.DelayP95Ms = f.p95.Value()
-	s.DelayP99Ms = f.p99.Value()
 	s.JitterMs = f.jitterMs()
 	return s
 }
@@ -136,9 +132,7 @@ func (c *Collector) flow(id uint32) *flowAcc {
 	if !ok {
 		f = &flowAcc{
 			FlowStats: FlowStats{FlowID: id},
-			p50:       NewQuantile(0.50),
 			p95:       NewQuantile(0.95),
-			p99:       NewQuantile(0.99),
 		}
 		c.flows[id] = f
 	}
@@ -205,9 +199,7 @@ func (c *Collector) PacketDelivered(np *packet.NetPacket, now sim.Time) {
 	f.DelaySum += d
 
 	ms := d.Milliseconds()
-	f.p50.Add(ms)
 	f.p95.Add(ms)
-	f.p99.Add(ms)
 	c.p50.Add(ms)
 	c.p95.Add(ms)
 	c.p99.Add(ms)
