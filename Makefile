@@ -76,8 +76,10 @@ lint-golangci:
 # 256 and whose variant patch sets 512 emits both values and, read
 # back, dry-runs byte-identically to the given spec; the lifetime preset writes 4 records, each
 # with consumed energy above radiated energy and a non-empty alive
-# timeline; and -timing records carry wall_ms and peak_queue above
-# zero, while untimed records carry neither field. Needs jq.
+# timeline; -timing records carry wall_ms and peak_queue above
+# zero, while untimed records carry neither field; cmd/ranges prints
+# the 250.0 m decoding and 550.0 m carrier-sensing zones; and
+# cmd/topo draws the Figure 1 topology without error. Needs jq.
 campaign-smoke:
 	@set -e; tmp=$$(mktemp -d); trap 'rm -rf $$tmp' EXIT; \
 	$(GO) build -o $$tmp/campaign ./cmd/campaign; c=$$tmp/campaign; \
@@ -119,6 +121,10 @@ campaign-smoke:
 	  "-timing records missing timing fields"; \
 	none 'has("wall_ms") or has("peak_queue")' $$tmp/smoke.jsonl \
 	  "untimed records carrying timing fields"; \
+	$(GO) run ./cmd/ranges > $$tmp/ranges.txt; \
+	grep -q '^  decoding zone  *250\.0 m$$' $$tmp/ranges.txt && grep -q '^  carrier-sensing zone  *550\.0 m$$' $$tmp/ranges.txt || \
+	  { echo "campaign-smoke: cmd/ranges zone radii are not 250.0 m / 550.0 m:" >&2; cat $$tmp/ranges.txt >&2; exit 1; }; \
+	$(GO) run ./cmd/topo -fig 1 > /dev/null; \
 	echo "campaign-smoke: ok"
 
 # daemon-smoke is the second half of CI's campaign-smoke job: boot

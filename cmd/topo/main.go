@@ -16,6 +16,8 @@ import (
 	"repro/internal/geom"
 	"repro/internal/mac"
 	"repro/internal/packet"
+	"repro/internal/phys"
+	"repro/internal/power"
 	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/viz"
@@ -81,10 +83,9 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	par := nw.DataCh.Params()
 	fmt.Printf("\ndecode-range neighbours at the maximal power (%.1f mW, %.0f m):\n",
-		par.MaxTxPowerW*1e3, 250.0)
-	if err := viz.Connectivity(os.Stdout, ids, pos, par.MaxTxPowerW, par.RxThreshW, nw.DataCh.Model().ReceivedPower); err != nil {
+		power.MaxW*1e3, phys.NewTwoRayGround().RangeForTxPower(power.MaxW, phys.RxThreshW))
+	if err := viz.Connectivity(os.Stdout, ids, pos, power.MaxW, phys.RxThreshW, nw.DataCh.Model().ReceivedPower); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}

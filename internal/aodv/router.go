@@ -147,15 +147,6 @@ func (r *Router) BindLink(l LinkLayer) { r.link = l }
 // ID returns the router's node address.
 func (r *Router) ID() packet.NodeID { return r.id }
 
-// RouteTo exposes the live route to dst for tests and diagnostics.
-func (r *Router) RouteTo(dst packet.NodeID) (Route, bool) {
-	rt, ok := r.table.get(dst)
-	if !ok {
-		return Route{}, false
-	}
-	return *rt, true
-}
-
 // Send originates a data packet from this node: route it if a route
 // exists, otherwise buffer it and start a route discovery.
 func (r *Router) Send(np *packet.NetPacket) {

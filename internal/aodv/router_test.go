@@ -82,6 +82,15 @@ func data(src, dst packet.NodeID, seq uint32) *packet.NetPacket {
 	}
 }
 
+// routeTo returns a copy of r's live route to dst.
+func routeTo(r *Router, dst packet.NodeID) (Route, bool) {
+	rt, ok := r.table.get(dst)
+	if !ok {
+		return Route{}, false
+	}
+	return *rt, true
+}
+
 func TestDiscoveryAndDelivery(t *testing.T) {
 	// Chain 0-1-2.
 	fn := newFakeNet(3, [][2]packet.NodeID{{0, 1}, {1, 2}})
@@ -90,7 +99,7 @@ func TestDiscoveryAndDelivery(t *testing.T) {
 	if got := len(fn.delivered[2]); got != 1 {
 		t.Fatalf("delivered = %d, want 1 (stats: %+v)", got, fn.routers[0].Stats)
 	}
-	rt, ok := fn.routers[0].RouteTo(2)
+	rt, ok := routeTo(fn.routers[0], 2)
 	if !ok {
 		t.Fatal("no route installed at origin")
 	}
@@ -98,7 +107,7 @@ func TestDiscoveryAndDelivery(t *testing.T) {
 		t.Fatalf("route = %+v, want via 1, 2 hops", rt)
 	}
 	// Reverse route was learned too.
-	if _, ok := fn.routers[2].RouteTo(0); !ok {
+	if _, ok := routeTo(fn.routers[2], 0); !ok {
 		t.Fatal("destination has no reverse route to origin")
 	}
 	if fn.routers[0].Stats.DiscoveryStarted != 1 {
@@ -163,7 +172,7 @@ func TestLinkFailureTriggersRERR(t *testing.T) {
 	if fn.routers[1].Stats.LinkFailDrop != 1 {
 		t.Fatalf("LinkFailDrop = %d, want 1", fn.routers[1].Stats.LinkFailDrop)
 	}
-	if _, ok := fn.routers[0].RouteTo(2); ok {
+	if _, ok := routeTo(fn.routers[0], 2); ok {
 		t.Fatal("origin's route survived the RERR")
 	}
 	// The PCMAC route-change hook fired at the RERR receiver.
@@ -295,7 +304,7 @@ func TestIntermediateNodeReplies(t *testing.T) {
 		t.Fatalf("setup delivery failed (routing stats: %+v)", fn.routers[0].Stats)
 	}
 	// Node 1 learned a route to 3 while forwarding the RREP.
-	if _, ok := fn.routers[1].RouteTo(3); !ok {
+	if _, ok := routeTo(fn.routers[1], 3); !ok {
 		t.Fatal("relay has no cached route to the destination")
 	}
 	rreqRecvAt3 := fn.routers[3].Stats.RREQRecv
@@ -327,7 +336,7 @@ func TestRERRPropagatesUpstream(t *testing.T) {
 	fn.routers[0].Send(data(0, 3, 2))
 	fn.sched.Run(sim.Time(6 * sim.Second))
 	for _, id := range []packet.NodeID{0, 1, 2} {
-		if _, ok := fn.routers[id].RouteTo(3); ok {
+		if _, ok := routeTo(fn.routers[id], 3); ok {
 			t.Errorf("node %v still has a live route to 3 after the break", id)
 		}
 	}
@@ -341,7 +350,7 @@ func TestStaleRERRDoesNotKillFreshRoute(t *testing.T) {
 	fn := newFakeNet(3, [][2]packet.NodeID{{0, 1}, {1, 2}})
 	fn.routers[0].Send(data(0, 2, 1))
 	fn.sched.Run(sim.Time(2 * sim.Second))
-	rt, ok := fn.routers[0].RouteTo(2)
+	rt, ok := routeTo(fn.routers[0], 2)
 	if !ok {
 		t.Fatal("no route after discovery")
 	}
@@ -351,7 +360,7 @@ func TestStaleRERRDoesNotKillFreshRoute(t *testing.T) {
 	fn.routers[0].MACDeliver(&packet.NetPacket{
 		Proto: packet.ProtoAODV, Src: 1, Dst: 0, TTL: 32, Bytes: stale.Bytes(), Payload: stale,
 	}, 1)
-	if _, ok := fn.routers[0].RouteTo(2); !ok {
+	if _, ok := routeTo(fn.routers[0], 2); !ok {
 		t.Fatal("stale RERR killed a fresher route")
 	}
 }
@@ -362,7 +371,7 @@ func TestRERRFromWrongNextHopIgnored(t *testing.T) {
 	fn := newFakeNet(4, [][2]packet.NodeID{{0, 1}, {1, 2}, {0, 3}})
 	fn.routers[0].Send(data(0, 2, 1))
 	fn.sched.Run(sim.Time(2 * sim.Second))
-	rt, ok := fn.routers[0].RouteTo(2)
+	rt, ok := routeTo(fn.routers[0], 2)
 	if !ok || rt.NextHop != 1 {
 		t.Fatalf("route = %+v, %v", rt, ok)
 	}
@@ -370,7 +379,7 @@ func TestRERRFromWrongNextHopIgnored(t *testing.T) {
 	fn.routers[0].MACDeliver(&packet.NetPacket{
 		Proto: packet.ProtoAODV, Src: 3, Dst: 0, TTL: 32, Bytes: msg.Bytes(), Payload: msg,
 	}, 3)
-	if _, ok := fn.routers[0].RouteTo(2); !ok {
+	if _, ok := routeTo(fn.routers[0], 2); !ok {
 		t.Fatal("RERR from an unrelated neighbour killed the route")
 	}
 }
@@ -384,7 +393,7 @@ func TestBroadcastTxFailureIgnored(t *testing.T) {
 	if fn.routers[0].Stats.RERRSent != before {
 		t.Fatal("broadcast tx failure triggered a RERR")
 	}
-	if _, ok := fn.routers[0].RouteTo(1); !ok {
+	if _, ok := routeTo(fn.routers[0], 1); !ok {
 		t.Fatal("broadcast tx failure invalidated routes")
 	}
 }

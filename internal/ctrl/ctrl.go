@@ -29,15 +29,11 @@ const (
 	maxRetries = 2
 )
 
-var (
-	// txPowerW is the announcement power — always the maximal level.
-	txPowerW = power.DefaultLevels().Max()
-	// dataAirTime is the airtime of one fixed-length DATA frame;
-	// listeners use it to bound how long an announced reception can
-	// last (paper assumption 4: fixed 512-byte packets make the
-	// remaining reception time computable).
-	dataAirTime = mac.MaxDataAirTime()
-)
+// dataAirTime is the airtime of one fixed-length DATA frame; listeners
+// use it to bound how long an announced reception can last (paper
+// assumption 4: fixed 512-byte packets make the remaining reception time
+// computable).
+var dataAirTime = mac.MaxDataAirTime()
 
 // Stats counts control-channel events for one node.
 type Stats struct {
@@ -140,7 +136,7 @@ func (a *Agent) try(tolW float64, until sim.Time, retries int) {
 		panic(err)
 	}
 	a.Stats.Sent++
-	a.radio.Transmit(txPowerW, len(wire)*8, a.airTime(), wire)
+	a.radio.Transmit(power.MaxW, len(wire)*8, a.airTime(), wire)
 }
 
 // RadioRxBegin implements phys.Handler (nothing to do at lock time).
@@ -169,7 +165,7 @@ func (a *Agent) RadioRx(tx *phys.Transmission, rxPowerW float64, rxErr bool) {
 	if a.registry == nil {
 		return
 	}
-	gain := rxPowerW / txPowerW
+	gain := rxPowerW / power.MaxW
 	until := a.sched.Now().Add(dataAirTime)
 	a.registry.Note(f.Node, f.ToleranceW, gain, until)
 }

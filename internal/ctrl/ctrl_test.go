@@ -21,8 +21,7 @@ type ctrlNet struct {
 func newCtrlNet(t *testing.T, xs ...float64) *ctrlNet {
 	t.Helper()
 	n := &ctrlNet{sched: sim.NewScheduler()}
-	par := phys.DefaultParams()
-	n.ch = phys.NewChannel(n.sched, phys.NewTwoRayGround(par), par)
+	n.ch = phys.NewChannel(n.sched, phys.NewTwoRayGround())
 	for i, x := range xs {
 		reg := power.NewRegistry(n.sched.Now, 0.7)
 		a, err := NewAgent(500e3, packet.NodeID(i), n.sched, reg, rand.New(rand.NewSource(int64(i+1))))
@@ -69,8 +68,7 @@ func TestAnnouncementGainLearning(t *testing.T) {
 	n.agents[0].Announce(1e-10, sim.Time(5*sim.Millisecond))
 	n.sched.RunAll()
 	// Gain learned from the max-power broadcast must match the model.
-	par := phys.DefaultParams()
-	wantGain := n.ch.Model().ReceivedPower(par.MaxTxPowerW, 100) / par.MaxTxPowerW
+	wantGain := n.ch.Model().ReceivedPower(power.MaxW, 100) / power.MaxW
 	// Tolerance budget: p*gain <= 0.7*tol  =>  p <= 0.7*1e-10/gain.
 	limit := 0.7 * 1e-10 / wantGain
 	if ok, _ := n.regs[1].Check(limit * 0.99); !ok {

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/packet"
 	"repro/internal/phys"
+	"repro/internal/power"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -22,7 +23,7 @@ func (m *MAC) threeWay(np *packet.NetPacket) bool {
 // Broadcasts always use the maximum (all schemes, per the paper).
 func (m *MAC) initialPower(j *txJob) float64 {
 	if j.dst == packet.Broadcast {
-		return levels.Max()
+		return power.MaxW
 	}
 	return m.powerFor(packet.KindRTS, j.dst)
 }
@@ -33,22 +34,19 @@ func (m *MAC) initialPower(j *txJob) float64 {
 // or when the table has no fresh entry.
 func (m *MAC) powerFor(kind packet.FrameKind, dst packet.NodeID) float64 {
 	if !m.scheme.controlled(kind) {
-		return levels.Max()
+		return power.MaxW
 	}
-	need, ok := m.history.NeededPower(dst, m.rxThresh())
+	need, ok := m.history.NeededPower(dst, phys.RxThreshW)
 	if !ok {
-		return levels.Max()
+		return power.MaxW
 	}
-	return levels.Quantize(need * PowerMargin)
+	return power.Quantize(need * PowerMargin)
 }
-
-func (m *MAC) phyParams() phys.Params { return m.radio.Channel().Params() }
-func (m *MAC) rxThresh() float64      { return m.phyParams().RxThreshW }
 
 // localNoise is the noise-plus-interference currently observed at this
 // terminal's antenna (the paper's N_A / N_B).
 func (m *MAC) localNoise() float64 {
-	return m.phyParams().NoiseFloorW + m.radio.Interference()
+	return phys.NoiseFloorW + m.radio.Interference()
 }
 
 // checkTolerance runs PCMAC's collision computation: would transmitting
@@ -152,12 +150,12 @@ func (m *MAC) sendBroadcast(j *txJob) {
 		Kind:     packet.KindData,
 		Src:      m.id,
 		Dst:      packet.Broadcast,
-		TxPowerW: levels.Max(),
+		TxPowerW: power.MaxW,
 		Extended: m.extended(),
 		Payload:  j.np,
 	}
 	m.Stats.TxBroadcast++
-	m.transmit(f, levels.Max())
+	m.transmit(f, power.MaxW)
 }
 
 // sendRTS opens a unicast exchange.
@@ -210,7 +208,7 @@ func (m *MAC) onCTS(f *packet.Frame, rxPowerW float64) {
 	// DATA power: the receiver's explicit requirement under PCMAC,
 	// otherwise the scheme's choice.
 	if m.scheme == PCMAC && f.WantDataPowerW > 0 {
-		m.dataPowerW = levels.Quantize(f.WantDataPowerW)
+		m.dataPowerW = power.Quantize(f.WantDataPowerW)
 	} else {
 		m.dataPowerW = m.powerFor(packet.KindData, j.dst)
 	}
@@ -272,7 +270,7 @@ func (m *MAC) onWaitTimeout() {
 		// Paper Step 2: on CTS timeout, raise the power one class (until
 		// maximal) and try again.
 		if m.scheme.usesPowerControl() && m.cur != nil {
-			if next, ok := levels.StepUp(m.cur.powerW); ok {
+			if next, ok := power.StepUp(m.cur.powerW); ok {
 				m.cur.powerW = next
 			}
 		}
@@ -366,9 +364,8 @@ func (m *MAC) onRTS(f *packet.Frame, rxPowerW float64) {
 // noise; the required DATA power is the mirror-image computation with
 // the local noise.
 func (m *MAC) ctsPower(f *packet.Frame, rxPowerW float64) (ctsW, wantDataW float64) {
-	par := m.phyParams()
 	if !m.scheme.controlled(packet.KindCTS) || f.TxPowerW <= 0 {
-		ctsW = levels.Max()
+		ctsW = power.MaxW
 	}
 	gain := 0.0
 	if f.TxPowerW > 0 {
@@ -377,18 +374,18 @@ func (m *MAC) ctsPower(f *packet.Frame, rxPowerW float64) (ctsW, wantDataW float
 	if ctsW == 0 {
 		// Power-controlled CTS.
 		if gain <= 0 {
-			ctsW = levels.Max()
+			ctsW = power.MaxW
 		} else {
-			needAtSender := par.RxThreshW
+			needAtSender := phys.RxThreshW
 			if m.scheme == PCMAC {
-				needAtSender = math.Max(needAtSender, par.CaptureRatio*f.SenderNoiseW)
+				needAtSender = math.Max(needAtSender, phys.CaptureRatio*f.SenderNoiseW)
 			}
-			ctsW = levels.Quantize(needAtSender / gain * PowerMargin)
+			ctsW = power.Quantize(needAtSender / gain * PowerMargin)
 		}
 	}
 	if m.scheme == PCMAC && gain > 0 {
-		needHere := math.Max(par.RxThreshW, par.CaptureRatio*m.localNoise())
-		wantDataW = levels.Quantize(needHere / gain * PowerMargin)
+		needHere := math.Max(phys.RxThreshW, phys.CaptureRatio*m.localNoise())
+		wantDataW = power.Quantize(needHere / gain * PowerMargin)
 	}
 	return ctsW, wantDataW
 }
@@ -485,9 +482,8 @@ func (m *MAC) RadioRxBegin(tx *phys.Transmission, rxPowerW float64) {
 	if f.Payload == nil || f.Payload.Proto != packet.ProtoUDP {
 		return
 	}
-	par := m.phyParams()
 	// Interference() excludes the locked frame itself.
-	tol := rxPowerW/par.CaptureRatio - (par.NoiseFloorW + m.radio.Interference())
+	tol := rxPowerW/phys.CaptureRatio - (phys.NoiseFloorW + m.radio.Interference())
 	if tol < 0 {
 		tol = 0
 	}

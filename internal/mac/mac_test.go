@@ -69,8 +69,7 @@ type net struct {
 func newNet(t *testing.T, scheme Scheme, xs ...float64) *net {
 	t.Helper()
 	n := &net{sched: sim.NewScheduler(), sniff: &sniffer{}}
-	par := phys.DefaultParams()
-	n.ch = phys.NewChannel(n.sched, phys.NewTwoRayGround(par), par)
+	n.ch = phys.NewChannel(n.sched, phys.NewTwoRayGround())
 	for i, x := range xs {
 		up := &testUpper{}
 		opts := Options{
@@ -596,8 +595,7 @@ func TestPowerSchemeRequiresHistory(t *testing.T) {
 
 func TestDisableThreeWayAblation(t *testing.T) {
 	n := &net{sched: sim.NewScheduler(), sniff: &sniffer{}}
-	par := phys.DefaultParams()
-	n.ch = phys.NewChannel(n.sched, phys.NewTwoRayGround(par), par)
+	n.ch = phys.NewChannel(n.sched, phys.NewTwoRayGround())
 	for i, x := range []float64{0, 100} {
 		up := &testUpper{}
 		m := New(PCMAC, packet.NodeID(i), n.sched, up, Options{
@@ -658,8 +656,7 @@ func TestRTSThresholdBasicAccess(t *testing.T) {
 	// With the threshold above the frame size, a small routing packet
 	// goes DATA-ACK with no RTS/CTS.
 	n := &net{sched: sim.NewScheduler(), sniff: &sniffer{}}
-	par := phys.DefaultParams()
-	n.ch = phys.NewChannel(n.sched, phys.NewTwoRayGround(par), par)
+	n.ch = phys.NewChannel(n.sched, phys.NewTwoRayGround())
 	for i, x := range []float64{0, 100} {
 		up := &testUpper{}
 		m := New(Basic, packet.NodeID(i), n.sched, up, Options{
@@ -697,8 +694,7 @@ func TestRTSThresholdRetryOnAckLoss(t *testing.T) {
 	// Basic access to a nonexistent node retries DATA up to the long
 	// retry limit, then fails.
 	n := &net{sched: sim.NewScheduler(), sniff: &sniffer{}}
-	par := phys.DefaultParams()
-	n.ch = phys.NewChannel(n.sched, phys.NewTwoRayGround(par), par)
+	n.ch = phys.NewChannel(n.sched, phys.NewTwoRayGround())
 	up := &testUpper{}
 	m := New(Basic, 0, n.sched, up, Options{Rand: rand.New(rand.NewSource(1)), RTSThresholdBytes: 256})
 	p := geom.Point{}
@@ -717,8 +713,7 @@ func TestThreeWayIgnoresRTSThreshold(t *testing.T) {
 	// PCMAC data must keep RTS/CTS even below the threshold — the CTS
 	// carries the implicit acknowledgment.
 	n := &net{sched: sim.NewScheduler(), sniff: &sniffer{}}
-	par := phys.DefaultParams()
-	n.ch = phys.NewChannel(n.sched, phys.NewTwoRayGround(par), par)
+	n.ch = phys.NewChannel(n.sched, phys.NewTwoRayGround())
 	for i, x := range []float64{0, 100} {
 		up := &testUpper{}
 		m := New(PCMAC, packet.NodeID(i), n.sched, up, Options{

@@ -8,7 +8,6 @@ package mac
 
 import (
 	"repro/internal/packet"
-	"repro/internal/power"
 	"repro/internal/sim"
 )
 
@@ -40,9 +39,6 @@ const (
 	// quantization to a level, covering estimation error and fading.
 	PowerMargin = 2.0
 )
-
-// levels is the paper's ten-level power dial, shared by every MAC.
-var levels = power.DefaultLevels()
 
 // AirTime returns PLCP preamble plus payload serialization time for a
 // frame of the given size at the given rate.

@@ -10,7 +10,7 @@ import (
 func arrivalsRig(t *testing.T) (*Radio, []*Transmission) {
 	t.Helper()
 	sched := sim.NewScheduler()
-	ch := NewChannel(sched, NewTwoRayGround(DefaultParams()), DefaultParams())
+	ch := NewChannel(sched, NewTwoRayGround())
 	var txs []*Transmission
 	for i := 0; i < 4; i++ {
 		p := geom.Point{X: float64(100 * (i + 1))}
@@ -36,8 +36,8 @@ func TestArrivalSumsFixedOrder(t *testing.T) {
 		rx.beginArrival(tx, p[i])
 	}
 	// First arrival locks (strongest, clean channel); rest interfere.
-	if !rx.Receiving() || rx.CurrentRxPower() != p[0] {
-		t.Fatalf("locked power = %g, want %g", rx.CurrentRxPower(), p[0])
+	if !receiving(rx) || lockedPowerW(rx) != p[0] {
+		t.Fatalf("locked power = %g, want %g", lockedPowerW(rx), p[0])
 	}
 	wantTotal := p[0] + p[1] + p[2] + p[3] // incremental, arrival order
 	if got := rx.TotalPower(); got != wantTotal {
@@ -54,7 +54,7 @@ func TestArrivalSumsFixedOrder(t *testing.T) {
 	if got := rx.TotalPower(); got != wantTotal {
 		t.Errorf("after end: TotalPower = %g, want %g", got, wantTotal)
 	}
-	if rx.CurrentRxPower() != p[0] {
+	if lockedPowerW(rx) != p[0] {
 		t.Errorf("lock lost after unrelated endArrival")
 	}
 
@@ -66,7 +66,7 @@ func TestArrivalSumsFixedOrder(t *testing.T) {
 	if got := rx.TotalPower(); got != 0 {
 		t.Errorf("idle TotalPower = %g, want exactly 0", got)
 	}
-	if rx.Receiving() {
+	if receiving(rx) {
 		t.Error("still receiving after all arrivals ended")
 	}
 }
@@ -78,15 +78,15 @@ func TestArrivalLockIndexShift(t *testing.T) {
 	// Weak first arrival (interference only), then a strong lockable one.
 	rx.beginArrival(txs[0], 5e-11)
 	rx.beginArrival(txs[1], 3e-7)
-	if rx.CurrentRxPower() != 3e-7 {
-		t.Fatalf("locked power = %g, want 3e-7", rx.CurrentRxPower())
+	if lockedPowerW(rx) != 3e-7 {
+		t.Fatalf("locked power = %g, want 3e-7", lockedPowerW(rx))
 	}
 	rx.endArrival(txs[0]) // shifts the locked arrival to index 0
-	if rx.CurrentRxPower() != 3e-7 {
+	if lockedPowerW(rx) != 3e-7 {
 		t.Fatalf("lock lost when earlier arrival ended")
 	}
 	rx.endArrival(txs[1])
-	if rx.Receiving() || rx.TotalPower() != 0 {
+	if receiving(rx) || rx.TotalPower() != 0 {
 		t.Fatalf("radio not idle after drain")
 	}
 }

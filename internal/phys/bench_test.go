@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/geom"
+	"repro/internal/power"
 	"repro/internal/sim"
 )
 
@@ -60,7 +61,7 @@ func BenchmarkChannelTransmit(b *testing.B) {
 		for _, v := range variants {
 			b.Run(fmt.Sprintf("radios=%d/%s", n, v.name), func(b *testing.B) {
 				sched := sim.NewScheduler()
-				ch := NewChannel(sched, NewTwoRayGround(DefaultParams()), DefaultParams())
+				ch := NewChannel(sched, NewTwoRayGround())
 				radios := benchGrid(sched, ch, n)
 				v.setup(ch)
 				tx := radios[0]
@@ -83,7 +84,7 @@ func BenchmarkChannelTransmit(b *testing.B) {
 	for _, v := range variants {
 		b.Run(fmt.Sprintf("radios=1000/%s-data", v.name), func(b *testing.B) {
 			sched := sim.NewScheduler()
-			ch := NewChannel(sched, NewTwoRayGround(DefaultParams()), DefaultParams())
+			ch := NewChannel(sched, NewTwoRayGround())
 			radios := benchGrid(sched, ch, 1000)
 			v.setup(ch)
 			tx := radios[0]
@@ -106,9 +107,9 @@ func BenchmarkChannelTransmit(b *testing.B) {
 // slice scan.
 func BenchmarkLinkRowLookup(b *testing.B) {
 	sched := sim.NewScheduler()
-	ch := NewChannel(sched, NewTwoRayGround(DefaultParams()), DefaultParams())
+	ch := NewChannel(sched, NewTwoRayGround())
 	r := ch.AttachRadio(0, func() geom.Point { return geom.Point{} }, benchHandler{})
-	levels := []float64{1e-3, 2e-3, 3.45e-3, 5.95e-3, 10.26e-3, 17.7e-3, 30.53e-3, 52.65e-3, 90.8e-3, 281.8e-3}
+	levels := power.Table()
 	for _, p := range levels {
 		r.rowFor(p)
 	}
@@ -126,7 +127,7 @@ func BenchmarkLinkRowLookup(b *testing.B) {
 // interference-tracking inner loop.
 func BenchmarkRadioArrivals(b *testing.B) {
 	sched := sim.NewScheduler()
-	ch := NewChannel(sched, NewTwoRayGround(DefaultParams()), DefaultParams())
+	ch := NewChannel(sched, NewTwoRayGround())
 	radios := benchGrid(sched, ch, 9)
 	rx := radios[4] // grid centre hears everyone
 	txs := make([]*Transmission, 0, 8)

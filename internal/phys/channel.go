@@ -81,7 +81,6 @@ type linkRow struct {
 type Channel struct {
 	sched *sim.Scheduler
 	model Propagation
-	par   Params
 
 	radios []*Radio
 	seq    uint64
@@ -105,25 +104,15 @@ type Channel struct {
 	// pinned; spans is the reusable buffer transmit hands the scheduler.
 	scratch linkRow
 	spans   []sim.Span
-
-	// deliverFloorW prunes deliveries below the carrier-sense
-	// threshold. This matches the ns-2 PHY the paper used: frames too
-	// weak to sense are dropped at the interface and contribute
-	// neither carrier nor interference. (A physically stricter model
-	// would integrate them into the noise floor; ns-2's evaluation —
-	// and therefore the paper's — does not.)
-	deliverFloorW float64
 }
 
-// NewChannel creates an empty channel using the given propagation model
-// and constants.
-func NewChannel(sched *sim.Scheduler, model Propagation, par Params) *Channel {
+// NewChannel creates an empty channel using the given propagation model.
+// Deliveries below the carrier-sense threshold CsThreshW are pruned.
+func NewChannel(sched *sim.Scheduler, model Propagation) *Channel {
 	c := &Channel{
-		sched:         sched,
-		model:         model,
-		par:           par,
-		deliverFloorW: par.CsThreshW,
-		maxSpeed:      -1, // unknown until SetMaxSpeed promises a bound
+		sched:    sched,
+		model:    model,
+		maxSpeed: -1, // unknown until SetMaxSpeed promises a bound
 	}
 	if sh, ok := model.(*Shadowing); ok {
 		c.fade = sh
@@ -131,14 +120,8 @@ func NewChannel(sched *sim.Scheduler, model Propagation, par Params) *Channel {
 	return c
 }
 
-// Params returns the channel's physical constants.
-func (c *Channel) Params() Params { return c.par }
-
 // Model returns the channel's propagation model.
 func (c *Channel) Model() Propagation { return c.model }
-
-// Scheduler returns the event scheduler the channel runs on.
-func (c *Channel) Scheduler() *sim.Scheduler { return c.sched }
 
 // AttachRadio creates a radio on this channel at the position reported
 // by pos (sampled lazily, so mobile nodes just pass their position
@@ -180,7 +163,7 @@ func (c *Channel) buildRow(row *linkRow, r *Radio, powerW float64) {
 	row.cutoff2 = 0
 	cutoff := 0.0
 	if rg, ok := c.model.(Ranger); ok && c.fade == nil {
-		cutoff = rg.RangeForTxPower(powerW, c.deliverFloorW) * (1 + 1e-9)
+		cutoff = rg.RangeForTxPower(powerW, CsThreshW) * (1 + 1e-9)
 		row.cutoff2 = cutoff * cutoff
 	}
 	for o := range c.candidates(src, cutoff) {
@@ -195,7 +178,7 @@ func (c *Channel) buildRow(row *linkRow, r *Radio, powerW float64) {
 		var pr float64
 		if c.fade != nil {
 			pr = c.fade.MeanReceivedPower(powerW, dist)
-		} else if pr = c.model.ReceivedPower(powerW, dist); pr < c.deliverFloorW {
+		} else if pr = c.model.ReceivedPower(powerW, dist); pr < CsThreshW {
 			continue
 		}
 		row.entries = append(row.entries, linkEntry{
@@ -243,7 +226,7 @@ func (c *Channel) transmit(r *Radio, powerW float64, bits int, dur sim.Duration,
 		en := &row.entries[i]
 		pr := en.prW
 		if c.fade != nil {
-			if pr *= c.fade.Fade(); pr < c.deliverFloorW {
+			if pr *= c.fade.Fade(); pr < CsThreshW {
 				continue
 			}
 		}

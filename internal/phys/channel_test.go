@@ -10,17 +10,10 @@ import (
 
 func TestChannelAccessors(t *testing.T) {
 	sched := sim.NewScheduler()
-	par := DefaultParams()
-	model := NewTwoRayGround(par)
-	ch := NewChannel(sched, model, par)
-	if ch.Params() != par {
-		t.Error("Params mismatch")
-	}
+	model := NewTwoRayGround()
+	ch := NewChannel(sched, model)
 	if ch.Model() != model {
 		t.Error("Model mismatch")
-	}
-	if ch.Scheduler() != sched {
-		t.Error("Scheduler mismatch")
 	}
 	if len(ch.Radios()) != 0 {
 		t.Error("fresh channel has radios")
@@ -61,7 +54,7 @@ func TestTransmissionMethods(t *testing.T) {
 func TestRadioStateQueries(t *testing.T) {
 	f := newFixture(t, 0, 100)
 	r := f.rad[0]
-	if r.Transmitting() || r.Receiving() || r.CarrierBusy() {
+	if r.Transmitting() || receiving(r) || r.CarrierBusy() {
 		t.Fatal("fresh radio not idle")
 	}
 	r.Transmit(0.2818, testBits, sim.Millisecond, nil)
@@ -70,15 +63,15 @@ func TestRadioStateQueries(t *testing.T) {
 	}
 	// The receiver is mid-lock halfway through.
 	f.sched.Schedule(500*sim.Microsecond, func() {
-		if !f.rad[1].Receiving() {
+		if !receiving(f.rad[1]) {
 			t.Error("receiver not locked mid-frame")
 		}
-		if f.rad[1].CurrentRxPower() <= 0 {
-			t.Error("CurrentRxPower zero while locked")
+		if lockedPowerW(f.rad[1]) <= 0 {
+			t.Error("locked power zero while locked")
 		}
 	})
 	f.sched.RunAll()
-	if r.Transmitting() || f.rad[1].Receiving() {
+	if r.Transmitting() || receiving(f.rad[1]) {
 		t.Fatal("radios busy after the run drained")
 	}
 }
@@ -87,8 +80,7 @@ func TestMobilePositionsSampledPerTransmission(t *testing.T) {
 	// A radio whose position function changes between transmissions
 	// must radiate from the new place.
 	sched := sim.NewScheduler()
-	par := DefaultParams()
-	ch := NewChannel(sched, NewTwoRayGround(par), par)
+	ch := NewChannel(sched, NewTwoRayGround())
 	pos := geom.Point{X: 0}
 	rec := &recorder{}
 	moving := ch.AttachRadio(0, func() geom.Point { return pos }, &recorder{})

@@ -48,8 +48,7 @@ func TestRadioMetersLockOutcome(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			sched := sim.NewScheduler()
-			par := phys.DefaultParams()
-			ch := phys.NewChannel(sched, phys.NewTwoRayGround(par), par)
+			ch := phys.NewChannel(sched, phys.NewTwoRayGround())
 			at := func(x float64) func() geom.Point { return func() geom.Point { return geom.Point{X: x} } }
 			src := ch.AttachRadio(0, at(0), nopHandler{})
 			dst := ch.AttachRadio(1, at(c.dist), nopHandler{})

@@ -8,13 +8,9 @@ import (
 	"testing"
 
 	"repro/internal/geom"
+	"repro/internal/power"
 	"repro/internal/sim"
 )
-
-// dialLevels is the paper's ten transmit power levels in watts, the
-// discrete set link rows are keyed by.
-var dialLevels = []float64{1e-3, 2e-3, 3.45e-3, 5.95e-3, 10.26e-3,
-	17.7e-3, 30.53e-3, 52.65e-3, 90.8e-3, 281.8e-3}
 
 // TestGridCandidatesProperty is the spatial-index soundness property:
 // for random placements and every power level, (a) the grid's candidate
@@ -27,10 +23,9 @@ func TestGridCandidatesProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 40; trial++ {
 		sched := sim.NewScheduler()
-		par := DefaultParams()
-		ch := NewChannel(sched, NewTwoRayGround(par), par)
+		ch := NewChannel(sched, NewTwoRayGround())
 		ch.SetMaxSpeed(0) // pinned radios: the grid serves every build
-		ref := NewChannel(sched, NewTwoRayGround(par), par)
+		ref := NewChannel(sched, NewTwoRayGround())
 		UseReferenceWalk(ref)
 		n := 5 + rng.Intn(80)
 		for i := 0; i < n; i++ {
@@ -39,8 +34,8 @@ func TestGridCandidatesProperty(t *testing.T) {
 			ref.AttachRadio(i, func() geom.Point { return p }, benchHandler{})
 		}
 		src := ch.radios[rng.Intn(n)]
-		for _, powerW := range dialLevels {
-			cutoff := ch.model.(Ranger).RangeForTxPower(powerW, ch.deliverFloorW) * (1 + 1e-9)
+		for _, powerW := range power.Table() {
+			cutoff := ch.model.(Ranger).RangeForTxPower(powerW, CsThreshW) * (1 + 1e-9)
 
 			// (a) superset of the cutoff disk.
 			inCand := make(map[int]bool)
@@ -118,8 +113,7 @@ func TestEqualDelaysArriveInAttachOrder(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			sched := sim.NewScheduler()
-			par := DefaultParams()
-			ch := NewChannel(sched, NewTwoRayGround(par), par)
+			ch := NewChannel(sched, NewTwoRayGround())
 			ch.SetMaxSpeed(tc.speed)
 			var log []int
 			src := ch.AttachRadio(0, func() geom.Point { return geom.Point{} }, orderHandler{0, &log})
@@ -168,8 +162,7 @@ func (h recHandler) RadioTxDone(*Transmission) {}
 func buildRecorded(t *testing.T, setup func(ch *Channel)) []string {
 	t.Helper()
 	sched := sim.NewScheduler()
-	par := DefaultParams()
-	ch := NewChannel(sched, NewTwoRayGround(par), par)
+	ch := NewChannel(sched, NewTwoRayGround())
 	var log []string
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 30; i++ {
@@ -238,12 +231,11 @@ func (h *rxCountHandler) RadioTxDone(*Transmission)            {}
 // outside the cutoff disk, so only the inflation can reach it.
 func TestGridSkinCoversBoundedMotion(t *testing.T) {
 	sched := sim.NewScheduler()
-	par := DefaultParams()
-	ch := NewChannel(sched, NewTwoRayGround(par), par)
+	ch := NewChannel(sched, NewTwoRayGround())
 	const speed = 10.0
 	ch.SetMaxSpeed(speed)
 
-	cutoff := ch.model.(Ranger).RangeForTxPower(0.2818, ch.deliverFloorW)
+	cutoff := ch.model.(Ranger).RangeForTxPower(0.2818, CsThreshW)
 	a := ch.AttachRadio(0, func() geom.Point { return geom.Point{} }, &rxCountHandler{})
 	// Just inside the corner of cell (2, 1), whose nearest point lies
 	// sqrt(5)/2 cutoffs from a: out of range, and out of the plain disk.
@@ -293,8 +285,7 @@ func TestGridSkinCoversBoundedMotion(t *testing.T) {
 // deliveries follow the new geometry.
 func TestGridRebuildPastSkin(t *testing.T) {
 	sched := sim.NewScheduler()
-	par := DefaultParams()
-	ch := NewChannel(sched, NewTwoRayGround(par), par)
+	ch := NewChannel(sched, NewTwoRayGround())
 	ch.SetMaxSpeed(50)
 
 	a := ch.AttachRadio(0, func() geom.Point { return geom.Point{} }, &countingHandler{})
@@ -348,8 +339,7 @@ func TestGridRebuildPastSkin(t *testing.T) {
 // across the rebuild.
 func TestGridCellGrowth(t *testing.T) {
 	sched := sim.NewScheduler()
-	par := DefaultParams()
-	ch := NewChannel(sched, NewTwoRayGround(par), par)
+	ch := NewChannel(sched, NewTwoRayGround())
 	ch.SetMaxSpeed(0)
 
 	a := ch.AttachRadio(0, func() geom.Point { return geom.Point{} }, &countingHandler{})
@@ -381,8 +371,7 @@ func TestGridCellGrowth(t *testing.T) {
 // each level keeps its own row.
 func TestRowForSortedInsert(t *testing.T) {
 	sched := sim.NewScheduler()
-	par := DefaultParams()
-	ch := NewChannel(sched, NewTwoRayGround(par), par)
+	ch := NewChannel(sched, NewTwoRayGround())
 	r := ch.AttachRadio(0, func() geom.Point { return geom.Point{} }, benchHandler{})
 
 	order := []float64{30.53e-3, 1e-3, 281.8e-3, 3.45e-3, 90.8e-3}

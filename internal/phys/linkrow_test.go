@@ -21,8 +21,7 @@ func (h *countingHandler) RadioTxDone(*Transmission)            {}
 // channel) must still hear subsequent frames.
 func TestLinkRowInvalidatedByAttach(t *testing.T) {
 	sched := sim.NewScheduler()
-	par := DefaultParams()
-	ch := NewChannel(sched, NewTwoRayGround(par), par)
+	ch := NewChannel(sched, NewTwoRayGround())
 	ch.SetMaxSpeed(0) // static world
 
 	a := ch.AttachRadio(0, func() geom.Point { return geom.Point{} }, &countingHandler{})
@@ -65,8 +64,7 @@ func TestLinkRowEpochInvalidation(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			sched := sim.NewScheduler()
-			par := DefaultParams()
-			ch := NewChannel(sched, NewTwoRayGround(par), par)
+			ch := NewChannel(sched, NewTwoRayGround())
 			ch.SetMaxSpeed(tc.maxSpeed)
 
 			pos := geom.Point{X: 100} // in decode range of the max power level

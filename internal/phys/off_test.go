@@ -52,11 +52,11 @@ func TestRadioOffMidReception(t *testing.T) {
 	f.rad[0].Transmit(0.2818, testBits, 2*sim.Millisecond, "doomed")
 	// Let the leading edge arrive and lock, then kill the receiver.
 	f.sched.Run(sim.Time(sim.Millisecond))
-	if !f.rad[1].Receiving() {
+	if !receiving(f.rad[1]) {
 		t.Fatal("receiver did not lock")
 	}
 	f.rad[1].SetOff(true)
-	if f.rad[1].Receiving() {
+	if receiving(f.rad[1]) {
 		t.Fatal("off radio still locked")
 	}
 	f.sched.RunAll()

@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/power"
 )
 
 func relClose(got, want, tol float64) bool {
@@ -16,10 +18,9 @@ func relClose(got, want, tol float64) bool {
 func TestZoneRadii(t *testing.T) {
 	// Paper Section II / Figure 3: with the normal (maximal) power the
 	// decoding range is 250 m and the carrier-sensing range is 550 m.
-	par := DefaultParams()
-	m := NewTwoRayGround(par)
-	decode := m.RangeForTxPower(par.MaxTxPowerW, par.RxThreshW)
-	sense := m.RangeForTxPower(par.MaxTxPowerW, par.CsThreshW)
+	m := NewTwoRayGround()
+	decode := m.RangeForTxPower(power.MaxW, RxThreshW)
+	sense := m.RangeForTxPower(power.MaxW, CsThreshW)
 	if !relClose(decode, 250, 0.01) {
 		t.Errorf("decode range = %.2f m, want 250 m", decode)
 	}
@@ -32,8 +33,7 @@ func TestPaperPowerLevelTable(t *testing.T) {
 	// Paper Section IV: ten power levels and their decode ranges. The
 	// paper rounds ("roughly correspond"), so allow 8% — the published
 	// pairs all regenerate to within that from the two-ray model.
-	par := DefaultParams()
-	m := NewTwoRayGround(par)
+	m := NewTwoRayGround()
 	table := []struct {
 		mW     float64
 		rangeM float64
@@ -46,7 +46,7 @@ func TestPaperPowerLevelTable(t *testing.T) {
 		{36.6, 150, 0.08}, {75.8, 180, 0.08}, {281.8, 250, 0.08},
 	}
 	for _, row := range table {
-		reach := m.RangeForTxPower(row.mW/1e3, par.RxThreshW)
+		reach := m.RangeForTxPower(row.mW/1e3, RxThreshW)
 		if !relClose(reach, row.rangeM, row.tol) {
 			t.Errorf("range at %.2f mW = %.1f m, paper says %.0f m", row.mW, reach, row.rangeM)
 		}
@@ -54,25 +54,30 @@ func TestPaperPowerLevelTable(t *testing.T) {
 }
 
 func TestCrossoverContinuity(t *testing.T) {
-	par := DefaultParams()
-	m := NewTwoRayGround(par)
-	d := m.Crossover()
+	m := NewTwoRayGround()
+	d := float64(CrossoverDistM)
 	if !relClose(d, 86.14, 0.01) {
 		t.Errorf("crossover = %.2f m, want ~86.14 m", d)
 	}
-	below := m.ReceivedPower(par.MaxTxPowerW, d*0.999999)
-	above := m.ReceivedPower(par.MaxTxPowerW, d*1.000001)
+	below := m.ReceivedPower(power.MaxW, d*0.999999)
+	above := m.ReceivedPower(power.MaxW, d*1.000001)
 	if !relClose(below, above, 0.01) {
 		t.Errorf("discontinuity at crossover: %.3e vs %.3e", below, above)
 	}
 }
 
+// TestFreeSpaceInverseSquare checks the two-ray model's Friis regime,
+// below the crossover distance: Pt*lambda^2/(4*pi*d)^2, falling with
+// the square of distance.
 func TestFreeSpaceInverseSquare(t *testing.T) {
-	m := NewFreeSpace(DefaultParams())
+	m := NewTwoRayGround()
 	p1 := m.ReceivedPower(0.1, 10)
 	p2 := m.ReceivedPower(0.1, 20)
 	if !relClose(p1/p2, 4, 1e-9) {
 		t.Errorf("free space ratio over 2x distance = %v, want 4", p1/p2)
+	}
+	if want := 0.1 * Wavelength * Wavelength / math.Pow(4*math.Pi*10, 2); !relClose(p1, want, 1e-12) {
+		t.Errorf("free space power at 10 m = %v, want %v", p1, want)
 	}
 	if got := m.ReceivedPower(0.1, 0); got != 0.1 {
 		t.Errorf("zero-distance power = %v, want tx power", got)
@@ -80,7 +85,7 @@ func TestFreeSpaceInverseSquare(t *testing.T) {
 }
 
 func TestTwoRayInverseFourth(t *testing.T) {
-	m := NewTwoRayGround(DefaultParams())
+	m := NewTwoRayGround()
 	p1 := m.ReceivedPower(0.2818, 200)
 	p2 := m.ReceivedPower(0.2818, 400)
 	if !relClose(p1/p2, 16, 1e-9) {
@@ -89,7 +94,7 @@ func TestTwoRayInverseFourth(t *testing.T) {
 }
 
 func TestPropertyMonotoneInDistance(t *testing.T) {
-	m := NewTwoRayGround(DefaultParams())
+	m := NewTwoRayGround()
 	f := func(a, b float64) bool {
 		d1 := 1 + math.Abs(math.Mod(a, 2000))
 		d2 := 1 + math.Abs(math.Mod(b, 2000))
@@ -104,7 +109,7 @@ func TestPropertyMonotoneInDistance(t *testing.T) {
 }
 
 func TestPropertyLinearInPower(t *testing.T) {
-	m := NewTwoRayGround(DefaultParams())
+	m := NewTwoRayGround()
 	f := func(p, d float64) bool {
 		pw := 1e-3 + math.Abs(math.Mod(p, 1.0))
 		dist := 1 + math.Abs(math.Mod(d, 2000))
@@ -116,14 +121,13 @@ func TestPropertyLinearInPower(t *testing.T) {
 }
 
 func TestPropertyRangePowerRoundTrip(t *testing.T) {
-	par := DefaultParams()
-	m := NewTwoRayGround(par)
+	m := NewTwoRayGround()
 	f := func(raw float64) bool {
 		// RangeForTxPower inverts ReceivedPower: at the returned range
 		// the received power is exactly the threshold.
 		p := 1e-3 + math.Abs(math.Mod(raw, 0.3))
-		r := m.RangeForTxPower(p, par.RxThreshW)
-		return relClose(m.ReceivedPower(p, r), par.RxThreshW, 1e-6)
+		r := m.RangeForTxPower(p, RxThreshW)
+		return relClose(m.ReceivedPower(p, r), RxThreshW, 1e-6)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -131,8 +135,7 @@ func TestPropertyRangePowerRoundTrip(t *testing.T) {
 }
 
 func TestWavelength(t *testing.T) {
-	par := DefaultParams()
-	if !relClose(par.Wavelength(), 0.328, 0.01) {
-		t.Errorf("wavelength = %v, want ~0.328 m", par.Wavelength())
+	if !relClose(Wavelength, 0.328, 0.01) {
+		t.Errorf("wavelength = %v, want ~0.328 m", Wavelength)
 	}
 }

@@ -149,18 +149,6 @@ func (r *Radio) Channel() *Channel { return r.ch }
 // Transmitting reports whether the radio is currently emitting.
 func (r *Radio) Transmitting() bool { return r.txUntil > r.ch.sched.Now() }
 
-// Receiving reports whether the radio is locked onto a frame.
-func (r *Radio) Receiving() bool { return r.current >= 0 }
-
-// CurrentRxPower returns the locked frame's received power, or 0 when
-// the radio is not receiving.
-func (r *Radio) CurrentRxPower() float64 {
-	if r.current < 0 {
-		return 0
-	}
-	return r.arrivals[r.current].powerW
-}
-
 // Interference returns the summed power of all non-locked arrivals. The
 // value is derived from the maintained total, so it is independent of
 // arrival storage order and identical across runs.
@@ -178,7 +166,7 @@ func (r *Radio) TotalPower() float64 { return r.totalW }
 // in-band power at or above the carrier-sense threshold. A powered-down
 // radio senses nothing.
 func (r *Radio) CarrierBusy() bool {
-	return !r.off && (r.Transmitting() || r.TotalPower() >= r.ch.par.CsThreshW)
+	return !r.off && (r.Transmitting() || r.TotalPower() >= CsThreshW)
 }
 
 // SetAccountant makes the radio report its state edges to acct (nil
@@ -290,10 +278,9 @@ func (r *Radio) beginArrival(tx *Transmission, powerW float64) {
 	others := r.Interference()
 	r.arrivals = append(r.arrivals, arrival{tx: tx, powerW: powerW})
 	r.totalW += powerW
-	par := r.ch.par
 	canLock := !r.off && !r.Transmitting() && r.current < 0 &&
-		powerW >= par.RxThreshW &&
-		powerW >= par.CaptureRatio*(par.NoiseFloorW+others)
+		powerW >= RxThreshW &&
+		powerW >= CaptureRatio*(NoiseFloorW+others)
 	if canLock {
 		// Preamble acquired: decode this frame, tracking the worst
 		// interference seen until its end.
@@ -347,19 +334,18 @@ func (r *Radio) endArrival(tx *Transmission) {
 	if len(r.arrivals) == 0 {
 		r.totalW = 0 // drop accumulated rounding drift at quiet points
 	}
-	par := r.ch.par
 	switch {
 	case a.killed:
 		// Reception aborted by our own transmission: drop silently.
 	case a.locked:
-		sinrOK := a.powerW >= par.CaptureRatio*(par.NoiseFloorW+a.peakIn)
+		sinrOK := a.powerW >= CaptureRatio*(NoiseFloorW+a.peakIn)
 		r.updateCarrier()
 		if r.acct != nil {
 			r.acct.LockEnd(sinrOK && r.forUs(tx.Payload))
 		}
 		r.h.RadioRx(tx, a.powerW, !sinrOK)
 		return
-	case a.powerW >= par.CsThreshW && !r.Transmitting() && !r.off:
+	case a.powerW >= CsThreshW && !r.Transmitting() && !r.off:
 		// Sensed but never decoded: report as an errored reception so
 		// the MAC can apply its EIFS defer.
 		r.updateCarrier()

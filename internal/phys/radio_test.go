@@ -39,8 +39,7 @@ type fixture struct {
 func newFixture(t *testing.T, xs ...float64) *fixture {
 	t.Helper()
 	f := &fixture{sched: sim.NewScheduler()}
-	par := DefaultParams()
-	f.ch = NewChannel(f.sched, NewTwoRayGround(par), par)
+	f.ch = NewChannel(f.sched, NewTwoRayGround())
 	for i, x := range xs {
 		rec := &recorder{}
 		p := geom.Point{X: x, Y: 0}
@@ -51,6 +50,18 @@ func newFixture(t *testing.T, xs ...float64) *fixture {
 }
 
 const testBits = 512 * 8
+
+// receiving reports whether r is locked onto a frame.
+func receiving(r *Radio) bool { return r.current >= 0 }
+
+// lockedPowerW returns the locked frame's received power, or 0 when r
+// is not receiving.
+func lockedPowerW(r *Radio) float64 {
+	if r.current < 0 {
+		return 0
+	}
+	return r.arrivals[r.current].powerW
+}
 
 func TestCleanReception(t *testing.T) {
 	f := newFixture(t, 0, 100)
@@ -253,7 +264,7 @@ func TestInterferenceAccounting(t *testing.T) {
 		f.rad[2].Transmit(0.2818, testBits, 2*sim.Millisecond, "C")
 		f.sched.Schedule(sim.Microsecond*10, func() {
 			r := f.rad[1]
-			if !r.Receiving() {
+			if !receiving(r) {
 				t.Error("receiver should be locked on A")
 			}
 			wantIn := f.ch.Model().ReceivedPower(0.2818, 200)
@@ -261,8 +272,8 @@ func TestInterferenceAccounting(t *testing.T) {
 				t.Errorf("Interference = %v, want %v", r.Interference(), wantIn)
 			}
 			wantCur := f.ch.Model().ReceivedPower(0.2818, 100)
-			if !relClose(r.CurrentRxPower(), wantCur, 1e-9) {
-				t.Errorf("CurrentRxPower = %v, want %v", r.CurrentRxPower(), wantCur)
+			if !relClose(lockedPowerW(r), wantCur, 1e-9) {
+				t.Errorf("locked power = %v, want %v", lockedPowerW(r), wantCur)
 			}
 			if !relClose(r.TotalPower(), wantIn+wantCur, 1e-9) {
 				t.Errorf("TotalPower = %v", r.TotalPower())

@@ -3,11 +3,12 @@ package phys
 import (
 	"math"
 	"testing"
+
+	"repro/internal/power"
 )
 
 func TestShadowingZeroSigmaIsBase(t *testing.T) {
-	par := DefaultParams()
-	base := NewTwoRayGround(par)
+	base := NewTwoRayGround()
 	m := NewShadowing(base, 0, 1)
 	for _, d := range []float64{1, 10, 100, 500} {
 		got := m.ReceivedPower(0.1, d)
@@ -21,15 +22,14 @@ func TestShadowingZeroSigmaIsBase(t *testing.T) {
 func TestShadowingPreservesMeanGeometry(t *testing.T) {
 	// The mean power keeps the paper's calibration: 250 m decode zone
 	// at the maximal power.
-	par := DefaultParams()
-	m := NewShadowing(NewTwoRayGround(par), 4.0, 1)
-	if got := m.MeanReceivedPower(par.MaxTxPowerW, 250); !relClose(got, par.RxThreshW, 0.01) {
-		t.Errorf("mean power at 250 m = %v, want RxThresh %v", got, par.RxThreshW)
+	m := NewShadowing(NewTwoRayGround(), 4.0, 1)
+	if got := m.MeanReceivedPower(power.MaxW, 250); !relClose(got, RxThreshW, 0.01) {
+		t.Errorf("mean power at 250 m = %v, want RxThresh %v", got, RxThreshW)
 	}
 }
 
 func TestShadowingRandomness(t *testing.T) {
-	m := NewShadowing(NewTwoRayGround(DefaultParams()), 4.0, 1)
+	m := NewShadowing(NewTwoRayGround(), 4.0, 1)
 	a := m.ReceivedPower(0.1, 200)
 	b := m.ReceivedPower(0.1, 200)
 	if a == b {
@@ -38,7 +38,7 @@ func TestShadowingRandomness(t *testing.T) {
 }
 
 func TestShadowingSeedDeterminism(t *testing.T) {
-	base := NewTwoRayGround(DefaultParams())
+	base := NewTwoRayGround()
 	m1 := NewShadowing(base, 4.0, 42)
 	m2 := NewShadowing(base, 4.0, 42)
 	for i := 0; i < 100; i++ {
@@ -50,7 +50,7 @@ func TestShadowingSeedDeterminism(t *testing.T) {
 
 func TestShadowingStatistics(t *testing.T) {
 	// The dB offset from the mean is N(0, sigma): check sample moments.
-	m := NewShadowing(NewTwoRayGround(DefaultParams()), 4.0, 7)
+	m := NewShadowing(NewTwoRayGround(), 4.0, 7)
 	mean := m.MeanReceivedPower(0.1, 200)
 	const n = 20000
 	var sum, sumSq float64
@@ -70,7 +70,7 @@ func TestShadowingStatistics(t *testing.T) {
 }
 
 func TestShadowingValidation(t *testing.T) {
-	base := NewTwoRayGround(DefaultParams())
+	base := NewTwoRayGround()
 	for i, f := range []func(){
 		func() { NewShadowing(nil, 4, 1) },
 		func() { NewShadowing(base, -1, 1) },

@@ -7,51 +7,39 @@ package power
 
 import "sort"
 
-// Levels is an ascending set of selectable transmit powers in watts.
-type Levels []float64
+// MaxW is the paper's "normal (maximal)" power level: 281.8 mW, whose
+// decode range under the two-ray ground model is 250 m. Every
+// transmission that is not power-controlled uses it.
+const MaxW = 0.2818
 
-// DefaultLevels returns the paper's ten levels (Section IV): 1, 2, 3.45,
-// 4.8, 7.25, 10.6, 15, 36.6, 75.8 and 281.8 mW, corresponding to decode
-// ranges of 40…250 m under the two-ray ground model.
-func DefaultLevels() Levels {
-	return Levels{0.001, 0.002, 0.00345, 0.0048, 0.00725, 0.0106, 0.015, 0.0366, 0.0758, 0.2818}
-}
+// levels is the paper's ascending ten-level dial (Section IV): 1, 2,
+// 3.45, 4.8, 7.25, 10.6, 15, 36.6, 75.8 and 281.8 mW, corresponding to
+// decode ranges of 40…250 m under the two-ray ground model.
+var levels = [...]float64{0.001, 0.002, 0.00345, 0.0048, 0.00725, 0.0106, 0.015, 0.0366, 0.0758, MaxW}
 
-// Max returns the highest level — the paper's "normal (maximal)" power.
-func (l Levels) Max() float64 { return l[len(l)-1] }
-
-// Min returns the lowest level.
-func (l Levels) Min() float64 { return l[0] }
+// Table returns the ten power levels in watts, ascending.
+func Table() [len(levels)]float64 { return levels }
 
 // Quantize returns the smallest level >= w. Requests above the maximum
 // clamp to the maximum (the radio cannot do better); requests at or
 // below zero return the minimum level.
-func (l Levels) Quantize(w float64) float64 {
-	i := sort.SearchFloat64s(l, w)
-	if i >= len(l) {
-		return l.Max()
+func Quantize(w float64) float64 {
+	i := sort.SearchFloat64s(levels[:], w)
+	if i >= len(levels) {
+		return MaxW
 	}
-	return l[i]
+	return levels[i]
 }
 
 // StepUp returns the next level strictly above w, clamping to the
 // maximum. ok is false when w is already at or above the maximum — the
 // paper's Step 2 "increase by one class until it gets to the maximal
 // level".
-func (l Levels) StepUp(w float64) (next float64, ok bool) {
-	for _, v := range l {
+func StepUp(w float64) (next float64, ok bool) {
+	for _, v := range levels {
 		if v > w {
 			return v, true
 		}
 	}
-	return l.Max(), false
-}
-
-// Index returns the position of the smallest level >= w, for reporting.
-func (l Levels) Index(w float64) int {
-	i := sort.SearchFloat64s(l, w)
-	if i >= len(l) {
-		return len(l) - 1
-	}
-	return i
+	return MaxW, false
 }

@@ -9,8 +9,8 @@ import (
 	"repro/internal/sim"
 )
 
-func TestDefaultLevels(t *testing.T) {
-	l := DefaultLevels()
+func TestLevelTable(t *testing.T) {
+	l := Table()
 	for i := 1; i < len(l); i++ {
 		if !(l[i] > l[i-1]) {
 			t.Fatalf("level %d (%g W) not strictly above level %d (%g W)", i, l[i], i-1, l[i-1])
@@ -19,16 +19,15 @@ func TestDefaultLevels(t *testing.T) {
 	if len(l) != 10 {
 		t.Fatalf("len = %d, want 10 (paper Section IV)", len(l))
 	}
-	if l.Max() != 0.2818 {
-		t.Errorf("Max = %v, want 0.2818 W", l.Max())
+	if l[len(l)-1] != MaxW || MaxW != 0.2818 {
+		t.Errorf("top level = %v, MaxW = %v, want 0.2818 W", l[len(l)-1], MaxW)
 	}
-	if l.Min() != 0.001 {
-		t.Errorf("Min = %v, want 1 mW", l.Min())
+	if l[0] != 0.001 {
+		t.Errorf("bottom level = %v, want 1 mW", l[0])
 	}
 }
 
 func TestQuantize(t *testing.T) {
-	l := DefaultLevels()
 	cases := []struct{ in, want float64 }{
 		{0.0005, 0.001},  // below min -> min
 		{0.001, 0.001},   // exact level
@@ -40,22 +39,21 @@ func TestQuantize(t *testing.T) {
 		{-5, 0.001},      // negative -> min
 	}
 	for _, c := range cases {
-		if got := l.Quantize(c.in); got != c.want {
+		if got := Quantize(c.in); got != c.want {
 			t.Errorf("Quantize(%v) = %v, want %v", c.in, got, c.want)
 		}
 	}
 }
 
 func TestPropertyQuantizeSufficient(t *testing.T) {
-	l := DefaultLevels()
 	f := func(raw float64) bool {
 		w := math.Abs(math.Mod(raw, 0.4))
-		q := l.Quantize(w)
-		if w <= l.Max() && q < w {
+		q := Quantize(w)
+		if w <= MaxW && q < w {
 			return false // quantized power must always suffice
 		}
 		// And it is a valid level.
-		for _, v := range l {
+		for _, v := range Table() {
 			if v == q {
 				return true
 			}
@@ -68,16 +66,15 @@ func TestPropertyQuantizeSufficient(t *testing.T) {
 }
 
 func TestStepUp(t *testing.T) {
-	l := DefaultLevels()
-	next, ok := l.StepUp(0.001)
+	next, ok := StepUp(0.001)
 	if !ok || next != 0.002 {
 		t.Errorf("StepUp(1mW) = %v,%v", next, ok)
 	}
-	next, ok = l.StepUp(0.2818)
+	next, ok = StepUp(0.2818)
 	if ok || next != 0.2818 {
 		t.Errorf("StepUp(max) = %v,%v, want max,false", next, ok)
 	}
-	next, ok = l.StepUp(0.0119) // between levels
+	next, ok = StepUp(0.0119) // between levels
 	if !ok || next != 0.015 {
 		t.Errorf("StepUp(11.9mW) = %v,%v, want 15mW,true", next, ok)
 	}
@@ -86,28 +83,15 @@ func TestStepUp(t *testing.T) {
 	w := 0.0
 	steps := 0
 	for {
-		n, ok := l.StepUp(w)
+		n, ok := StepUp(w)
 		if !ok {
 			break
 		}
 		w = n
 		steps++
 	}
-	if steps != len(l) {
-		t.Errorf("walked %d steps, want %d", steps, len(l))
-	}
-}
-
-func TestIndex(t *testing.T) {
-	l := DefaultLevels()
-	if i := l.Index(0.001); i != 0 {
-		t.Errorf("Index(min) = %d", i)
-	}
-	if i := l.Index(1.0); i != 9 {
-		t.Errorf("Index(huge) = %d", i)
-	}
-	if i := l.Index(0.02); i != 7 {
-		t.Errorf("Index(20mW) = %d, want 7 (36.6mW)", i)
+	if steps != len(levels) {
+		t.Errorf("walked %d steps, want %d", steps, len(levels))
 	}
 }
 
@@ -261,11 +245,10 @@ func TestPropertySafetyFactorMonotone(t *testing.T) {
 }
 
 func TestPropertyQuantizeIdempotent(t *testing.T) {
-	l := DefaultLevels()
 	f := func(raw float64) bool {
 		w := math.Abs(math.Mod(raw, 0.5))
-		q := l.Quantize(w)
-		return l.Quantize(q) == q
+		q := Quantize(w)
+		return Quantize(q) == q
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -273,12 +256,11 @@ func TestPropertyQuantizeIdempotent(t *testing.T) {
 }
 
 func TestPropertyStepUpStrictlyIncreases(t *testing.T) {
-	l := DefaultLevels()
 	f := func(raw float64) bool {
 		w := math.Abs(math.Mod(raw, 0.3))
-		next, ok := l.StepUp(w)
+		next, ok := StepUp(w)
 		if !ok {
-			return w >= l.Max() || next == l.Max()
+			return w >= MaxW || next == MaxW
 		}
 		return next > w
 	}

@@ -80,11 +80,3 @@ func Fig6Options(scheme mac.Scheme) Options {
 		FlowRateSpreadPct: 10,
 	}
 }
-
-// Fig8Options is the paper's main evaluation setup (Section IV): 50
-// random-waypoint nodes on 1000x1000 m, 10 CBR pairs, AODV. The offered
-// load is set by the sweep; duration defaults to the paper's 400 s and
-// should be shortened for quick runs.
-func Fig8Options(scheme mac.Scheme) Options {
-	return Options{Scheme: scheme}.WithDefaults()
-}

@@ -18,12 +18,11 @@ import (
 func buildNode(t *testing.T, id packet.NodeID, scheme mac.Scheme, withCtrl bool) (*Node, error) {
 	t.Helper()
 	sched := sim.NewScheduler()
-	par := phys.DefaultParams()
-	model := phys.NewTwoRayGround(par)
-	dataCh := phys.NewChannel(sched, model, par)
+	model := phys.NewTwoRayGround()
+	dataCh := phys.NewChannel(sched, model)
 	var ctrlCh *phys.Channel
 	if withCtrl {
-		ctrlCh = phys.NewChannel(sched, model, par)
+		ctrlCh = phys.NewChannel(sched, model)
 	}
 	o := Options{Scheme: scheme}.WithDefaults()
 	return newNode(id, &o, sched, dataCh, ctrlCh, mobility.Static(geom.Point{X: 5}), energy.WaveLAN(), rand.New(rand.NewSource(1)))

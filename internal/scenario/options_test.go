@@ -7,6 +7,7 @@ import (
 	"repro/internal/mac"
 	"repro/internal/packet"
 	"repro/internal/sim"
+	"repro/internal/traffic"
 )
 
 func TestDefaultsMatchPaper(t *testing.T) {
@@ -133,7 +134,8 @@ func TestFlowRateSpread(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r0, r1 := nw.Sources[0].RateBps(), nw.Sources[1].RateBps()
+	rate := func(s *traffic.Source) float64 { return float64(s.Bytes*8) / s.Interval.Seconds() }
+	r0, r1 := rate(nw.Sources[0]), rate(nw.Sources[1])
 	if r0 == r1 {
 		t.Fatal("rate spread did not differentiate flows")
 	}
@@ -153,7 +155,8 @@ func TestFigureOptionConstructors(t *testing.T) {
 			t.Errorf("%s: static=%d flows=%d", name, len(o.Static), len(o.FlowPairs))
 		}
 	}
-	f8 := Fig8Options(mac.Basic)
+	// The paper's Figure 8 setup (Section IV) is the defaulted Options.
+	f8 := Options{Scheme: mac.Basic}.WithDefaults()
 	if f8.Nodes != 50 || f8.Duration != 400*sim.Second {
 		t.Errorf("fig8 defaults: %+v", f8)
 	}

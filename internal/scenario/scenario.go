@@ -316,8 +316,7 @@ func Build(o Options) (*Network, error) {
 	if o.CollectSimStats {
 		sched.TrackDepth(true)
 	}
-	par := phys.DefaultParams()
-	var model phys.Propagation = phys.NewTwoRayGround(par)
+	var model phys.Propagation = phys.NewTwoRayGround()
 	var ctrlModel phys.Propagation = model
 	if o.ShadowingSigmaDB > 0 {
 		// Independent fading processes per channel, both seeded from
@@ -326,10 +325,10 @@ func Build(o Options) (*Network, error) {
 		model = phys.NewShadowing(model, o.ShadowingSigmaDB, o.Seed^0x5eed)
 		ctrlModel = phys.NewShadowing(ctrlModel, o.ShadowingSigmaDB, o.Seed^0xc0de)
 	}
-	dataCh := phys.NewChannel(sched, model, par)
+	dataCh := phys.NewChannel(sched, model)
 	var ctrlCh *phys.Channel
 	if o.Scheme == mac.PCMAC && !o.DisableCtrlChannel {
-		ctrlCh = phys.NewChannel(sched, ctrlModel, par)
+		ctrlCh = phys.NewChannel(sched, ctrlModel)
 	}
 
 	master := rand.New(rand.NewSource(o.Seed))

@@ -538,8 +538,3 @@ func (t *Timer) Deadline() Time {
 	}
 	return t.ev.at
 }
-
-// Remaining returns how long until an armed timer fires.
-func (t *Timer) Remaining() Duration {
-	return t.Deadline().Sub(t.s.Now())
-}

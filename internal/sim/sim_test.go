@@ -248,8 +248,8 @@ func TestTimerRemaining(t *testing.T) {
 	tm := NewTimer(s, func() {})
 	tm.Start(10 * Microsecond)
 	s.Schedule(4*Microsecond, func() {
-		if got := tm.Remaining(); got != 6*Microsecond {
-			t.Errorf("Remaining = %v, want 6us", got)
+		if got := tm.Deadline().Sub(s.Now()); got != 6*Microsecond {
+			t.Errorf("remaining = %v, want 6us", got)
 		}
 	})
 	s.RunAll()

@@ -179,10 +179,6 @@ func NewSource(m Model, p Params) (*Source, error) {
 	return s, nil
 }
 
-// RateBps returns the flow's mean offered bit rate (the request
-// direction's for reqresp).
-func (s *Source) RateBps() float64 { return float64(s.Bytes*8) / s.Interval.Seconds() }
-
 // Start begins generation at time start (opening an ON burst for the
 // onoff and pareto models) and stops it at until. A small start jitter
 // (supplied by the caller via start) decorrelates flows.

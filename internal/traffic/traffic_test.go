@@ -65,8 +65,8 @@ func TestCBRStop(t *testing.T) {
 func TestCBRRate(t *testing.T) {
 	c := newCBR(t, sim.NewScheduler(), &captureSender{}, 50*sim.Millisecond)
 	want := 512.0 * 8 / 0.05
-	if math.Abs(c.RateBps()-want) > 1e-6 {
-		t.Fatalf("RateBps = %v, want %v", c.RateBps(), want)
+	if got := float64(c.Bytes*8) / c.Interval.Seconds(); math.Abs(got-want) > 1e-6 {
+		t.Fatalf("rate = %v bps, want %v", got, want)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"repro/internal/geom"
 	"repro/internal/packet"
 	"repro/internal/phys"
+	"repro/internal/power"
 )
 
 func TestMapRender(t *testing.T) {
@@ -79,12 +80,11 @@ func TestMapTooSmallPanics(t *testing.T) {
 }
 
 func TestConnectivity(t *testing.T) {
-	par := phys.DefaultParams()
-	model := phys.NewTwoRayGround(par)
+	model := phys.NewTwoRayGround()
 	ids := []packet.NodeID{0, 1, 2}
 	pos := []geom.Point{{X: 0}, {X: 200}, {X: 600}}
 	var sb strings.Builder
-	err := Connectivity(&sb, ids, pos, par.MaxTxPowerW, par.RxThreshW, model.ReceivedPower)
+	err := Connectivity(&sb, ids, pos, power.MaxW, phys.RxThreshW, model.ReceivedPower)
 	if err != nil {
 		t.Fatal(err)
 	}
