@@ -107,6 +107,16 @@ type Accountant struct {
 // attached to cfg.Battery or to a fresh battery of cfg.CapacityJ. A
 // zero Profile takes the WaveLAN default; the profile must validate.
 func NewAccountant(sched *sim.Scheduler, cfg Config) *Accountant {
+	a := new(Accountant)
+	a.Init(sched, cfg)
+	return a
+}
+
+// Init makes the zero Accountant a the one NewAccountant would return,
+// in memory the caller owns (a scenario keeps each node's data-radio
+// accountant in one per-node block). Its battery holds a from here on,
+// so a must not move or be copied.
+func (a *Accountant) Init(sched *sim.Scheduler, cfg Config) {
 	prof := cfg.Profile
 	if prof == (Profile{}) {
 		prof = WaveLAN()
@@ -114,7 +124,7 @@ func NewAccountant(sched *sim.Scheduler, cfg Config) *Accountant {
 	if err := prof.Validate(); err != nil {
 		panic(err)
 	}
-	a := &Accountant{
+	*a = Accountant{
 		prof:  prof,
 		sched: sched,
 		last:  sched.Now(),
@@ -125,7 +135,6 @@ func NewAccountant(sched *sim.Scheduler, cfg Config) *Accountant {
 	}
 	bat.attach(a)
 	a.rearm()
-	return a
 }
 
 // Profile returns the draw table in effect.

@@ -121,13 +121,13 @@ type MAC struct {
 	slotsLeft      int
 	countdownStart sim.Time
 
-	// Timers.
-	deferTimer   *sim.Timer
-	backoffTimer *sim.Timer
-	waitTimer    *sim.Timer // CTS/ACK timeout (sender)
-	rxTimer      *sim.Timer // DATA timeout (receiver)
-	navTimer     *sim.Timer
-	blockTimer   *sim.Timer // PCMAC tolerance defer
+	// Timers, held by value so a frame's MAC work touches one object.
+	deferTimer   sim.Timer
+	backoffTimer sim.Timer
+	waitTimer    sim.Timer // CTS/ACK timeout (sender)
+	rxTimer      sim.Timer // DATA timeout (receiver)
+	navTimer     sim.Timer
+	blockTimer   sim.Timer // PCMAC tolerance defer
 
 	// PCMAC sent/received tables, keyed by neighbour.
 	sent map[packet.NodeID]tableEntry
@@ -175,38 +175,44 @@ type Options struct {
 
 // New creates a MAC for the given scheme. Phys radios take their
 // handler at creation, so the caller attaches a radio with the returned
-// MAC as its handler and hands it back through BindRadio (as
-// scenario.newNode does).
+// MAC as its handler and hands it back through BindRadio.
 func New(scheme Scheme, id packet.NodeID, sched *sim.Scheduler, upper UpperLayer, opts Options) *MAC {
+	m := new(MAC)
+	m.Init(scheme, id, sched, upper, opts)
+	return m
+}
+
+// Init builds the MAC New returns in memory the caller owns (a
+// scenario allocates each node's MAC inside one per-node block, as
+// scenario.Build does). m must be zero: its timers are held by value,
+// and a MAC must not be copied afterwards.
+func (m *MAC) Init(scheme Scheme, id packet.NodeID, sched *sim.Scheduler, upper UpperLayer, opts Options) {
 	if opts.Rand == nil {
 		panic("mac: Options.Rand is required")
 	}
-	m := &MAC{
-		scheme:          scheme,
-		id:              id,
-		sched:           sched,
-		upper:           upper,
-		ann:             opts.Announcer,
-		rng:             opts.Rand,
-		history:         opts.History,
-		registry:        opts.Registry,
-		cw:              CWMin,
-		rtsThreshold:    opts.RTSThresholdBytes,
-		sent:            make(map[packet.NodeID]tableEntry),
-		recv:            make(map[packet.NodeID]tableEntry),
-		disableThreeWay: opts.DisableThreeWay,
-		tr:              opts.Tracer,
-	}
-	if scheme.usesPowerControl() && m.history == nil {
+	if scheme.usesPowerControl() && opts.History == nil {
 		panic(fmt.Sprintf("mac: scheme %v requires a power history table", scheme))
 	}
-	m.deferTimer = sim.NewTimer(sched, m.onDeferDone)
-	m.backoffTimer = sim.NewTimer(sched, m.onBackoffDone)
-	m.waitTimer = sim.NewTimer(sched, m.onWaitTimeout)
-	m.rxTimer = sim.NewTimer(sched, m.onRxTimeout)
-	m.navTimer = sim.NewTimer(sched, m.syncChannelState)
-	m.blockTimer = sim.NewTimer(sched, m.onUnblocked)
-	return m
+	m.scheme = scheme
+	m.id = id
+	m.sched = sched
+	m.upper = upper
+	m.ann = opts.Announcer
+	m.rng = opts.Rand
+	m.history = opts.History
+	m.registry = opts.Registry
+	m.cw = CWMin
+	m.rtsThreshold = opts.RTSThresholdBytes
+	m.sent = make(map[packet.NodeID]tableEntry)
+	m.recv = make(map[packet.NodeID]tableEntry)
+	m.disableThreeWay = opts.DisableThreeWay
+	m.tr = opts.Tracer
+	m.deferTimer.Init(sched, m.onDeferDone)
+	m.backoffTimer.Init(sched, m.onBackoffDone)
+	m.waitTimer.Init(sched, m.onWaitTimeout)
+	m.rxTimer.Init(sched, m.onRxTimeout)
+	m.navTimer.Init(sched, m.syncChannelState)
+	m.blockTimer.Init(sched, m.onUnblocked)
 }
 
 // BindRadio attaches the physical radio. It must be called exactly once

@@ -127,7 +127,17 @@ func (c *Channel) Model() Propagation { return c.model }
 // by pos (sampled lazily, so mobile nodes just pass their position
 // function) and delivers events to h.
 func (c *Channel) AttachRadio(id int, pos func() geom.Point, h Handler) *Radio {
-	r := &Radio{
+	r := new(Radio)
+	c.Attach(r, id, pos, h)
+	return r
+}
+
+// Attach makes the zero Radio r the radio AttachRadio would return, in
+// memory the caller owns (a scenario keeps each node's data radio in
+// one per-node block). The channel holds r from here on, so r must not
+// move or be copied.
+func (c *Channel) Attach(r *Radio, id int, pos func() geom.Point, h Handler) {
+	*r = Radio{
 		ch:      c,
 		id:      id,
 		idx:     len(c.radios),
@@ -137,7 +147,6 @@ func (c *Channel) AttachRadio(id int, pos func() geom.Point, h Handler) *Radio {
 	}
 	c.radios = append(c.radios, r)
 	c.attachGen++ // existing cached rows no longer cover the new radio
-	return r
 }
 
 // Radios returns all radios attached to the channel.

@@ -48,18 +48,39 @@ func (n *Node) Die() {
 	}
 }
 
-// newNode assembles terminal id from the defaulted options o and
-// attaches its radios to the data channel and, for PCMAC, the control
-// channel (nil when the scheme is not PCMAC or the control channel is
-// disabled).
+// nodeBlock holds one terminal's per-frame state in one allocation: a
+// received frame walks the data radio, its accountant and the MAC with
+// its timers, and Build allocates the blocks in slabs in attach order,
+// so a flood sweeps memory in order instead of chasing a separate heap
+// object per layer. A block must not be copied once built: the
+// channel, the battery and the scheduler point into it.
+type nodeBlock struct {
+	node  Node
+	mac   mac.MAC
+	radio phys.Radio
+	acct  energy.Accountant
+}
+
+// blockSlab caps the blocks one allocation holds. On a 2000-node run
+// one 2.1 MB slice of all the blocks measured about 2 MB more peak RSS
+// than separate per-layer objects did, and slabs of 512 blocks no rise
+// (medians of 12-15 runs each on a 2-vCPU VM).
+const blockSlab = 512
+
+// newNode assembles terminal id in block b from the defaulted options
+// o and attaches its radios to the data channel and, for PCMAC, the
+// control channel (nil when the scheme is not PCMAC or the control
+// channel is disabled).
 //
 // One energy accountant per radio drains one shared battery of
 // o.BatteryJ joules: a PCMAC terminal's always-on control receiver
 // costs real joules too, and must shorten the same lifetime. Without a
 // battery the accountants are pure observers.
-func newNode(id packet.NodeID, o *Options, sched *sim.Scheduler, dataCh, ctrlCh *phys.Channel, mob mobility.Model, eprof energy.Profile, rng *rand.Rand) (*Node, error) {
-	n := &Node{ID: id, Mob: mob}
-	n.Energy = energy.NewAccountant(sched, energy.Config{Profile: eprof, CapacityJ: o.BatteryJ})
+func newNode(b *nodeBlock, id packet.NodeID, o *Options, sched *sim.Scheduler, dataCh, ctrlCh *phys.Channel, mob mobility.Model, eprof energy.Profile, rng *rand.Rand) (*Node, error) {
+	n := &b.node
+	n.ID, n.Mob = id, mob
+	b.acct.Init(sched, energy.Config{Profile: eprof, CapacityJ: o.BatteryJ})
+	n.Energy = &b.acct
 	useCtrl := o.Scheme == mac.PCMAC && ctrlCh != nil
 	if useCtrl {
 		n.CtrlEnergy = energy.NewAccountant(sched, energy.Config{Profile: eprof, Battery: n.Energy.Battery()})
@@ -100,13 +121,14 @@ func newNode(id packet.NodeID, o *Options, sched *sim.Scheduler, dataCh, ctrlCh 
 		opts.Announcer = agent
 	}
 
-	n.MAC = mac.New(o.Scheme, id, sched, n.Router, opts)
-	radio := dataCh.AttachRadio(int(id), pos, n.MAC)
-	radio.SetAccountant(n.Energy, func(payload any) bool {
+	b.mac.Init(o.Scheme, id, sched, n.Router, opts)
+	n.MAC = &b.mac
+	dataCh.Attach(&b.radio, int(id), pos, n.MAC)
+	b.radio.SetAccountant(n.Energy, func(payload any) bool {
 		f, ok := payload.(*packet.Frame)
 		return ok && (f.Dst == id || f.Dst == packet.Broadcast)
 	})
-	n.MAC.BindRadio(radio)
+	n.MAC.BindRadio(&b.radio)
 	n.Router.BindLink(n.MAC)
 	return n, nil
 }

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -25,7 +26,7 @@ func buildNode(t *testing.T, id packet.NodeID, scheme mac.Scheme, withCtrl bool)
 		ctrlCh = phys.NewChannel(sched, model)
 	}
 	o := Options{Scheme: scheme}.WithDefaults()
-	return newNode(id, &o, sched, dataCh, ctrlCh, mobility.Static(geom.Point{X: 5}), energy.WaveLAN(), rand.New(rand.NewSource(1)))
+	return newNode(new(nodeBlock), id, &o, sched, dataCh, ctrlCh, mobility.Static(geom.Point{X: 5}), energy.WaveLAN(), rand.New(rand.NewSource(1)))
 }
 
 func mustBuildNode(t *testing.T, scheme mac.Scheme, withCtrl bool) *Node {
@@ -101,5 +102,29 @@ func TestDefaultConfig(t *testing.T) {
 	}
 	if c.CtrlBandwidthBps != 500e3 {
 		t.Errorf("control bandwidth = %v, want 500 kbps (paper)", c.CtrlBandwidthBps)
+	}
+}
+
+// TestBuildAllocsPerNode pins Build's heap allocations per added node,
+// the difference between two node counts. A basic 802.11 terminal on
+// the paper's mobile layout costs 25: its block (Node, MAC with six
+// timers, data radio, accountant) is one slice entry and costs none,
+// and the rest are the MAC's six timer callbacks and two tables, the
+// router and its table (6), two RNGs (4), the battery and its drain
+// list (2), the waypoint model, and four closures (position, payload
+// classifier, death and delivery hooks). Splitting the block again
+// raises the count.
+func TestBuildAllocsPerNode(t *testing.T) {
+	const want = 25
+	allocs := func(nodes int) float64 {
+		o := Options{Scheme: mac.Basic, Nodes: nodes, Duration: 20 * sim.Second, Seed: 1}
+		return testing.AllocsPerRun(3, func() {
+			if _, err := Build(o); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if got := math.Round((allocs(200) - allocs(100)) / 100); got != want {
+		t.Fatalf("Build allocates %v objects per added node, want %d", got, want)
 	}
 }

@@ -361,14 +361,21 @@ func Build(o Options) (*Network, error) {
 		nw.Timeline = stats.NewTimeline(o.TimelineBucket)
 	}
 
+	var slab []nodeBlock
+	nw.Nodes = make([]*Node, 0, o.Nodes)
 	for i := 0; i < o.Nodes; i++ {
+		if len(slab) == 0 {
+			slab = make([]nodeBlock, min(blockSlab, o.Nodes-i))
+		}
+		b := &slab[0]
+		slab = slab[1:]
 		var mob mobility.Model
 		if len(o.Static) > 0 {
 			mob = mobility.Static(o.Static[i])
 		} else {
 			mob = mobility.NewWaypoint(field, o.SpeedMin, o.SpeedMax, o.Pause, rand.New(rand.NewSource(master.Int63())))
 		}
-		n, err := newNode(packet.NodeID(i), &o, sched, dataCh, ctrlCh, mob, eprof, rand.New(rand.NewSource(master.Int63())))
+		n, err := newNode(b, packet.NodeID(i), &o, sched, dataCh, ctrlCh, mob, eprof, rand.New(rand.NewSource(master.Int63())))
 		if err != nil {
 			return nil, fmt.Errorf("scenario: %w", err)
 		}

@@ -480,18 +480,43 @@ func (s *Scheduler) Stop() { s.stopped = true }
 // Timers ride the scheduler's event free list: arming one allocates
 // nothing after warm-up, because the timer is the sole holder of its
 // event and returns it to the pool on expiry or Stop.
+//
+// A Timer may be held by value inside its owner (Init sets it up in
+// place), but it must not be copied once initialised: an armed timer's
+// queued event points back at it, so a copy would leave that event
+// firing the original. go vet's copylocks check reports such copies.
 type Timer struct {
+	_  noCopy
 	s  *Scheduler
 	ev *Event
 	fn func()
 }
 
+// noCopy makes go vet's copylocks check report copies of the struct
+// that holds it. It takes no space.
+type noCopy struct{}
+
+func (*noCopy) Lock()   {}
+func (*noCopy) Unlock() {}
+
 // NewTimer returns a stopped timer that runs fn on expiry.
 func NewTimer(s *Scheduler, fn func()) *Timer {
+	t := new(Timer)
+	t.Init(s, fn)
+	return t
+}
+
+// Init makes t a stopped timer on s that runs fn on expiry: the state
+// NewTimer returns, built in memory the caller owns. Init an idle timer
+// only; re-initialising an armed one strands its queued event.
+func (t *Timer) Init(s *Scheduler, fn func()) {
 	if fn == nil {
 		panic("sim: nil timer function")
 	}
-	return &Timer{s: s, fn: fn}
+	if t.ev != nil {
+		panic("sim: Init on an armed timer")
+	}
+	t.s, t.fn = s, fn
 }
 
 // HandleEvent implements EventHandler for the timer's own pooled event.

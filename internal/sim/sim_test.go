@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -222,6 +223,93 @@ func TestTimerRestartReplaces(t *testing.T) {
 	if s.Now() != Time(2*Millisecond) {
 		t.Fatalf("fired at %v, want 2ms", s.Now())
 	}
+}
+
+// TestValueTimerMatchesNewTimer drives a timer held by value (Init
+// inside its owner, as the MAC holds its six) and a NewTimer through
+// the same script: replacing re-arms, a stop, a re-arm after expiry,
+// and re-arms from inside the timer's own callback. Both must fire at
+// the same instants and leave the same queue behind.
+func TestValueTimerMatchesNewTimer(t *testing.T) {
+	type owner struct {
+		id int
+		tm Timer
+	}
+	drive := func(s *Scheduler, tm *Timer, fires *[]Time) {
+		tm.Start(Millisecond)
+		tm.Start(2 * Millisecond) // must replace, not add
+		for i := 0; i < 1000; i++ {
+			tm.Start(1000*Second + Duration(i%977)*Millisecond)
+			if !tm.Pending() || s.Pending() != 1 {
+				t.Fatalf("re-arm %d: pending=%v queue=%d; want one queued item", i, tm.Pending(), s.Pending())
+			}
+		}
+		tm.Stop()
+		tm.Stop() // idempotent
+		if tm.Pending() || s.Pending() != 0 {
+			t.Fatalf("after Stop: pending=%v queue=%d", tm.Pending(), s.Pending())
+		}
+		tm.Start(3 * Millisecond)
+		s.RunAll()
+		tm.StartAt(s.Now().Add(5 * Millisecond)) // re-arm after expiry
+		s.RunAll()
+		if len(*fires) != 5 {
+			t.Fatalf("fired %d times, want 5 (one, then four from callbacks)", len(*fires))
+		}
+	}
+	var want, got []Time
+
+	s1 := NewScheduler()
+	var ref *Timer
+	ref = NewTimer(s1, func() {
+		want = append(want, s1.Now())
+		if len(want) == 2 {
+			ref.Start(Millisecond) // re-arm from inside the callback
+			ref.Start(4 * Millisecond)
+		} else if len(want) > 2 && len(want) < 5 {
+			ref.Start(Millisecond)
+		}
+	})
+	drive(s1, ref, &want)
+
+	s2 := NewScheduler()
+	o := &owner{id: 7}
+	o.tm.Init(s2, func() {
+		got = append(got, s2.Now())
+		if len(got) == 2 {
+			o.tm.Start(Millisecond)
+			o.tm.Start(4 * Millisecond)
+		} else if len(got) > 2 && len(got) < 5 {
+			o.tm.Start(Millisecond)
+		}
+	})
+	drive(s2, &o.tm, &got)
+
+	if !slices.Equal(got, want) {
+		t.Fatalf("value timer fired at %v, NewTimer at %v", got, want)
+	}
+	if s1.Now() != s2.Now() || s1.Executed() != s2.Executed() || s2.Pending() != 0 {
+		t.Fatalf("end state differs: now %v/%v executed %d/%d pending %d",
+			s1.Now(), s2.Now(), s1.Executed(), s2.Executed(), s2.Pending())
+	}
+	if o.id != 7 {
+		t.Fatal("timer traffic overwrote its owner")
+	}
+}
+
+// TestTimerInitArmedPanics: Init on an armed timer would strand its
+// queued event, so it panics instead.
+func TestTimerInitArmedPanics(t *testing.T) {
+	s := NewScheduler()
+	var tm Timer
+	tm.Init(s, func() {})
+	tm.Start(Millisecond)
+	defer func() {
+		if recover() == nil {
+			t.Error("Init on an armed timer did not panic")
+		}
+	}()
+	tm.Init(s, func() {})
 }
 
 func TestTimerStop(t *testing.T) {
