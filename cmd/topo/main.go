@@ -11,6 +11,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/geom"
@@ -59,17 +60,19 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	sample := sim.Time(sim.DurationOf(*at))
+	if err := draw(os.Stdout, nw, sim.Time(sim.DurationOf(*at)), *cols, *rows); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+}
 
+// draw prints nw's map at the instant sample, then its decode-range
+// connectivity there.
+func draw(w io.Writer, nw *scenario.Network, sample sim.Time, cols, rows int) error {
 	field := geom.NewField(nw.Opts.FieldW, nw.Opts.FieldH)
-	m := viz.NewMap(field, *cols, *rows)
-	var ids []packet.NodeID
-	var pos []geom.Point
+	m := viz.NewMap(field, cols, rows)
 	for _, n := range nw.Nodes {
-		p := n.Mob.Pos(sample)
-		m.Add(n.ID, p)
-		ids = append(ids, n.ID)
-		pos = append(pos, p)
+		m.Add(n.ID, n.Mob.Pos(sample))
 	}
 	var pairs [][2]packet.NodeID
 	for _, src := range nw.Sources {
@@ -77,16 +80,30 @@ func main() {
 	}
 	m.MarkFlows(pairs)
 
-	fmt.Printf("%s, %d nodes, %d flows, t=%.0fs (S=source D=destination X=both)\n",
-		nw.Opts.Scheme, len(nw.Nodes), len(pairs), *at)
-	if err := m.Render(os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+	fmt.Fprintf(w, "%s, %d nodes, %d flows, t=%.0fs (S=source D=destination X=both)\n",
+		nw.Opts.Scheme, len(nw.Nodes), len(pairs), sample.Seconds())
+	if err := m.Render(w); err != nil {
+		return err
 	}
-	fmt.Printf("\ndecode-range neighbours at the maximal power (%.1f mW, %.0f m):\n",
+	return connectivity(w, nw, sample)
+}
+
+// connectivity prints each node's decode-range neighbours at the
+// instant sample. Under shadowing the data channel's model draws a
+// fresh fade per call, so the relation uses its deterministic mean: a
+// topology listing is one symmetric relation, not one random sample.
+func connectivity(w io.Writer, nw *scenario.Network, sample sim.Time) error {
+	var ids []packet.NodeID
+	var pos []geom.Point
+	for _, n := range nw.Nodes {
+		ids = append(ids, n.ID)
+		pos = append(pos, n.Mob.Pos(sample))
+	}
+	rxPower := nw.DataCh.Model().ReceivedPower
+	if sh, ok := nw.DataCh.Model().(*phys.Shadowing); ok {
+		rxPower = sh.MeanReceivedPower
+	}
+	fmt.Fprintf(w, "\ndecode-range neighbours at the maximal power (%.1f mW, %.0f m):\n",
 		power.MaxW*1e3, phys.NewTwoRayGround().RangeForTxPower(power.MaxW, phys.RxThreshW))
-	if err := viz.Connectivity(os.Stdout, ids, pos, power.MaxW, phys.RxThreshW, nw.DataCh.Model().ReceivedPower); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
+	return viz.Connectivity(w, ids, pos, power.MaxW, phys.RxThreshW, rxPower)
 }
