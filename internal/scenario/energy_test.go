@@ -221,3 +221,38 @@ func TestBatteryDeathReroute(t *testing.T) {
 		t.Fatalf("alive timeline %+v vs %d deaths", res.AliveTimeline, res.DeadNodes)
 	}
 }
+
+// TestBatteryFairnessCountsControlReceiver: with batteries, energy
+// fairness is Jain's index over each node's residual charge at the
+// horizon, and a PCMAC node's residual is its capacity less what both
+// of its radios drew. On a two-node flow the index must match that
+// closed form, so a residual read before the control receiver's draw
+// is settled fails it.
+func TestBatteryFairnessCountsControlReceiver(t *testing.T) {
+	const capacityJ = 100.0
+	nw, err := Build(Options{
+		Scheme:          mac.PCMAC,
+		Static:          []geom.Point{{X: 0, Y: 0}, {X: 150, Y: 0}},
+		FlowPairs:       [][2]packet.NodeID{{0, 1}},
+		OfferedLoadKbps: 64,
+		Duration:        20 * sim.Second,
+		Warmup:          sim.Second,
+		Seed:            1,
+		BatteryJ:        capacityJ,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := nw.Run()
+	var r [2]float64
+	for i, n := range nw.Nodes {
+		r[i] = capacityJ - n.Energy.ConsumedJ() - n.CtrlEnergy.ConsumedJ()
+		if got := n.Energy.ResidualJ(); math.Abs(got-r[i]) > 1e-9 {
+			t.Fatalf("node %d residual %.9f J, want %.9f J", i, got, r[i])
+		}
+	}
+	want := (r[0] + r[1]) * (r[0] + r[1]) / (2 * (r[0]*r[0] + r[1]*r[1]))
+	if math.Abs(res.EnergyFairness-want) > 1e-12 {
+		t.Fatalf("energy fairness %.15f, want %.15f from residuals %.6f J and %.6f J", res.EnergyFairness, want, r[0], r[1])
+	}
+}

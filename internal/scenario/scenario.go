@@ -512,13 +512,15 @@ func (nw *Network) Run() Result {
 			res.Ctrl.Malformed += s.Malformed
 		}
 		if a := n.Energy; a != nil {
-			a.Flush() // settle idle draw up to the horizon
+			// Settle both radios' draw up to the horizon before reading
+			// the residual: the control receiver drains the same battery.
+			a.Flush()
 			node := a.Consumed()
-			residuals = append(residuals, a.ResidualJ())
 			if ca := n.CtrlEnergy; ca != nil {
 				ca.Flush()
 				node.AddFrom(ca.Consumed()) // control receiver: same node, same battery
 			}
+			residuals = append(residuals, a.ResidualJ())
 			byState.AddFrom(node)
 			consumed = append(consumed, node.Total())
 		}
