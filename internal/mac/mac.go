@@ -173,19 +173,12 @@ type Options struct {
 	Tracer trace.Sink
 }
 
-// New creates a MAC for the given scheme. Phys radios take their
-// handler at creation, so the caller attaches a radio with the returned
-// MAC as its handler and hands it back through BindRadio.
-func New(scheme Scheme, id packet.NodeID, sched *sim.Scheduler, upper UpperLayer, opts Options) *MAC {
-	m := new(MAC)
-	m.Init(scheme, id, sched, upper, opts)
-	return m
-}
-
-// Init builds the MAC New returns in memory the caller owns (a
-// scenario allocates each node's MAC inside one per-node block, as
-// scenario.Build does). m must be zero: its timers are held by value,
-// and a MAC must not be copied afterwards.
+// Init builds a MAC for the given scheme in memory the caller owns (a
+// scenario allocates each node's MAC inside one per-node block). m
+// must be zero: its timers are held by value, and a MAC must not be
+// copied afterwards. Phys radios take their handler at creation, so
+// the caller attaches a radio with m as its handler and hands it back
+// through BindRadio.
 func (m *MAC) Init(scheme Scheme, id packet.NodeID, sched *sim.Scheduler, upper UpperLayer, opts Options) {
 	if opts.Rand == nil {
 		panic("mac: Options.Rand is required")

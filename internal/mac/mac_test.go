@@ -81,7 +81,7 @@ func newNet(t *testing.T, scheme Scheme, xs ...float64) *net {
 		if scheme == PCMAC {
 			opts.Registry = power.NewRegistry(n.sched.Now, 0.7)
 		}
-		m := New(scheme, packet.NodeID(i), n.sched, up, opts)
+		m := newMAC(scheme, packet.NodeID(i), n.sched, up, opts)
 		p := geom.Point{X: x}
 		m.BindRadio(n.ch.AttachRadio(i, func() geom.Point { return p }, m))
 		n.macs = append(n.macs, m)
@@ -90,6 +90,13 @@ func newNet(t *testing.T, scheme Scheme, xs ...float64) *net {
 	sp := geom.Point{X: 0, Y: 10}
 	n.ch.AttachRadio(len(xs), func() geom.Point { return sp }, n.sniff)
 	return n
+}
+
+// newMAC returns a MAC built by Init in its own allocation.
+func newMAC(scheme Scheme, id packet.NodeID, sched *sim.Scheduler, upper UpperLayer, opts Options) *MAC {
+	m := new(MAC)
+	m.Init(scheme, id, sched, upper, opts)
+	return m
 }
 
 func dataPacket(src, dst packet.NodeID, seq uint32) *packet.NetPacket {
@@ -579,7 +586,7 @@ func TestMissingRandPanics(t *testing.T) {
 			t.Fatal("nil Rand did not panic")
 		}
 	}()
-	New(Basic, 0, sim.NewScheduler(), &testUpper{}, Options{})
+	newMAC(Basic, 0, sim.NewScheduler(), &testUpper{}, Options{})
 }
 
 func TestPowerSchemeRequiresHistory(t *testing.T) {
@@ -588,7 +595,7 @@ func TestPowerSchemeRequiresHistory(t *testing.T) {
 			t.Fatal("scheme2 without history did not panic")
 		}
 	}()
-	New(Scheme2, 0, sim.NewScheduler(), &testUpper{}, Options{
+	newMAC(Scheme2, 0, sim.NewScheduler(), &testUpper{}, Options{
 		Rand: rand.New(rand.NewSource(1)),
 	})
 }
@@ -598,7 +605,7 @@ func TestDisableThreeWayAblation(t *testing.T) {
 	n.ch = phys.NewChannel(n.sched, phys.NewTwoRayGround())
 	for i, x := range []float64{0, 100} {
 		up := &testUpper{}
-		m := New(PCMAC, packet.NodeID(i), n.sched, up, Options{
+		m := newMAC(PCMAC, packet.NodeID(i), n.sched, up, Options{
 			Rand:            rand.New(rand.NewSource(int64(i + 1))),
 			History:         power.NewHistory(n.sched.Now, 3*sim.Second),
 			Registry:        power.NewRegistry(n.sched.Now, 0.7),
@@ -659,7 +666,7 @@ func TestRTSThresholdBasicAccess(t *testing.T) {
 	n.ch = phys.NewChannel(n.sched, phys.NewTwoRayGround())
 	for i, x := range []float64{0, 100} {
 		up := &testUpper{}
-		m := New(Basic, packet.NodeID(i), n.sched, up, Options{
+		m := newMAC(Basic, packet.NodeID(i), n.sched, up, Options{
 			Rand:              rand.New(rand.NewSource(int64(i + 1))),
 			RTSThresholdBytes: 256,
 		})
@@ -696,7 +703,7 @@ func TestRTSThresholdRetryOnAckLoss(t *testing.T) {
 	n := &net{sched: sim.NewScheduler(), sniff: &sniffer{}}
 	n.ch = phys.NewChannel(n.sched, phys.NewTwoRayGround())
 	up := &testUpper{}
-	m := New(Basic, 0, n.sched, up, Options{Rand: rand.New(rand.NewSource(1)), RTSThresholdBytes: 256})
+	m := newMAC(Basic, 0, n.sched, up, Options{Rand: rand.New(rand.NewSource(1)), RTSThresholdBytes: 256})
 	p := geom.Point{}
 	m.BindRadio(n.ch.AttachRadio(0, func() geom.Point { return p }, m))
 	m.Enqueue(routingPacket(0, 9), 9)
@@ -716,7 +723,7 @@ func TestThreeWayIgnoresRTSThreshold(t *testing.T) {
 	n.ch = phys.NewChannel(n.sched, phys.NewTwoRayGround())
 	for i, x := range []float64{0, 100} {
 		up := &testUpper{}
-		m := New(PCMAC, packet.NodeID(i), n.sched, up, Options{
+		m := newMAC(PCMAC, packet.NodeID(i), n.sched, up, Options{
 			Rand:              rand.New(rand.NewSource(int64(i + 1))),
 			History:           power.NewHistory(n.sched.Now, 3*sim.Second),
 			Registry:          power.NewRegistry(n.sched.Now, 0.7),

@@ -507,8 +507,8 @@ func NewTimer(s *Scheduler, fn func()) *Timer {
 }
 
 // Init makes t a stopped timer on s that runs fn on expiry: the state
-// NewTimer returns, built in memory the caller owns. Init an idle timer
-// only; re-initialising an armed one strands its queued event.
+// NewTimer returns, built in memory the caller owns. It panics on an
+// armed timer, whose queued event re-initialising would strand.
 func (t *Timer) Init(s *Scheduler, fn func()) {
 	if fn == nil {
 		panic("sim: nil timer function")
